@@ -10,11 +10,18 @@ implementation is wrong), never a silent best-effort return.
 Isolated vertices have zero marginal value everywhere, so they are stripped
 before solving and re-appended round-robin afterwards (empty bundles first);
 this changes no bundle's cut-value and preserves every checker verdict.
+
+Solver state lives in BundleStats, whose member sets, cached removal floors
+and chore indexes keep a move at O(deg + |A_src| + |A_dst|) instead of a
+rescan of all vertices.  The two-bundle hill climb keeps its own side array
+and a least-index heap of vertices whose flip raises the cut, so it flips
+the same vertices in the same order as a scan restarted at vertex 0.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,8 +69,10 @@ class SolveTrace:
 
 
 def _split_isolated(g: Graph):
-    keep = [v for v in range(g.num_vertices) if g.degree(v) > 0]
-    iso = [v for v in range(g.num_vertices) if g.degree(v) == 0]
+    keep = [v for v, nbrs in enumerate(g.adjacency) if nbrs]
+    iso = [v for v, nbrs in enumerate(g.adjacency) if not nbrs]
+    if not iso:
+        return g, keep, iso
     remap = {v: i for i, v in enumerate(keep)}
     core = Graph.from_edges(len(keep), [(remap[u], remap[v]) for u, v in g.edges])
     return core, keep, iso
@@ -77,10 +86,6 @@ def _reattach(bundles, keep, iso, n):
     return out
 
 
-def _members(stats: BundleStats, b: int) -> list[int]:
-    return [o for o, x in enumerate(stats.assignment) if x == b]
-
-
 def _relabel(stats: BundleStats, order: list[int]) -> None:
     order.sort(key=lambda b: stats.bundle_value[b])
 
@@ -92,13 +97,7 @@ def _record(stats: BundleStats, order: list[int], trace: SolveTrace) -> None:
 
 
 def _allocation(stats: BundleStats, order: list[int]) -> Allocation:
-    return Allocation.of([set(_members(stats, b)) for b in order])
-
-
-def _drop_value(stats: BundleStats, b: int) -> int:
-    """min over o in A_b of v(A_b - o); 0 for an empty bundle."""
-    best = stats.min_removal_value(b)
-    return 0 if best is None else best[1]
+    return Allocation.of([stats.members[b] for b in order])
 
 
 def _violator_positions(stats: BundleStats, order: list[int]) -> list[int]:
@@ -107,8 +106,14 @@ def _violator_positions(stats: BundleStats, order: list[int]) -> list[int]:
     return [
         pos
         for pos in range(1, len(order))
-        if stats.bundle_value[order[pos]] > v1 and _drop_value(stats, order[pos]) > v1
+        if stats.bundle_value[order[pos]] > v1 and stats.removal_floor(order[pos]) > v1
     ]
+
+
+def _least_helpful(stats: BundleStats, b: int, a1: int) -> Optional[int]:
+    """Least member of bundle b whose transfer to bundle a1 raises v(A_a1)."""
+    deg, cnt = stats.degree, stats.neighbors_in_bundle
+    return min((o for o in stats.members[b] if deg[o] > 2 * cnt[o][a1]), default=None)
 
 
 def _first_receiver(stats, order, o, exclude) -> Optional[int]:
@@ -118,24 +123,17 @@ def _first_receiver(stats, order, o, exclude) -> Optional[int]:
     return None
 
 
-def _find_weak_chore(stats: BundleStats, order: list[int]):
-    """Least (position, item) whose removal does not hurt its bundle.
+def _find_chore(stats: BundleStats, order: list[int], strict: bool):
+    """Least (position, item) whose removal does not hurt its bundle (strict:
+    strictly helps it), read from the chore indexes.
 
-    Degree-0 items are skipped: they are weak chores everywhere, no transfer
-    involving them changes any value, and they cannot violate stability.
+    Degree-0 items are left out of the weak chores: no transfer involving
+    them changes any value, so they cannot violate stability.
     """
+    index = stats.chores()[1 if strict else 0]
     for pos, b in enumerate(order):
-        for o in _members(stats, b):
-            if stats.graph.degree(o) > 0 and stats.marginal_remove(b, o) >= 0:
-                return pos, b, o
-    return None
-
-
-def _find_strict_chore(stats: BundleStats, order: list[int]):
-    for pos, b in enumerate(order):
-        for o in _members(stats, b):
-            if stats.marginal_remove(b, o) > 0:
-                return pos, b, o
+        if index[b]:
+            return pos, b, min(index[b])
     return None
 
 
@@ -144,36 +142,50 @@ def _find_strict_chore(stats: BundleStats, order: list[int]):
 
 
 def greedy_two_agents(g: Graph) -> tuple[Allocation, SolveTrace]:
-    """Local-search bipartition: EF (both sides see the cut) and TS (local max)."""
+    """Local-search bipartition: EF (both sides see the cut) and TS (local max).
+
+    Each step flips the least-index vertex whose flip raises the cut, as a
+    scan restarted at vertex 0 after every flip would.  A least-index heap
+    holds every vertex with positive gain (plus stale entries, re-checked
+    when popped), so a flip costs O(deg log V) instead of a rescan.
+    """
     if g.num_vertices < 2:
         raise ValueError("need at least 2 vertices")
     core, keep, iso = _split_isolated(g)
     trace = SolveTrace(guarantee="EF+TS")
+    adj = core.adjacency
+    deg = [len(nbrs) for nbrs in adj]
     side = [0] * core.num_vertices
-    cnt = [[0, 0] for _ in range(core.num_vertices)]
-    for v in range(core.num_vertices):
-        cnt[v][0] = core.degree(v)
+    same = list(deg)  # neighbors on the same side; flipping v gains 2 * same[v] - deg[v]
+    heap = [v for v in range(core.num_vertices) if 2 * same[v] > deg[v]]  # sorted, so a heap
+    queued = [False] * core.num_vertices
+    for v in heap:
+        queued[v] = True
     cut = 0
     budget = max(1, 2 * core.num_edges)
     moves = 0
-    improved = True
-    while improved:
-        improved = False
-        for v in range(core.num_vertices):
-            s = side[v]
-            gain = core.degree(v) - 2 * cnt[v][1 - s]
-            if gain > 0:
-                side[v] = 1 - s
-                for u in core.adjacency[v]:
-                    cnt[u][s] -= 1
-                    cnt[u][1 - s] += 1
-                cut += gain
-                moves += 1
-                if moves > budget:
-                    raise BudgetExceededError("hill climb exceeded its move budget")
-                trace.welfare_history.append(2 * cut)
-                improved = True
-                break
+    while heap:
+        v = heapq.heappop(heap)
+        queued[v] = False
+        gain = 2 * same[v] - deg[v]
+        if gain <= 0:
+            continue
+        s = side[v]
+        side[v] = 1 - s
+        for u in adj[v]:
+            if side[u] == s:
+                same[u] -= 1
+            else:
+                same[u] += 1
+                if not queued[u] and 2 * same[u] > deg[u]:
+                    queued[u] = True
+                    heapq.heappush(heap, u)
+        same[v] = deg[v] - same[v]
+        cut += gain
+        moves += 1
+        if moves > budget:
+            raise BudgetExceededError("hill climb exceeded its move budget")
+        trace.welfare_history.append(2 * cut)
     trace.iterations = moves
     bundles = [
         {v for v in range(core.num_vertices) if side[v] == s} for s in (0, 1)
@@ -194,7 +206,7 @@ def _ts_pass(stats: BundleStats, order: list[int], special: Optional[int], trace
     budget = max(1, 2 * stats.graph.num_edges)
     moves = 0
     while True:
-        found = _find_weak_chore(stats, order)
+        found = _find_chore(stats, order, strict=False)
         if found is None:
             return
         pos, b, o = found
@@ -273,11 +285,9 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             pick = None
             a1 = order[0]
             for pos in _violator_positions(stats, order):
-                for o in _members(stats, order[pos]):
-                    if stats.marginal_add(a1, o) > 0:
-                        pick = (order[pos], o)
-                        break
-                if pick:
+                o = _least_helpful(stats, order[pos], a1)
+                if o is not None:
+                    pick = (order[pos], o)
                     break
             if pick is None:
                 break
@@ -300,13 +310,12 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         a1 = order[0]
         v1 = stats.bundle_value[a1]
         # every item of the violator now has non-positive marginal value for
-        # the minimum bundle; park such items with third parties
-        while (
-            stats.bundle_value[i_star] > v1
-            and _drop_value(stats, i_star) > v1
-            and all(stats.marginal_add(a1, o) <= 0 for o in _members(stats, i_star))
-        ):
-            o = min(o for o in _members(stats, i_star) if stats.marginal_add(a1, o) <= 0)
+        # the minimum bundle; park them, least index first, with third
+        # parties.  Parking never touches A_a1 and never adds to A_i*, so
+        # that stays true and the park order is fixed up front.
+        for o in sorted(stats.members[i_star]):
+            if not (stats.bundle_value[i_star] > v1 and stats.removal_floor(i_star) > v1):
+                break
             receiver = None
             for b in order[1:]:
                 if b != i_star and stats.marginal_add(b, o) > 0:
@@ -322,8 +331,7 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         _record(stats, order, trace)
         _ts_pass(stats, order, i_star, trace)
         trace.snapshots.append(("II", trace.potential_history[-1]))
-    bundles = [set(_members(stats, b)) for b in order]
-    return Allocation.of(_reattach(bundles, keep, iso, n)), trace
+    return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +345,7 @@ def _wts_pass(stats: BundleStats, order: list[int], trace: SolveTrace):
     budget = max(1, 2 * stats.graph.num_edges * len(order))
     moves = 0
     while True:
-        found = _find_strict_chore(stats, order)
+        found = _find_chore(stats, order, strict=True)
         if found is None:
             return
         pos, b, o = found
@@ -399,11 +407,9 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         a1 = order[0]
         pick = None
         for pos in violators:
-            for o in _members(stats, order[pos]):
-                if stats.marginal_add(a1, o) > 0:
-                    pick = (order[pos], o)
-                    break
-            if pick:
+            o = _least_helpful(stats, order[pos], a1)
+            if o is not None:
+                pick = (order[pos], o)
                 break
         if pick is not None:
             src, o = pick
@@ -420,7 +426,8 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             v1 = stats.bundle_value[a1]
             # carve out a just-above-minimum subset for the violator and park
             # the rest with a third bundle
-            pool = _members(stats, i)
+            deg = stats.degree
+            pool = sorted(stats.members[i])
             in_s = set()
             vs = 0
             while vs <= v1:
@@ -428,7 +435,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                 for cand in pool:
                     if cand in in_s:
                         continue
-                    margin = core.degree(cand) - 2 * sum(
+                    margin = deg[cand] - 2 * sum(
                         1 for u in core.adjacency[cand] if u in in_s
                     )
                     if margin > 0:
@@ -439,7 +446,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                         "subset building stalled below the minimum value"
                     )
                 in_s.add(o)
-                vs += core.degree(o) - 2 * sum(
+                vs += deg[o] - 2 * sum(
                     1 for u in core.adjacency[o] if u in in_s and u != o
                 )
             j = next(b for b in order if b not in (a1, i))
@@ -450,8 +457,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         _record(stats, order, trace)
         _wts_pass(stats, order, trace)
         trace.snapshots.append((trace.case_history[-1], trace.potential_history[-1]))
-    bundles = [set(_members(stats, b)) for b in order]
-    out = _reattach(bundles, keep, iso, n)
+    out = _reattach([stats.members[b] for b in order], keep, iso, n)
     if not all(out):
         raise SolverInvariantError("an empty bundle survived round-robin start")
     return Allocation.of(out), trace
@@ -490,26 +496,28 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     exempt = set()
     for comp in comps:
         if len(comp) >= 3:
-            roots.append(min(v for v in comp if core.degree(v) >= 2))
+            roots.append(min(v for v in comp if len(core.adjacency[v]) >= 2))
         else:
             r = min(comp)
             roots.append(r)
             exempt.add(r)
     rf = RootedForest.build(core, roots)
     stats = BundleStats(core, n)
+    deg = stats.degree
     order = list(range(n))
     frontier = set(rf.roots)
     budget = max(1, 4 * core.num_vertices)
 
     def feasible_roots(b):
+        """Frontier roots whose parent is not in bundle b, in no fixed order."""
         return [
             r
-            for r in sorted(frontier)
+            for r in frontier
             if rf.parent[r] is None or stats.assignment[rf.parent[r]] != b
         ]
 
     def best_root(candidates):
-        return min(candidates, key=lambda r: (-core.degree(r), r))
+        return min(candidates, key=lambda r: (-deg[r], r))
 
     def allocate(v, b):
         stats.apply_move(v, None, b)
@@ -520,7 +528,7 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         return [
             c
             for c in rf.children[o_t]
-            if stats.assignment[c] is None and core.degree(c) == 1
+            if stats.assignment[c] is None and deg[c] == 1
         ]
 
     def unallocated_children(o_t):
@@ -555,18 +563,18 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         a1, a2 = order[0], order[1]
         f1 = feasible_roots(a1)
         if f1:
-            o_t = f1[0]
+            o_t = min(f1)
             allocate(o_t, a1)
             distribute_leaf_children(o_t, list(range(1, n)))
             tag = "1"
         else:
             best2 = stats.min_removal_value(a2)
-            drop2 = 0 if best2 is None else best2[1]
-            deg2 = 0 if best2 is None else core.degree(best2[0])
+            drop2 = stats.removal_floor(a2)
+            deg2 = 0 if best2 is None else deg[best2[0]]
             f2 = feasible_roots(a2)
             o_t = best_root(f2) if f2 else None
             if f2 and (
-                stats.bundle_value[a1] > drop2 or core.degree(o_t) > deg2
+                stats.bundle_value[a1] > drop2 or deg[o_t] > deg2
             ):
                 allocate(o_t, a2)
                 h2 = stats.min_removal_value(a2)[0]
@@ -618,15 +626,14 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                 tag = "3"
         trace.case_history.append(tag)
         trace.snapshots.append(
-            (tag, [sorted(keep[o] for o in _members(stats, b)) for b in order])
+            (tag, [[keep[o] for o in sorted(stats.members[b])] for b in order])
         )
 
     _relabel(stats, order)
     _record(stats, order, trace)
     if any(x is None for x in stats.assignment):
         raise SolverInvariantError("peeling terminated with unallocated items")
-    bundles = [set(_members(stats, b)) for b in order]
-    return Allocation.of(_reattach(bundles, keep, iso, n)), trace
+    return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace
 
 
 # ---------------------------------------------------------------------------

@@ -105,14 +105,6 @@ def potential(a: Allocation, g: Graph) -> Potential:
     return potential_from_values(values)
 
 
-def min_drop_item(a: Allocation, g: Graph, i: int) -> Optional[tuple[int, int]]:
-    """Item of bundle i minimizing the post-removal value, with that value.
-
-    None for an empty bundle (convention: the post-removal value is then 0).
-    """
-    return _stats(a, g).min_removal_value(i)
-
-
 def check_ef(a: Allocation, g: Graph) -> FairnessReport:
     values = bundle_values(a, g)
     violations = []
@@ -123,14 +115,11 @@ def check_ef(a: Allocation, g: Graph) -> FairnessReport:
     return FairnessReport("EF", not violations, violations)
 
 
-def _removal_floor(stats: BundleStats, j: int) -> int:
-    """min over o in A_j of v(A_j - o); 0 for an empty bundle."""
-    best = stats.min_removal_value(j)
-    return 0 if best is None else best[1]
-
-
 def check_ef1(a: Allocation, g: Graph) -> FairnessReport:
-    """Pairwise EF1: every envy is removable by deleting one item from the envied bundle."""
+    """Pairwise EF1: every envy is removable by deleting one item from the envied bundle.
+
+    BundleStats caches each envied bundle's removal floor: O(V + n^2).
+    """
     stats = _stats(a, g)
     values = stats.bundle_value
     violations = []
@@ -138,7 +127,7 @@ def check_ef1(a: Allocation, g: Graph) -> FairnessReport:
         for j, vj in enumerate(values):
             if vj <= vi:
                 continue
-            floor = _removal_floor(stats, j)
+            floor = stats.removal_floor(j)
             if floor > vi:
                 witness = stats.min_removal_value(j)
                 violations.append(
@@ -154,7 +143,7 @@ def check_ef1_min_only(a: Allocation, g: Graph) -> bool:
     values = stats.bundle_value
     vmin = min(values) if values else 0
     for j, vj in enumerate(values):
-        if vj > vmin and _removal_floor(stats, j) > vmin:
+        if vj > vmin and stats.removal_floor(j) > vmin:
             return False
     return True
 
@@ -171,7 +160,7 @@ def check_alpha_ef1(a: Allocation, g: Graph, alpha: Fraction) -> FairnessReport:
         for j, vj in enumerate(values):
             if vj <= vi:
                 continue
-            floor = _removal_floor(stats, j)
+            floor = stats.removal_floor(j)
             if alpha.numerator * floor > alpha.denominator * vi:
                 violations.append({"i": i, "j": j, "item": None, "values": [vi, floor]})
     return FairnessReport(f"{alpha}-EF1", not violations, violations)

@@ -107,8 +107,7 @@ def cmd_solve(args) -> int:
     try:
         a, trace = dispatch_solve(g, n, SolveGoal(args.goal))
     except GoalInfeasibleError as exc:
-        _note(args, f"infeasible: {exc}")
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": f"infeasible: {exc}"}), file=sys.stderr)
         return 2
     doc = {
         "instance": inst.label,
@@ -323,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("repro", help="run the full reproduction suite")
-    p.add_argument("--only", default=None, help="filter criteria by number or name")
+    p.add_argument(
+        "--only", default=None, help="run one criterion, by number (e.g. 1) or name (criterion_1)"
+    )
     p.set_defaults(fn=cmd_repro)
 
     return parser

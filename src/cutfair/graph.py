@@ -105,7 +105,7 @@ class RootedForest:
     @staticmethod
     def build(g: Graph, roots: Optional[Sequence[int]] = None) -> "RootedForest":
         if not g.is_forest():
-            raise GraphError("root_forest requires an acyclic graph")
+            raise GraphError("rooting needs an acyclic graph")
         comps = g.connected_components()
         if roots is None:
             chosen = [min(c) for c in comps]
@@ -133,18 +133,3 @@ class RootedForest:
                         queue.append(u)
         return RootedForest(graph=g, parent=parent, children=children, roots=sorted(chosen))
 
-
-def degree(g: Graph, o: int) -> int:
-    return g.degree(o)
-
-
-def is_forest(g: Graph) -> bool:
-    return g.is_forest()
-
-
-def connected_components(g: Graph) -> list[set[int]]:
-    return g.connected_components()
-
-
-def root_forest(g: Graph, roots: Optional[Sequence[int]] = None) -> RootedForest:
-    return RootedForest.build(g, roots)

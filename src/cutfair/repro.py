@@ -466,11 +466,18 @@ CRITERIA: list[tuple[int, Callable[[ReproContext], CriterionResult]]] = [
 
 
 def run_all(only: Optional[str] = None, report=print) -> list[CriterionResult]:
+    """Run every criterion, or only the one whose number or function name
+    equals ``only`` exactly (``"1"`` or ``"criterion_1"``)."""
+    selected = [
+        (number, fn)
+        for number, fn in CRITERIA
+        if only is None or only in (str(number), fn.__name__)
+    ]
+    if not selected:
+        raise ValueError(f"no criterion is numbered or named {only!r}")
     ctx = ReproContext()
     results = []
-    for number, fn in CRITERIA:
-        if only is not None and only not in str(number) and only not in fn.__name__:
-            continue
+    for number, fn in selected:
         result = fn(ctx)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"

@@ -1,4 +1,4 @@
-"""Cut-values and O(deg) incremental marginal maintenance.
+"""Cut-values and incremental per-bundle state.
 
 The value of a bundle S is the number of edges with exactly one endpoint in S.
 Unassigned vertices count as "outside" every bundle, which is what partial
@@ -8,7 +8,21 @@ count of o's neighbors inside A_i, giving closed-form marginals:
     add    o to A_i:     deg(o) - 2 * |N_{A_i}(o)|
     remove o from A_i:   2 * |N_{A_i \\ {o}}(o)| - deg(o)
 
-All arithmetic is exact integer arithmetic.
+On top of the counts it keeps the per-bundle state that solvers and checkers
+query over and over, each maintained by apply_move(o, src, dst):
+
+- member sets, one per bundle: O(1) per move;
+- the removal floor min over o in A_i of v(A_i - o), cached per bundle and
+  marked stale only for src and dst: O(1) per move, O(|A_i|) to recompute
+  on the next query of a stale bundle;
+- chore indexes, built on their first query: per bundle, the weak chores
+  (degree > 0 and removal marginal >= 0) and the strict chores (removal
+  marginal > 0).  Once built, a move re-classifies o and those neighbors of
+  o that sit in src or dst: O(deg(o)) per move.
+
+A move therefore costs O(deg(o)), plus O(|A_src| + |A_dst|) when the floors
+of both bundles are queried afterwards.  All arithmetic is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +34,8 @@ from .graph import Graph
 STRICT_GOOD = "strict-good"
 WEAK_CHORE = "weak-chore"
 STRICT_CHORE = "strict-chore"
+
+_STALE = object()  # marks a cached removal floor that must be recomputed
 
 
 def cut_value(g: Graph, s: Iterable[int]) -> int:
@@ -37,9 +53,13 @@ def cut_value(g: Graph, s: Iterable[int]) -> int:
 
 
 class BundleStats:
-    """Mutable per-(vertex, bundle) neighbor counts with cached bundle values.
+    """Mutable per-(vertex, bundle) neighbor counts with cached bundle state.
 
-    Single-owner mutable; copy() before sharing.
+    Public state: ``assignment`` (bundle of each vertex, or None),
+    ``neighbors_in_bundle``, ``bundle_value``, ``members`` (one vertex set
+    per bundle) and ``degree`` (a plain list, for hot loops).  Removal floors
+    and chore indexes are read through min_removal_value, removal_floor and
+    chores.  Single-owner mutable; copy() before sharing.
     """
 
     def __init__(self, g: Graph, n: int):
@@ -47,52 +67,82 @@ class BundleStats:
             raise ValueError("need at least one bundle")
         self.graph = g
         self.n = n
+        self.degree = list(map(len, g.adjacency))
         self.assignment: list[Optional[int]] = [None] * g.num_vertices
         self.neighbors_in_bundle = [[0] * n for _ in range(g.num_vertices)]
         self.bundle_value = [0] * n
-        self.bundle_size = [0] * n
+        self.members: list[set[int]] = [set() for _ in range(n)]
+        self._floor: list = [_STALE] * n
+        self._chores: Optional[tuple[list[set[int]], list[set[int]]]] = None
 
     @staticmethod
     def from_bundles(g: Graph, bundles: Sequence[Iterable[int]]) -> "BundleStats":
+        """Build without apply_move: the assignment and member sets first, then
+        one pass over the assigned vertices' adjacency lists for the neighbor
+        counts, and one for the values, v(A_i) = sum over o in A_i of
+        deg(o) - |N_{A_i}(o)|.
+        """
         stats = BundleStats(g, len(bundles))
+        assignment, num_vertices = stats.assignment, g.num_vertices
         for i, bundle in enumerate(bundles):
+            members = stats.members[i]
             for o in bundle:
-                stats.apply_move(o, None, i)
+                if not 0 <= o < num_vertices:
+                    raise ValueError(f"vertex {o} out of range")
+                if assignment[o] is not None:
+                    raise ValueError(f"vertex {o} is in bundle {assignment[o]}, not None")
+                assignment[o] = i
+                members.add(o)
+        cnt, adj, deg = stats.neighbors_in_bundle, g.adjacency, stats.degree
+        for o, b in enumerate(assignment):
+            if b is not None:
+                for u in adj[o]:
+                    cnt[u][b] += 1
+        for o, b in enumerate(assignment):
+            if b is not None:
+                stats.bundle_value[b] += deg[o] - cnt[o][b]
         return stats
 
     def copy(self) -> "BundleStats":
-        dup = BundleStats(self.graph, self.n)
+        dup = BundleStats.__new__(BundleStats)
+        dup.graph = self.graph
+        dup.n = self.n
+        dup.degree = self.degree  # never mutated, so shared
         dup.assignment = list(self.assignment)
         dup.neighbors_in_bundle = [list(row) for row in self.neighbors_in_bundle]
         dup.bundle_value = list(self.bundle_value)
-        dup.bundle_size = list(self.bundle_size)
+        dup.members = [set(m) for m in self.members]
+        dup._floor = list(self._floor)
+        dup._chores = None
+        if self._chores is not None:
+            dup._chores = tuple([set(s) for s in sets] for sets in self._chores)
         return dup
+
+    @property
+    def bundle_size(self) -> list[int]:
+        return [len(m) for m in self.members]
 
     def value(self, i: int) -> int:
         return self.bundle_value[i]
 
     def bundles(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.n)]
-        for o, b in enumerate(self.assignment):
-            if b is not None:
-                out[b].add(o)
-        return out
+        return [set(m) for m in self.members]
 
     def marginal_add(self, i: int, o: int) -> int:
         """v(A_i + o) - v(A_i).  o must not already be in bundle i."""
         if self.assignment[o] == i:
             raise ValueError(f"vertex {o} already in bundle {i}")
-        return self.graph.degree(o) - 2 * self.neighbors_in_bundle[o][i]
+        return self.degree[o] - 2 * self.neighbors_in_bundle[o][i]
 
     def marginal_remove(self, i: int, o: int) -> int:
         """v(A_i - o) - v(A_i).  o must be in bundle i."""
         if self.assignment[o] != i:
             raise ValueError(f"vertex {o} not in bundle {i}")
-        return 2 * self.neighbors_in_bundle[o][i] - self.graph.degree(o)
+        return 2 * self.neighbors_in_bundle[o][i] - self.degree[o]
 
     def classify_item(self, i: int, o: int) -> str:
         """Classify o against A_i (against A_i minus o when o sits in A_i)."""
-        margin = self.graph.degree(o) - 2 * self.neighbors_in_bundle[o][i]
+        margin = self.degree[o] - 2 * self.neighbors_in_bundle[o][i]
         if margin > 0:
             return STRICT_GOOD
         if margin == 0:
@@ -100,16 +150,20 @@ class BundleStats:
         return STRICT_CHORE
 
     def apply_move(self, o: int, src: Optional[int], dst: Optional[int]) -> None:
-        """Move o from bundle src to bundle dst (None means unassigned). O(deg(o))."""
+        """Move o from bundle src to bundle dst (None means unassigned).
+
+        O(deg(o)); marks the removal floors of src and dst stale.
+        """
         if self.assignment[o] != src:
             raise ValueError(f"vertex {o} is in bundle {self.assignment[o]}, not {src}")
         if src == dst:
             raise ValueError("no-op move")
-        deg = self.graph.degree(o)
+        deg = self.degree[o]
         cnt = self.neighbors_in_bundle
         if src is not None:
             self.bundle_value[src] += 2 * cnt[o][src] - deg
-            self.bundle_size[src] -= 1
+            self.members[src].discard(o)
+            self._floor[src] = _STALE
         for u in self.graph.adjacency[o]:
             if src is not None:
                 cnt[u][src] -= 1
@@ -117,34 +171,97 @@ class BundleStats:
                 cnt[u][dst] += 1
         if dst is not None:
             self.bundle_value[dst] += deg - 2 * cnt[o][dst]
-            self.bundle_size[dst] += 1
+            self.members[dst].add(o)
+            self._floor[dst] = _STALE
         self.assignment[o] = dst
+        if self._chores is not None:
+            weak, strict = self._chores
+            if src is not None:
+                weak[src].discard(o)
+                strict[src].discard(o)
+            if dst is not None:
+                self._classify_chore(o, dst)
+            assignment = self.assignment
+            for u in self.graph.adjacency[o]:
+                b = assignment[u]
+                if b is not None and (b == src or b == dst):
+                    self._classify_chore(u, b)
+
+    def _classify_chore(self, o: int, b: int) -> None:
+        """File o, a member of bundle b, in b's chore indexes."""
+        weak, strict = self._chores
+        deg = self.degree[o]
+        margin = 2 * self.neighbors_in_bundle[o][b] - deg
+        if margin > 0:
+            weak[b].add(o)
+            strict[b].add(o)
+        else:
+            strict[b].discard(o)
+            if margin == 0 and deg > 0:
+                weak[b].add(o)
+            else:
+                weak[b].discard(o)
 
     def min_removal_value(self, i: int) -> Optional[tuple[int, int]]:
         """(item, v(A_i - item)) minimizing the post-removal value; None if empty.
 
-        Ties broken by least vertex index.
+        Ties broken by least vertex index.  Cached until a move touches A_i.
         """
-        best: Optional[tuple[int, int]] = None
-        for o, b in enumerate(self.assignment):
-            if b != i:
-                continue
-            val = self.bundle_value[i] + self.marginal_remove(i, o)
-            if best is None or val < best[1]:
-                best = (o, val)
+        best = self._floor[i]
+        if best is _STALE:
+            cnt, deg = self.neighbors_in_bundle, self.degree
+            best = None
+            if self.members[i]:
+                margin, o = min((2 * cnt[o][i] - deg[o], o) for o in self.members[i])
+                best = (o, self.bundle_value[i] + margin)
+            self._floor[i] = best
         return best
+
+    def removal_floor(self, i: int) -> int:
+        """min over o in A_i of v(A_i - o); 0 for an empty bundle."""
+        best = self.min_removal_value(i)
+        return 0 if best is None else best[1]
+
+    def chores(self) -> tuple[list[set[int]], list[set[int]]]:
+        """(weak, strict): per bundle, the members whose removal does not hurt
+        it (degree-0 members excluded) and those whose removal strictly helps.
+
+        Built in O(V) on the first call and kept up to date by apply_move.
+        """
+        if self._chores is None:
+            self._chores = ([set() for _ in range(self.n)], [set() for _ in range(self.n)])
+            for o, b in enumerate(self.assignment):
+                if b is not None:
+                    self._classify_chore(o, b)
+        return self._chores
 
     def check_consistency(self) -> None:
         """Recompute everything from scratch and compare against the caches."""
         g = self.graph
+        if self.degree != [g.degree(o) for o in range(g.num_vertices)]:
+            raise AssertionError("stale degree list")
         for o in range(g.num_vertices):
             for i in range(self.n):
                 actual = sum(1 for u in g.adjacency[o] if self.assignment[u] == i)
                 if actual != self.neighbors_in_bundle[o][i]:
                     raise AssertionError(f"stale neighbor count at ({o}, {i})")
         for i in range(self.n):
-            members = [o for o in range(g.num_vertices) if self.assignment[o] == i]
-            if len(members) != self.bundle_size[i]:
-                raise AssertionError(f"stale size for bundle {i}")
+            members = {o for o in range(g.num_vertices) if self.assignment[o] == i}
+            if members != self.members[i]:
+                raise AssertionError(f"stale member set for bundle {i}")
             if cut_value(g, members) != self.bundle_value[i]:
                 raise AssertionError(f"stale value for bundle {i}")
+            if self._floor[i] is not _STALE:
+                fresh = None
+                for o in sorted(members):
+                    val = cut_value(g, members - {o})
+                    if fresh is None or val < fresh[1]:
+                        fresh = (o, val)
+                if fresh != self._floor[i]:
+                    raise AssertionError(f"stale removal floor for bundle {i}")
+            if self._chores is not None:
+                margins = {o: cut_value(g, members - {o}) - self.bundle_value[i] for o in members}
+                weak = {o for o, x in margins.items() if x >= 0 and g.degree(o) > 0}
+                strict = {o for o, x in margins.items() if x > 0}
+                if (weak, strict) != (self._chores[0][i], self._chores[1][i]):
+                    raise AssertionError(f"stale chore index for bundle {i}")

@@ -160,3 +160,25 @@ def test_unknown_label_and_bad_args(capsys):
     assert main(["solve"]) == 2
     assert main([]) == 2
     assert main(["solve", "--help"]) == 0
+
+
+def test_repro_only_matches_the_exact_criterion(capsys):
+    code, out, _ = run(capsys, "repro", "--only", "1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("criterion  1 PASS")
+    code, out, _ = run(capsys, "repro", "--only", "criterion_9")
+    assert code == 0
+    assert [line.split()[1] for line in out.strip().splitlines()] == ["9"]
+    code, _, err = run(capsys, "repro", "--only", "12")
+    assert code == 2
+    assert "no criterion" in err
+
+
+def test_solve_infeasible_goal_writes_one_json_line(capsys):
+    code, out, err = run(capsys, "solve", "--label", "fig3:d=3", "--goal", "ef1-ts")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "infeasible" in json.loads(lines[0])["error"]

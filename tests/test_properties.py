@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +122,79 @@ def test_general_solver_always_delivers(g, n):
     assert check_ef1(a, g).holds
     if n >= 2:
         assert check_wts(a, g).holds
+
+
+@st.composite
+def partial_states(draw, max_vertices=7, max_bundles=4):
+    """A graph and a partial assignment: None leaves a vertex unassigned."""
+    g = draw(graphs(max_vertices))
+    n = draw(st.integers(min_value=1, max_value=max_bundles))
+    assign = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)),
+            min_size=g.num_vertices,
+            max_size=g.num_vertices,
+        )
+    )
+    bundles = [{v for v, b in enumerate(assign) if b == i} for i in range(n)]
+    return g, bundles
+
+
+STEPS = st.one_of(
+    st.tuples(st.just("move"), st.integers(min_value=0), st.integers(min_value=0)),
+    st.tuples(st.just("floor"), st.integers(min_value=0)),
+    st.tuples(st.just("chores")),
+    st.tuples(st.just("copy")),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(partial_states(), st.lists(STEPS, max_size=40))
+def test_bundle_caches_survive_random_moves(state, steps):
+    g, bundles = state
+    stats = BundleStats.from_bundles(g, bundles)
+    n = stats.n
+    earlier = []
+    for step in steps:
+        if step[0] == "move":
+            o = step[1] % g.num_vertices
+            dst = step[2] % (n + 1)
+            dst = None if dst == n else dst
+            src = stats.assignment[o]
+            if src == dst:
+                continue
+            stats.apply_move(o, src, dst)
+        elif step[0] == "floor":
+            i = step[1] % n
+            best = stats.min_removal_value(i)
+            assert stats.removal_floor(i) == (0 if best is None else best[1])
+        elif step[0] == "chores":
+            weak, strict = stats.chores()
+            assert all(strict[i] <= weak[i] <= stats.members[i] for i in range(n))
+        else:
+            earlier.append((stats, stats.bundles()))
+            stats = stats.copy()
+        stats.check_consistency()
+    for old, members in earlier:  # later moves on a copy leave the original alone
+        assert old.bundles() == members
+        old.check_consistency()
+
+
+@given(partial_states())
+def test_from_bundles_equals_a_build_by_moves(state):
+    g, bundles = state
+    built = BundleStats(g, len(bundles))
+    for i, bundle in enumerate(bundles):
+        for o in sorted(bundle):
+            built.apply_move(o, None, i)
+    stats = BundleStats.from_bundles(g, bundles)
+    assert stats.assignment == built.assignment
+    assert stats.neighbors_in_bundle == built.neighbors_in_bundle
+    assert stats.bundle_value == built.bundle_value
+    assert stats.bundle_size == built.bundle_size
+    assert stats.members == built.members
+    stats.check_consistency()
+    taken = [o for bundle in bundles for o in bundle]
+    if taken:
+        with pytest.raises(ValueError, match="is in bundle"):
+            BundleStats.from_bundles(g, bundles + [{taken[0]}])
