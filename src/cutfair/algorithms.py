@@ -659,6 +659,8 @@ def dispatch_solve(g: Graph, n: int, goal) -> tuple[Allocation, SolveTrace]:
     goal = SolveGoal(goal)
     if goal is SolveGoal.EF_TS_2 and n != 2:
         raise GoalInfeasibleError("that guarantee is defined only for n = 2")
+    if goal in (SolveGoal.EF1_SO_FOREST, SolveGoal.EQUITABLE) and n < 2:
+        raise GoalInfeasibleError("that guarantee needs n >= 2")
     if goal is SolveGoal.EF1_SO_FOREST:
         if not g.is_forest():
             raise GoalInfeasibleError("the SO-by-construction solver needs a forest")

@@ -148,11 +148,17 @@ def check_ef1_min_only(a: Allocation, g: Graph) -> bool:
     return True
 
 
-def check_alpha_ef1(a: Allocation, g: Graph, alpha: Fraction) -> FairnessReport:
-    """alpha-scaled EF1; comparisons by exact cross-multiplication."""
+def _require_alpha(alpha) -> Fraction:
+    """alpha as a Fraction; alpha-EF1 is defined for alpha in (0, 1]."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
+
+
+def check_alpha_ef1(a: Allocation, g: Graph, alpha: Fraction) -> FairnessReport:
+    """alpha-scaled EF1; comparisons by exact cross-multiplication."""
+    alpha = _require_alpha(alpha)
     stats = _stats(a, g)
     values = stats.bundle_value
     violations = []

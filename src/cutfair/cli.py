@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / predicate holds, 1 predicate fails or witness absent,
-2 usage or input error, 3 internal assertion failure (a bug, never expected).
+2 usage or input error, 3 internal error (a bug, never expected): a failed
+invariant or any ValueError that no input check caught.
 JSON goes to stdout (or --out); a short human summary goes to stderr unless
 --quiet.  FAIRDIV_MAX_STATES overrides the enumeration cap.
 """
@@ -9,6 +10,7 @@ JSON goes to stdout (or --out); a short human summary goes to stderr unless
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -27,19 +29,12 @@ from .algorithms import (
     solve_ef1_wts,
     solve_forest_ef1_so,
 )
-from .allocation import (
-    bundle_values,
-    check_alpha_ef1,
-    check_ef,
-    check_ef1,
-    check_so,
-    check_ts,
-    check_wts,
-)
+from .allocation import bundle_values
 from .instances import (
     Instance,
     ParseError,
     from_label,
+    gen_random_forest,
     gen_random_graph,
     read_allocation,
     read_instance,
@@ -63,6 +58,14 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, default=None, help="override the agent count")
     p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p.add_argument("--out", help="write the JSON document here instead of stdout")
+
+
+def _add_query_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--pred", default="ef1", help=f"comma-separated predicates: {', '.join(oracle.PREDICATES)}"
+    )
+    p.add_argument("--alpha", default="1", help="scale factor p/q in (0, 1] for alpha_ef1")
+    p.add_argument("--max-states", type=int, default=_default_max_states())
 
 
 def _load_instance(args) -> Instance:
@@ -91,19 +94,27 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _parse_preds(csv: str) -> set[str]:
-    names = {p.strip().replace("-", "_") for p in csv.split(",") if p.strip()}
-    unknown = names - {"ef", "ef1", "alpha_ef1", "ts", "wts", "so", "po", "nonempty"}
-    if unknown:
-        raise UsageError(f"unknown predicates: {sorted(unknown)}")
+def _query(args, **options) -> oracle.OracleQuery:
+    """The --pred, --alpha and --max-states flags as an oracle query, which
+    validates the predicate names and alpha."""
+    names = {p.strip().replace("-", "_") for p in args.pred.split(",") if p.strip()}
     if not names:
         raise UsageError("--pred needs at least one predicate")
-    return names
+    try:
+        alpha = Fraction(args.alpha)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--alpha must be a fraction p/q, got {args.alpha!r}") from exc
+    try:
+        return oracle.OracleQuery.of(names, alpha=alpha, max_states=args.max_states, **options)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
     g, n = inst.graph, inst.num_agents
+    if n > g.num_vertices:
+        raise UsageError(f"{n} bundles exceed the {g.num_vertices} vertices")
     try:
         a, trace = dispatch_solve(g, n, SolveGoal(args.goal))
     except GoalInfeasibleError as exc:
@@ -130,38 +141,16 @@ def cmd_check(args) -> int:
         a = read_allocation(args.alloc)
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
-    if any(o >= g.num_vertices for b in a.bundles for o in b):
+    if any(not 0 <= o < g.num_vertices for b in a.bundles for o in b):
         raise UsageError("allocation references vertices outside the instance")
-    alpha = Fraction(args.alpha)
-    reports = []
-    all_hold = True
-    for name in sorted(_parse_preds(args.pred)):
-        if name == "ef":
-            rep = check_ef(a, g)
-        elif name == "ef1":
-            rep = check_ef1(a, g)
-        elif name == "alpha_ef1":
-            rep = check_alpha_ef1(a, g, alpha)
-        elif name == "ts":
-            rep = check_ts(a, g)
-        elif name == "wts":
-            rep = check_wts(a, g)
-        elif name == "so":
-            rep = check_so(a, g, max_states=args.max_states)
-        elif name == "nonempty":
-            rep = None
-            holds = a.all_nonempty()
-            reports.append({"predicate": "non-empty", "holds": holds, "violations": []})
-            all_hold = all_hold and holds
-            continue
-        else:  # po
-            holds = oracle.oracle_pareto(a, g, a.n, max_states=args.max_states)
-            reports.append({"predicate": "PO", "holds": holds, "violations": []})
-            all_hold = all_hold and holds
-            continue
-        reports.append(json.loads(rep.to_json()))
-        all_hold = all_hold and rep.holds is True
-    _emit({"instance": inst.label, "reports": reports}, args)
+    query = _query(args)
+    names = sorted(query.predicates)
+    need_complete = [name for name in names if oracle.PREDICATES[name].complete]
+    if need_complete and not a.is_complete(g):
+        raise UsageError(f"{', '.join(need_complete)} need a complete allocation")
+    reports = [oracle.PREDICATES[name].check(a, g, query) for name in names]
+    all_hold = all(rep.holds is True for rep in reports)
+    _emit({"instance": inst.label, "reports": [json.loads(rep.to_json()) for rep in reports]}, args)
     _note(args, "all hold" if all_hold else "some predicates fail")
     return 0 if all_hold else 1
 
@@ -173,45 +162,27 @@ def cmd_oracle(args) -> int:
     if args.complete_partial:
         if inst.partial is None:
             raise UsageError("this instance carries no partial allocation")
-        verdict = oracle.oracle_completable_ef1(
-            inst.partial, g, n, max_states=args.max_states
-        )
-        doc = {
-            "query": "complete-partial-ef1",
-            "verdict": "completable" if verdict else "not-completable",
-            "elapsed_ms": round(1000 * (time.perf_counter() - t0), 1),
-        }
-        _emit(doc, args)
-        _note(args, doc["verdict"])
-        return 0 if verdict else 1
-    preds = _parse_preds(args.pred)
-    query = oracle.OracleQuery.of(
-        preds,
-        alpha=Fraction(args.alpha),
-        max_states=args.max_states,
-        symmetry=args.symmetry,
-        threads=args.threads,
-    )
-    if args.count:
-        count = oracle.oracle_count(g, n, query)
-        doc = {
-            "query": sorted(preds),
-            "verdict": count,
-            "elapsed_ms": round(1000 * (time.perf_counter() - t0), 1),
-        }
-        _emit(doc, args)
-        _note(args, f"{count} matching allocations")
-        return 0 if count else 1
-    witness = oracle.oracle_exists(g, n, query)
-    doc = {
-        "query": sorted(preds),
-        "verdict": "witness" if witness is not None else "absent",
-        "witness": witness.to_lists() if witness is not None else None,
-        "elapsed_ms": round(1000 * (time.perf_counter() - t0), 1),
-    }
+        if inst.partial.n != n:
+            raise UsageError(f"the partial allocation has {inst.partial.n} bundles, not {n}")
+        found = oracle.oracle_completable_ef1(inst.partial, g, n, max_states=args.max_states)
+        note = "completable" if found else "not-completable"
+        doc = {"query": "complete-partial-ef1", "verdict": note}
+    else:
+        query = _query(args, symmetry=args.symmetry, threads=args.threads)
+        doc = {"query": sorted(query.predicates)}
+        if args.count:
+            found = oracle.oracle_count(g, n, query)
+            doc["verdict"] = found
+            note = f"{found} matching allocations"
+        else:
+            witness = oracle.oracle_exists(g, n, query)
+            found = witness is not None
+            note = "witness" if found else "absent"
+            doc.update(verdict=note, witness=witness.to_lists() if found else None)
+    doc["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 1)
     _emit(doc, args)
-    _note(args, doc["verdict"])
-    return 0 if witness is not None else 1
+    _note(args, note)
+    return 0 if found else 1
 
 
 def cmd_gen(args) -> int:
@@ -229,47 +200,34 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = [("label", "m", "edges", "n", "algorithm", "iterations", "moves", "micros")]
-    rng_seed = args.seed
-    for m in (10, 20, 40, 80):
+    runs = [
+        (gen_random_graph(m, 0.3, args.seed + m * 7 + n), n, solver, tag)
+        for m in (10, 20, 40, 80)
         for n, solver, tag in (
-            (2, lambda g: greedy_two_agents(g), "hillclimb-2"),
-            (3, lambda g: solve_ef1_wts(g, 3), "ef1-wts"),
-            (5, lambda g: solve_ef1_ts_n4(g, 5), "ef1-ts"),
-        ):
-            inst = gen_random_graph(m, 0.3, rng_seed + m * 7 + n)
-            t0 = time.perf_counter()
-            _, trace = solver(inst.graph)
-            micros = round(1e6 * (time.perf_counter() - t0))
-            rows.append(
-                (
-                    inst.label,
-                    m,
-                    inst.graph.num_edges,
-                    n,
-                    tag,
-                    trace.iterations,
-                    len(trace.welfare_history),
-                    micros,
-                )
-            )
-    for m in (10, 20, 40):
-        inst = gen_random_graph(m, 0.2, rng_seed + m)
-        if not inst.graph.is_forest():
-            continue
-        t0 = time.perf_counter()
-        _, trace = solve_forest_ef1_so(inst.graph, 3)
-        micros = round(1e6 * (time.perf_counter() - t0))
-        rows.append(
-            (inst.label, m, inst.graph.num_edges, 3, "forest-peel",
-             trace.iterations, len(trace.welfare_history), micros)
+            (2, lambda g, n: greedy_two_agents(g), "hillclimb-2"),
+            (3, solve_ef1_wts, "ef1-wts"),
+            (5, solve_ef1_ts_n4, "ef1-ts"),
         )
-    for row in rows:
-        print(",".join(str(x) for x in row))
+    ]
+    for m in (10, 20, 40):
+        runs.append((gen_random_forest(m, 2, args.seed + m), 3, solve_forest_ef1_so, "forest-peel"))
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(("label", "m", "edges", "n", "algorithm", "iterations", "moves", "micros"))
+    for inst, n, solver, tag in runs:
+        g = inst.graph
+        t0 = time.perf_counter()
+        _, trace = solver(g, n)
+        micros = round(1e6 * (time.perf_counter() - t0))
+        row = (inst.label, g.num_vertices, g.num_edges, n, tag)
+        out.writerow(row + (trace.iterations, len(trace.welfare_history), micros))
     return 0
 
 
 def cmd_repro(args) -> int:
+    try:
+        repro.select(args.only)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     results = repro.run_all(only=args.only)
     return 0 if all(r.passed for r in results) else 1
 
@@ -293,23 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run fairness/efficiency checkers")
     _add_source_flags(p)
     p.add_argument("--alloc", required=True, help="allocation JSON path")
-    p.add_argument("--pred", default="ef1", help="comma-separated predicates")
-    p.add_argument("--alpha", default="1", help="scale factor p/q for alpha_ef1")
-    p.add_argument("--max-states", type=int, default=_default_max_states())
+    _add_query_flags(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("oracle", help="exhaustive search over all allocations")
     _add_source_flags(p)
-    p.add_argument("--pred", default="ef1", help="comma-separated predicates")
-    p.add_argument("--alpha", default="1", help="scale factor p/q for alpha_ef1")
+    _add_query_flags(p)
     p.add_argument("--count", action="store_true", help="count matches instead")
     p.add_argument(
         "--complete-partial",
         action="store_true",
         help="test whether the instance's partial allocation extends to EF1",
     )
-    p.add_argument("--symmetry", action="store_true", help="pin vertex 0 to bundle 0")
-    p.add_argument("--max-states", type=int, default=_default_max_states())
+    p.add_argument(
+        "--symmetry",
+        action="store_true",
+        help="pin vertex 0 to bundle 0; with --count the verdict is then the pinned "
+        "sub-count, not the number of allocations",
+    )
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_oracle)
 
@@ -338,10 +297,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ParseError, oracle.CapExceededError, ValueError) as exc:
+    except (UsageError, ParseError, oracle.CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverInvariantError, BudgetExceededError, AssertionError) as exc:
+    except (SolverInvariantError, BudgetExceededError, AssertionError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

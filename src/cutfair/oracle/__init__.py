@@ -15,18 +15,74 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from ..allocation import Allocation, check_ef1
+from ..allocation import (
+    Allocation,
+    FairnessReport,
+    _require_alpha,
+    bundle_values,
+    check_alpha_ef1,
+    check_ef,
+    check_ef1,
+    check_so,
+    check_ts,
+    check_wts,
+)
 from ..graph import Graph
 from ._kernel import ALPHA_EF1, EF, EF1, KERNEL_NAME, NONEMPTY, TS, WTS, scan
 
 DEFAULT_MAX_STATES = 20_000_000
 
-_PRED_BITS = {"nonempty": NONEMPTY, "ef": EF, "ef1": EF1, "ts": TS, "wts": WTS}
-KNOWN_PREDICATES = frozenset(_PRED_BITS) | {"alpha_ef1", "po", "so"}
+
+def _dominates(x, y) -> bool:
+    """x, y ascending-sorted value vectors; bundle-by-bundle after sorting."""
+    return all(a >= b for a, b in zip(x, y)) and any(a > b for a, b in zip(x, y))
+
+
+def _welfare_optimal(vectors) -> set[tuple[int, ...]]:
+    best = max(map(sum, vectors))
+    return {v for v in vectors if sum(v) == best}
+
+
+def _undominated(vectors) -> set[tuple[int, ...]]:
+    return {v for v in vectors if not any(_dominates(w, v) for w in vectors)}
+
+
+class _Predicate(NamedTuple):
+    """A kernel ``bit`` decides the predicate state by state; without one,
+    ``keep`` picks from the ascending value vectors of every allocation in the
+    query's range those a match may have.  ``check`` is the exact checker for
+    one allocation, which needs every vertex assigned if ``complete``."""
+
+    check: Callable[[Allocation, Graph, "OracleQuery"], FairnessReport]
+    bit: int = 0
+    keep: Optional[Callable[[dict], set]] = None
+    complete: bool = False
+
+
+# The one list of predicate names that queries and the CLI accept.
+PREDICATES = {
+    "ef": _Predicate(lambda a, g, q: check_ef(a, g), EF),
+    "ef1": _Predicate(lambda a, g, q: check_ef1(a, g), EF1),
+    "alpha_ef1": _Predicate(lambda a, g, q: check_alpha_ef1(a, g, q.alpha), ALPHA_EF1),
+    "ts": _Predicate(lambda a, g, q: check_ts(a, g), TS, complete=True),
+    "wts": _Predicate(lambda a, g, q: check_wts(a, g), WTS, complete=True),
+    "so": _Predicate(
+        lambda a, g, q: check_so(a, g, max_states=q.max_states),
+        keep=_welfare_optimal,
+        complete=True,
+    ),
+    "po": _Predicate(
+        lambda a, g, q: FairnessReport("PO", oracle_pareto(a, g, a.n, max_states=q.max_states)),
+        keep=_undominated,
+        complete=True,
+    ),
+    "nonempty": _Predicate(lambda a, g, q: FairnessReport("non-empty", a.all_nonempty()), NONEMPTY),
+}
+KNOWN_PREDICATES = frozenset(PREDICATES)
 
 
 class CapExceededError(RuntimeError):
@@ -36,19 +92,20 @@ class CapExceededError(RuntimeError):
 @dataclass(frozen=True)
 class OracleQuery:
     predicates: frozenset[str]
-    mode: str = "exists"  # exists | find_all | count
     alpha: Fraction = Fraction(1)
     max_states: int = DEFAULT_MAX_STATES
     symmetry: bool = False
     threads: int = 1
 
-    @staticmethod
-    def of(predicates, **kwargs) -> "OracleQuery":
-        preds = frozenset(predicates)
-        unknown = preds - KNOWN_PREDICATES
+    def __post_init__(self):
+        unknown = self.predicates - KNOWN_PREDICATES
         if unknown:
             raise ValueError(f"unknown predicates: {sorted(unknown)}")
-        return OracleQuery(predicates=preds, **kwargs)
+        _require_alpha(self.alpha)
+
+    @staticmethod
+    def of(predicates, **kwargs) -> "OracleQuery":
+        return OracleQuery(predicates=frozenset(predicates), **kwargs)
 
 
 def _csr(g: Graph):
@@ -70,11 +127,10 @@ def _num_states(n: int, fixed) -> int:
     return n**f
 
 
-def _check_cap(n: int, fixed, max_states: int) -> int:
+def _check_cap(n: int, fixed, max_states: int) -> None:
     states = _num_states(n, fixed)
     if states > max_states:
         raise CapExceededError(f"{states} states exceed the cap of {max_states}")
-    return states
 
 
 def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
@@ -139,40 +195,45 @@ def _run(g, n, fixed, mask, alpha=Fraction(1), first_only=False, collect=False, 
 
 
 def _unpack(key: int, n: int, shift: int) -> tuple[int, ...]:
-    vals = []
+    """The ascending value vector the kernel packed into key."""
     mask = (1 << shift) - 1
-    for _ in range(n):
-        vals.append(key & mask)
-        key >>= shift
-    return tuple(reversed(vals))
+    return tuple([(key >> s) & mask for s in range(shift * (n - 1), -1, -shift)])
 
 
-def _dominates(x, y) -> bool:
-    """x, y ascending-sorted value vectors; bundle-by-bundle after sorting."""
-    return all(a >= b for a, b in zip(x, y)) and any(a > b for a, b in zip(x, y))
+def _collect(g, n, fixed, tables, mask=0, alpha=Fraction(1), threads=1) -> list[dict]:
+    """The named vector tables of a collect-mode scan, keyed by ascending value tuples."""
+    result = _run(g, n, fixed, mask, alpha, collect=True, threads=threads)
+    shift = _shift(g)
+    return [{_unpack(key, n, shift): v for key, v in result[name].items()} for name in tables]
 
 
-def _nondominated(keys, n, shift) -> set[int]:
-    vecs = {k: _unpack(k, n, shift) for k in keys}
-    out = set()
-    for k, v in vecs.items():
-        if not any(_dominates(w, v) for w in vecs.values()):
-            out.add(k)
-    return out
+def _value_vectors(g, n, fixed, max_states, threads=1) -> dict[tuple[int, ...], int]:
+    """{ascending value vector: least index} over every allocation that keeps
+    the fixed vertices in place."""
+    _check_cap(n, fixed, max_states)
+    return _collect(g, n, fixed, ["all_vectors"], threads=threads)[0]
 
 
 def _prepare(g, n, query: OracleQuery):
-    mask = 0
-    for name in query.predicates:
-        if name in _PRED_BITS:
-            mask |= _PRED_BITS[name]
-    if "alpha_ef1" in query.predicates:
-        mask |= ALPHA_EF1
+    """The kernel mask, the fixed vertices and the global filters of a query."""
+    entries = [PREDICATES[name] for name in query.predicates]
+    mask = sum(p.bit for p in entries)  # distinct bits
     fixed = [-1] * g.num_vertices
     if query.symmetry and g.num_vertices > 0 and n > 0:
         fixed[0] = 0
     _check_cap(n, fixed, query.max_states)
-    return mask, fixed
+    return mask, fixed, [p.keep for p in entries if p.keep is not None]
+
+
+def _qualifying(g, n, fixed, mask, query, filters):
+    """The least index and the count of each matched vector, and the matched
+    vectors that pass every global filter."""
+    tables = ["all_vectors", "matched_first", "matched_count"]
+    vectors, first, count = _collect(g, n, fixed, tables, mask, query.alpha, query.threads)
+    keys = set(first)
+    for keep in filters:
+        keys &= keep(vectors)
+    return first, count, keys
 
 
 def enumerate_allocations(
@@ -194,69 +255,49 @@ def enumerate_allocations(
         yield Allocation.of(bundles)
 
 
-def _qualifying_keys(g, n, query, result):
-    """Keys whose allocations pass the PO/SO parts of the query."""
-    shift = _shift(g)
-    keys = set(result["matched_first"])
-    if "so" in query.predicates:
-        best = max(sum(_unpack(k, n, shift)) for k in result["all_vectors"])
-        keys = {k for k in keys if sum(_unpack(k, n, shift)) == best}
-    if "po" in query.predicates:
-        keys &= _nondominated(result["all_vectors"], n, shift)
-    return keys
-
-
 def oracle_exists(g: Graph, n: int, query: OracleQuery) -> Optional[Allocation]:
     """A witness satisfying every predicate in the query, or None if none exists."""
-    mask, fixed = _prepare(g, n, query)
-    global_preds = query.predicates & {"po", "so"}
-    if not global_preds:
+    mask, fixed, filters = _prepare(g, n, query)
+    if filters:
+        first, _, keys = _qualifying(g, n, fixed, mask, query, filters)
+        index = min((first[k] for k in keys), default=-1)
+    else:
         result = _run(g, n, fixed, mask, query.alpha, first_only=True, threads=query.threads)
-        if result["first_index"] < 0:
-            return None
-        return _decode(g, n, fixed, result["first_index"])
-    result = _run(g, n, fixed, mask, query.alpha, collect=True, threads=query.threads)
-    keys = _qualifying_keys(g, n, query, result)
-    if not keys:
-        return None
-    index = min(result["matched_first"][k] for k in keys)
-    return _decode(g, n, fixed, index)
+        index = result["first_index"]
+    return _decode(g, n, fixed, index) if index >= 0 else None
 
 
 def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
-    mask, fixed = _prepare(g, n, query)
-    if not query.predicates & {"po", "so"}:
+    """Number of allocations satisfying the query.  With ``query.symmetry``
+    vertex 0 is pinned to bundle 0, so this is the pinned sub-count, not the
+    number of allocations."""
+    mask, fixed, filters = _prepare(g, n, query)
+    if not filters:
         return _run(g, n, fixed, mask, query.alpha, threads=query.threads)["matched"]
-    result = _run(g, n, fixed, mask, query.alpha, collect=True, threads=query.threads)
-    keys = _qualifying_keys(g, n, query, result)
-    return sum(result["matched_count"][k] for k in keys)
+    _, count, keys = _qualifying(g, n, fixed, mask, query, filters)
+    return sum(count[k] for k in keys)
 
 
 def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     """All matching allocations in enumeration order (desk-scale only)."""
-    mask, fixed = _prepare(g, n, query)
-    result = _run(g, n, fixed, mask, query.alpha, collect=True, threads=query.threads)
-    keys = _qualifying_keys(g, n, query, result) if query.predicates & {"po", "so"} else None
+    mask, fixed, filters = _prepare(g, n, query)
+    keys = _qualifying(g, n, fixed, mask, query, filters)[2] if filters else None
     shift = _shift(g)
     out = []
-    states = _num_states(n, fixed)
-    for index in range(states):
+    for index in range(_num_states(n, fixed)):
         one = scan(*_scan_args(g, n, fixed, mask, query.alpha, False, True, index, index + 1))
-        if one["matched"] != 1:
+        if not one["matched"]:
             continue
-        if keys is not None and next(iter(one["matched_first"])) not in keys:
-            continue
-        out.append(_decode(g, n, fixed, index))
+        if keys is None or _unpack(next(iter(one["matched_first"])), n, shift) in keys:
+            out.append(_decode(g, n, fixed, index))
     return out
 
 
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:
     """Exact maximum utilitarian welfare over all complete n-partitions."""
-    fixed = [-1] * g.num_vertices
-    _check_cap(n, fixed, max_states if max_states is not None else DEFAULT_MAX_STATES)
-    result = _run(g, n, fixed, 0, collect=True)
-    shift = _shift(g)
-    return max(sum(_unpack(k, n, shift)) for k in result["all_vectors"])
+    cap = max_states if max_states is not None else DEFAULT_MAX_STATES
+    vectors = _value_vectors(g, n, [-1] * g.num_vertices, cap)
+    return sum(next(iter(_welfare_optimal(vectors))))
 
 
 def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -265,24 +306,17 @@ def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX
         raise ValueError("allocation size mismatch")
     if not a.is_complete(g):
         raise ValueError("Pareto check requires a complete allocation")
-    fixed = [-1] * g.num_vertices
-    _check_cap(n, fixed, max_states)
-    from ..allocation import bundle_values
-
     mine = tuple(sorted(bundle_values(a, g)))
-    result = _run(g, n, fixed, 0, collect=True)
-    shift = _shift(g)
-    return not any(_dominates(_unpack(k, n, shift), mine) for k in result["all_vectors"])
+    vectors = _value_vectors(g, n, [-1] * g.num_vertices, max_states)
+    return not any(_dominates(v, mine) for v in vectors)
 
 
 def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threads: int = 1) -> Allocation:
     """Allocation whose sorted value vector is lexicographically maximal; first
     in enumeration order on ties."""
     fixed = [-1] * g.num_vertices
-    _check_cap(n, fixed, max_states)
-    result = _run(g, n, fixed, 0, collect=True, threads=threads)
-    best = max(result["all_vectors"])
-    return _decode(g, n, fixed, result["all_vectors"][best])
+    vectors = _value_vectors(g, n, fixed, max_states, threads)
+    return _decode(g, n, fixed, vectors[max(vectors)])
 
 
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
@@ -290,14 +324,9 @@ def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allo
     fixed = [-1] * g.num_vertices
     if g.num_vertices > 0:
         fixed[0] = 0
-    _check_cap(2, fixed, max_states)
-    result = _run(g, 2, fixed, 0, collect=True)
-    shift = _shift(g)
-    best = max(sum(_unpack(k, 2, shift)) for k in result["all_vectors"])
-    index = min(
-        idx for k, idx in result["all_vectors"].items() if sum(_unpack(k, 2, shift)) == best
-    )
-    return _decode(g, 2, fixed, index), best // 2
+    vectors = _value_vectors(g, 2, fixed, max_states)
+    best = min(_welfare_optimal(vectors), key=vectors.get)
+    return _decode(g, 2, fixed, vectors[best]), sum(best) // 2
 
 
 def oracle_completable_ef1(
@@ -323,6 +352,7 @@ __all__ = [
     "KERNEL_NAME",
     "KNOWN_PREDICATES",
     "OracleQuery",
+    "PREDICATES",
     "enumerate_allocations",
     "max_welfare",
     "oracle_completable_ef1",

@@ -1,6 +1,7 @@
 """Kernel selection: compiled extension when present, pure Python otherwise."""
 
 from . import _scan_py
+from ._scan_py import ALPHA_EF1, EF, EF1, NONEMPTY, TS, WTS  # mask bits, shared by both kernels
 
 try:
     from . import _scan as _impl
@@ -12,10 +13,3 @@ except ImportError:  # extension not built
 
 scan = _impl.scan
 scan_python = _scan_py.scan
-
-NONEMPTY = _scan_py.NONEMPTY
-EF = _scan_py.EF
-EF1 = _scan_py.EF1
-ALPHA_EF1 = _scan_py.ALPHA_EF1
-TS = _scan_py.TS
-WTS = _scan_py.WTS

@@ -465,9 +465,9 @@ CRITERIA: list[tuple[int, Callable[[ReproContext], CriterionResult]]] = [
 ]
 
 
-def run_all(only: Optional[str] = None, report=print) -> list[CriterionResult]:
-    """Run every criterion, or only the one whose number or function name
-    equals ``only`` exactly (``"1"`` or ``"criterion_1"``)."""
+def select(only: Optional[str] = None) -> list[tuple[int, Callable]]:
+    """Every criterion, or only the one whose number or function name equals
+    ``only`` exactly (``"1"`` or ``"criterion_1"``)."""
     selected = [
         (number, fn)
         for number, fn in CRITERIA
@@ -475,6 +475,12 @@ def run_all(only: Optional[str] = None, report=print) -> list[CriterionResult]:
     ]
     if not selected:
         raise ValueError(f"no criterion is numbered or named {only!r}")
+    return selected
+
+
+def run_all(only: Optional[str] = None, report=print) -> list[CriterionResult]:
+    """Run the criteria that ``select(only)`` picks."""
+    selected = select(only)
     ctx = ReproContext()
     results = []
     for number, fn in selected:

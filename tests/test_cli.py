@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -146,12 +147,15 @@ def test_bench_emits_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("label,m,edges,n,algorithm")
     assert len(lines) > 5
+    header, *rows = csv.reader(lines)
+    assert all(len(row) == len(header) for row in rows)
+    assert any(row[header.index("algorithm")] == "forest-peel" for row in rows)
 
 
 def test_repro_single_criterion(capsys):
-    code, out, _ = run(capsys, "repro", "--only", "10")
+    code, out, _ = run(capsys, "repro", "--only", "11")
     assert code == 0
-    assert "criterion 10 PASS" in out
+    assert "criterion 11 PASS" in out
 
 
 def test_unknown_label_and_bad_args(capsys):
@@ -182,3 +186,30 @@ def test_solve_infeasible_goal_writes_one_json_line(capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert "infeasible" in json.loads(lines[0])["error"]
+
+
+def test_value_error_inside_a_solver_is_an_internal_error(capsys, monkeypatch):
+    def broken(g, n, goal):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr("cutfair.cli.dispatch_solve", broken)
+    code, _, err = run(capsys, "solve", "--label", "cycle:6")
+    assert code == 3
+    assert "solver bug" in err
+
+
+def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path):
+    alloc_path = tmp_path / "alloc.json"
+    write_allocation(Allocation.of([{0, 4}, {1}]), alloc_path)
+    for argv in (
+        ("solve", "--label", "cycle:6", "-n", "0"),
+        ("solve", "--label", "cycle:6", "-n", "7"),
+        ("oracle", "--label", "fig3:d=3", "--pred", "alpha_ef1", "--alpha", "1/0", "--count"),
+        ("oracle", "--label", "fig3:d=3", "--pred", "alpha_ef1", "--alpha", "3", "--count"),
+        ("check", "--label", "fig3:d=3", "--alloc", str(alloc_path), "--pred", "alpha_ef1", "--alpha", "3"),
+        ("check", "--label", "fig3:d=3", "--alloc", str(alloc_path), "--pred", "ts"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)

@@ -1,4 +1,8 @@
+import importlib.util
+import subprocess
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,17 @@ from cutfair.instances import (
     gen_random_graph,
 )
 from cutfair.oracle import CapExceededError, OracleQuery
-from cutfair.oracle._kernel import EF1, KERNEL_NAME, scan, scan_python
+from cutfair.oracle._kernel import (
+    ALPHA_EF1,
+    EF,
+    EF1,
+    KERNEL_NAME,
+    NONEMPTY,
+    TS,
+    WTS,
+    scan,
+    scan_python,
+)
 
 
 def query(*preds, **kwargs):
@@ -54,22 +68,34 @@ def test_enumerate_allocations_counts():
 
 
 def test_oracle_against_checkers_brute_force():
-    """The kernel's per-predicate bits must agree with the reference checkers
-    on every complete allocation of a handful of small instances."""
+    """Every predicate in the table: the oracle's count equals the number of
+    complete allocations its checker accepts on a handful of small instances.
+    SO and PO are held to a brute force over the enumerated value vectors."""
     rng = SplitMix64(303)
     for trial in range(12):
         m = 3 + rng.below(4)
         n = 2 + trial % 2
         g = gen_random_graph(m, 0.5, rng.next_u64()).graph
-        expected = {"ef": 0, "ef1": 0, "ts": 0, "wts": 0, "nonempty": 0}
-        for a in oracle.enumerate_allocations(g, n):
-            expected["ef"] += bool(check_ef(a, g).holds)
-            expected["ef1"] += bool(check_ef1(a, g).holds)
-            expected["ts"] += bool(check_ts(a, g).holds)
-            expected["wts"] += bool(check_wts(a, g).holds)
-            expected["nonempty"] += a.all_nonempty()
-        for name, count in expected.items():
-            assert oracle.oracle_count(g, n, query(name)) == count
+        allocations = list(oracle.enumerate_allocations(g, n))
+        vectors = [tuple(sorted(bundle_values(a, g))) for a in allocations]
+        best = max(map(sum, vectors))
+        brute = {
+            "so": [sum(v) == best for v in vectors],
+            "po": [not any(_dominates(w, v) for w in vectors) for v in vectors],
+        }
+        for name, predicate in oracle.PREDICATES.items():
+            for alpha in (Fraction(1, 2), Fraction(1)) if name == "alpha_ef1" else (Fraction(1),):
+                q = query(name, alpha=alpha)
+                # the SO and PO checkers enumerate every allocation per call
+                step = 5 if name in brute else 1
+                checked = [predicate.check(a, g, q).holds is True for a in allocations[::step]]
+                verdicts = brute.get(name, checked)
+                assert checked == verdicts[::step], name
+                assert oracle.oracle_count(g, n, q) == sum(verdicts), (name, alpha)
+
+
+def _dominates(x, y):
+    return all(a >= b for a, b in zip(x, y)) and x != y
 
 
 def test_alpha_ef1_counts_match_checker():
@@ -181,9 +207,37 @@ def test_threads_agree_with_serial():
     assert w1.bundles == w2.bundles
 
 
-def test_kernel_parity_compiled_vs_python():
-    """Both kernels must return identical result dictionaries."""
+@pytest.fixture(scope="module")
+def compiled_scan(tmp_path_factory):
+    """The compiled kernel: the installed extension, else the committed
+    ``_scan.c`` built here with the C compiler Python was built with."""
+    if scan is not scan_python:
+        return scan
+    source = Path(oracle.__file__).with_name("_scan.c")
+    target = tmp_path_factory.mktemp("kernel") / ("_scan" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    include = sysconfig.get_paths()["include"]
+    try:
+        subprocess.run(
+            [*cc, "-shared", "-fPIC", "-O1", "-w", "-I", include, str(source), "-o", str(target)],
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+    except (OSError, subprocess.SubprocessError) as exc:
+        pytest.skip(f"the compiled kernel is not built and _scan.c does not build here: {exc}")
+    spec = importlib.util.spec_from_file_location("cutfair.oracle._scan", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scan
+
+
+def test_kernel_parity_compiled_vs_python(compiled_scan):
+    """Both kernels return identical result dictionaries for each mask bit and
+    their union, with and without fixed vertices, over the whole range and a
+    sub-range, in every scan mode."""
     rng = SplitMix64(404)
+    masks = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
     for trial in range(10):
         m = 3 + rng.below(4)
         n = 2 + trial % 2
@@ -191,12 +245,16 @@ def test_kernel_parity_compiled_vs_python():
         fixed = [-1] * m
         if trial % 3 == 0:
             fixed[0] = 0
-        args = oracle._scan_args(
-            g, n, fixed, EF1 | 1, Fraction(1), False, True, 0, n ** sum(f < 0 for f in fixed)
-        )
-        got = scan(*args)
-        ref = scan_python(*args)
-        assert got == ref
+        if trial % 3 == 1:
+            fixed[m - 1] = n - 1
+        states = n ** sum(f < 0 for f in fixed)
+        for mask in masks:
+            for start, stop in ((0, states), (states // 3, 2 * states // 3 + 1)):
+                for first_only, collect in ((False, True), (True, False), (False, False)):
+                    args = oracle._scan_args(
+                        g, n, fixed, mask, Fraction(1, 2), first_only, collect, start, stop
+                    )
+                    assert compiled_scan(*args) == scan_python(*args), (trial, mask, start, stop)
 
 
 def test_kernel_name_is_reported():
