@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success / predicate holds, 1 predicate fails or witness absent,
-2 usage or input error, 3 internal error (a bug, never expected): a failed
-invariant or any ValueError that no input check caught.
+2 usage or input error (including a file that cannot be read or written),
+3 internal error (a bug, never expected): a failed invariant or any
+ValueError that no input check caught.
 JSON goes to stdout (or --out); a short human summary goes to stderr unless
 --quiet.  FAIRDIV_MAX_STATES overrides the enumeration cap.
 """
@@ -46,9 +47,15 @@ class UsageError(ValueError):
     pass
 
 
-def _default_max_states() -> int:
+def _max_states(args) -> int:
+    """--max-states, else FAIRDIV_MAX_STATES, else the oracle's default cap."""
+    if args.max_states is not None:
+        return args.max_states
     env = os.environ.get("FAIRDIV_MAX_STATES")
-    return int(env) if env else oracle.DEFAULT_MAX_STATES
+    try:
+        return int(env) if env else oracle.DEFAULT_MAX_STATES
+    except ValueError:
+        raise UsageError(f"FAIRDIV_MAX_STATES must be an integer, got {env!r}") from None
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -65,7 +72,11 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
         "--pred", default="ef1", help=f"comma-separated predicates: {', '.join(oracle.PREDICATES)}"
     )
     p.add_argument("--alpha", default="1", help="scale factor p/q in (0, 1] for alpha_ef1")
-    p.add_argument("--max-states", type=int, default=_default_max_states())
+    p.add_argument(
+        "--max-states",
+        type=int,
+        help=f"state cap (default: FAIRDIV_MAX_STATES, else {oracle.DEFAULT_MAX_STATES})",
+    )
 
 
 def _load_instance(args) -> Instance:
@@ -83,8 +94,11 @@ def _load_instance(args) -> Instance:
 def _emit(doc: dict, args) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         print(text)
 
@@ -105,7 +119,7 @@ def _query(args, **options) -> oracle.OracleQuery:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--alpha must be a fraction p/q, got {args.alpha!r}") from exc
     try:
-        return oracle.OracleQuery.of(names, alpha=alpha, max_states=args.max_states, **options)
+        return oracle.OracleQuery.of(names, alpha=alpha, max_states=_max_states(args), **options)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -164,7 +178,7 @@ def cmd_oracle(args) -> int:
             raise UsageError("this instance carries no partial allocation")
         if inst.partial.n != n:
             raise UsageError(f"the partial allocation has {inst.partial.n} bundles, not {n}")
-        found = oracle.oracle_completable_ef1(inst.partial, g, n, max_states=args.max_states)
+        found = oracle.oracle_completable_ef1(inst.partial, g, n, max_states=_max_states(args))
         note = "completable" if found else "not-completable"
         doc = {"query": "complete-partial-ef1", "verdict": note}
     else:
@@ -188,7 +202,10 @@ def cmd_oracle(args) -> int:
 def cmd_gen(args) -> int:
     inst = _load_instance(args)
     if args.out:
-        write_instance(inst, args.out)
+        try:
+            write_instance(inst, args.out)
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
         _note(args, f"wrote {inst.label} to {args.out}")
     else:
         g = inst.graph
@@ -266,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--symmetry",
         action="store_true",
-        help="pin vertex 0 to bundle 0; with --count the verdict is then the pinned "
-        "sub-count, not the number of allocations",
+        help="pin vertex 0 to bundle 0: the witness is unchanged, with --count the verdict is "
+        "the pinned sub-count (the number of allocations divided by n), and no query gets cheaper",
     )
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_oracle)

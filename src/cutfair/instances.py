@@ -268,4 +268,9 @@ def read_allocation(path) -> Allocation:
         doc = json.load(handle)
     if not isinstance(doc, dict) or "bundles" not in doc:
         raise ParseError(path, 0, "allocation file needs a 'bundles' field")
-    return Allocation.of(doc["bundles"])
+    bundles = doc["bundles"]
+    if not isinstance(bundles, list) or not all(
+        isinstance(b, list) and all(type(o) is int for o in b) for b in bundles
+    ):
+        raise ParseError(path, 0, "'bundles' must be a list of lists of vertex ids")
+    return Allocation.of(bundles)

@@ -9,11 +9,24 @@ top of the kernel's sorted-value-vector summaries.
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
 identities carry no information.
+
+For the same reason every predicate is invariant under relabelling the
+bundles, so a query with no fixed vertex (other than the vertex-0 pin of
+``symmetry`` and ``oracle_max_cut``) enumerates one labelling per bundle
+partition of its first L = min(n, m) vertices: each canonical prefix, a
+restricted growth string (Knuth, TAOCP 4A, 7.2.1.5), is one kernel call with
+the vertices after it free.  A prefix using j labels stands for n!/(n - j)!
+labelled ones, so weighted counts equal labelled counts, and the lex-least
+labelled index of any relabelling-invariant set is itself canonical, so
+witnesses and least indices are the labelled ones.  Indices, counts and the
+state cap are all in labelled terms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,52 +159,109 @@ def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
     return Allocation.of(bundles)
 
 
-def _scan_args(g, n, fixed, mask, alpha, first_only, collect, start, stop):
+def _scan_args(g, n, mask, alpha, first_only, collect):
+    """The kernel arguments of a scan on g, as a function of its fixed
+    vertices and index range [start, stop)."""
     indptr, indices, degrees = _csr(g)
     shift = _shift(g)
     if n * shift > 62:
         raise CapExceededError("value vector does not pack into 64 bits")
-    return (
-        g.num_vertices, n, indptr, indices, degrees, list(fixed),
-        mask, alpha.numerator, alpha.denominator,
-        first_only, collect, start, stop, shift,
-    )
+
+    def args(fixed, start, stop):
+        return (
+            g.num_vertices, n, indptr, indices, degrees, list(fixed),
+            mask, alpha.numerator, alpha.denominator,
+            first_only, collect, start, stop, shift,
+        )
+
+    return args
+
+
+@functools.lru_cache(maxsize=None)
+def _prefixes(length: int, n: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The canonical prefixes of at most ``length`` vertices over n labels, in
+    lexicographic order, each with its value in base n and the number of
+    labels it uses.  A prefix is a restricted growth string; it stops growing
+    once it uses n - 1 labels, since from there on every label may follow."""
+    out = []
+
+    def grow(prefix, value, used):
+        if len(prefix) == length or used >= n - 1:
+            out.append((prefix, value, used))
+            return
+        for b in range(used + 1):
+            grow(prefix + (b,), value * n + b, max(used, b + 1))
+
+    grow((), 0, 0)
+    return out
+
+
+def _jobs(g, n, fixed, mask, alpha, first_only, collect, threads):
+    """The kernel calls of one query as (args, offset, weight): a call's local
+    index i is labelled index offset + i, and each state it visits stands for
+    weight labelled ones.  The calls cover ascending, disjoint index ranges."""
+    args = _scan_args(g, n, mask, alpha, first_only, collect)
+    m = g.num_vertices
+    pinned = m > 0 and fixed[0] == 0
+    if all(b < 0 for b in fixed[1 if pinned else 0 :]):
+        for prefix, value, used in _prefixes(min(n, m), n):
+            free = m - len(prefix)
+            block = n**free
+            weight = math.perm(n, used) // (n if pinned else 1)
+            yield args([*prefix] + [-1] * free, 0, block), value * block, weight
+        return
+    states = _num_states(n, fixed)
+    parts = threads if threads > 1 and states >= 4 * threads else 1
+    bounds = [states * k // parts for k in range(parts + 1)]
+    for k in range(parts):
+        yield args(fixed, bounds[k], bounds[k + 1]), 0, 1
 
 
 def _scan_worker(args):
     return scan(*args)
 
 
-def _merge(results):
-    out = dict(results[0])
-    for res in results[1:]:
-        out["states"] += res["states"]
-        out["matched"] += res["matched"]
-        if res["first_index"] >= 0 and (out["first_index"] < 0 or res["first_index"] < out["first_index"]):
-            out["first_index"] = res["first_index"]
-        for name in ("all_vectors", "matched_first"):
-            if res[name] is not None:
-                for key, idx in res[name].items():
-                    if key not in out[name] or idx < out[name][key]:
-                        out[name][key] = idx
-        if res["matched_count"] is not None:
-            for key, c in res["matched_count"].items():
-                out["matched_count"][key] = out["matched_count"].get(key, 0) + c
+def _merge(done, first_only):
+    """The kernel result of a whole query from its (job, result) pairs, in
+    labelled indices and counts.  In first_only mode it stops at the first
+    job that matches, which holds the least matching index."""
+    out = None
+    for (_, offset, weight), res in done:
+        if weight != 1:
+            res["matched"] *= weight
+            if res["matched_count"] is not None:
+                res["matched_count"] = {key: weight * c for key, c in res["matched_count"].items()}
+        if out is None:
+            out = res  # the first job starts at labelled index 0
+        else:
+            out["states"] += res["states"]
+            out["matched"] += res["matched"]
+            if out["first_index"] < 0 <= res["first_index"]:
+                out["first_index"] = offset + res["first_index"]
+            if res["all_vectors"] is not None:
+                for name in ("all_vectors", "matched_first"):
+                    table = out[name]
+                    for key, index in res[name].items():
+                        if key not in table:  # earlier jobs hold lower indices
+                            table[key] = offset + index
+                counts = out["matched_count"]
+                for key, c in res["matched_count"].items():
+                    counts[key] = counts.get(key, 0) + c
+        if first_only and out["first_index"] >= 0:
+            break
     return out
 
 
 def _run(g, n, fixed, mask, alpha=Fraction(1), first_only=False, collect=False, threads=1):
-    states = _num_states(n, fixed)
-    if threads <= 1 or states < 4 * threads:
-        return scan(*_scan_args(g, n, fixed, mask, alpha, first_only, collect, 0, states))
-    bounds = [states * k // threads for k in range(threads + 1)]
-    jobs = [
-        _scan_args(g, n, fixed, mask, alpha, False, collect, bounds[k], bounds[k + 1])
-        for k in range(threads)
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_scan_worker, jobs))
-    return _merge(results)
+    jobs = _jobs(g, n, fixed, mask, alpha, first_only, collect, threads)
+    if threads > 1:
+        jobs = list(jobs)
+        if len(jobs) > 1:
+            calls = [args for args, _, _ in jobs]
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(_scan_worker, calls, chunksize=-(-len(calls) // threads)))
+            return _merge(zip(jobs, results), first_only)
+    return _merge(((job, scan(*job[0])) for job in jobs), first_only)
 
 
 def _unpack(key: int, n: int, shift: int) -> tuple[int, ...]:
@@ -269,8 +339,9 @@ def oracle_exists(g: Graph, n: int, query: OracleQuery) -> Optional[Allocation]:
 
 def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
     """Number of allocations satisfying the query.  With ``query.symmetry``
-    vertex 0 is pinned to bundle 0, so this is the pinned sub-count, not the
-    number of allocations."""
+    vertex 0 is pinned to bundle 0, so this is the pinned sub-count (the
+    number of allocations divided by n); the pin leaves witnesses unchanged
+    and makes no query cheaper, since enumeration is canonical anyway."""
     mask, fixed, filters = _prepare(g, n, query)
     if not filters:
         return _run(g, n, fixed, mask, query.alpha, threads=query.threads)["matched"]
@@ -279,17 +350,21 @@ def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
 
 
 def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
-    """All matching allocations in enumeration order (desk-scale only)."""
+    """All matching allocations in labelled enumeration order (desk-scale
+    only): one early-exit kernel call per match, each starting after the last."""
     mask, fixed, filters = _prepare(g, n, query)
     keys = _qualifying(g, n, fixed, mask, query, filters)[2] if filters else None
-    shift = _shift(g)
+    start, stop = 0, _num_states(n, fixed)
+    args = _scan_args(g, n, mask, query.alpha, True, False)
     out = []
-    for index in range(_num_states(n, fixed)):
-        one = scan(*_scan_args(g, n, fixed, mask, query.alpha, False, True, index, index + 1))
-        if not one["matched"]:
-            continue
-        if keys is None or _unpack(next(iter(one["matched_first"])), n, shift) in keys:
-            out.append(_decode(g, n, fixed, index))
+    while start < stop:
+        index = scan(*args(fixed, start, stop))["first_index"]
+        if index < 0:
+            break
+        a = _decode(g, n, fixed, index)
+        if keys is None or tuple(sorted(bundle_values(a, g))) in keys:
+            out.append(a)
+        start = index + 1
     return out
 
 

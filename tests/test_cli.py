@@ -201,6 +201,12 @@ def test_value_error_inside_a_solver_is_an_internal_error(capsys, monkeypatch):
 def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path):
     alloc_path = tmp_path / "alloc.json"
     write_allocation(Allocation.of([{0, 4}, {1}]), alloc_path)
+    # bundles whose entries are not integer vertex ids
+    bad_paths = []
+    for k, bundles in enumerate(([["a"], [1]], [[0.5], [1]], [[True], [1]], "01", [0, 1])):
+        bad_paths.append(tmp_path / f"bad{k}.json")
+        bad_paths[-1].write_text(json.dumps({"bundles": bundles}))
+    unwritable = str(tmp_path / "missing" / "x.json")
     for argv in (
         ("solve", "--label", "cycle:6", "-n", "0"),
         ("solve", "--label", "cycle:6", "-n", "7"),
@@ -208,8 +214,24 @@ def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path):
         ("oracle", "--label", "fig3:d=3", "--pred", "alpha_ef1", "--alpha", "3", "--count"),
         ("check", "--label", "fig3:d=3", "--alloc", str(alloc_path), "--pred", "alpha_ef1", "--alpha", "3"),
         ("check", "--label", "fig3:d=3", "--alloc", str(alloc_path), "--pred", "ts"),
+        *(("check", "--label", "fig3:d=3", "--alloc", str(path)) for path in bad_paths),
+        ("oracle", "--label", "fig3:d=3", "--out", unwritable),
+        ("solve", "--label", "fig3:d=3", "--out", unwritable),
+        ("gen", "--label", "fig3:d=3", "--out", unwritable),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "", argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+
+
+def test_bad_max_states_environment_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("FAIRDIV_MAX_STATES", "abc")
+    code, out, err = run(capsys, "oracle", "--label", "fig3:d=3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "FAIRDIV_MAX_STATES" in err
+    # an explicit --max-states does not read the environment
+    code, out, _ = run(capsys, "oracle", "--label", "fig3:d=3", "--max-states", "1000")
+    assert code == 0

@@ -1,8 +1,10 @@
-"""Every solver output matches the checked-in golden corpus exactly.
+"""Every solver and oracle output matches the checked-in golden corpora exactly.
 
-The corpus is written by benchmarks/make_golden.py; each case stores its
-input graph, so this test re-runs the solver and compares bundles,
-iterations, case counts, histories, guarantee and the snapshot digest.
+The corpora are written by benchmarks/make_golden.py; each case stores its
+input graph, so these tests re-run the solver and compare bundles,
+iterations, case counts, histories, guarantee and the snapshot digest, and
+re-run the oracle call and compare its witnesses, counts, lists, verdicts or
+the error it raised.
 """
 
 import importlib.util
@@ -12,7 +14,7 @@ from pathlib import Path
 from cutfair.graph import Graph
 
 ROOT = Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "tests" / "golden" / "solvers.json"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def _make_golden():
@@ -23,18 +25,35 @@ def _make_golden():
     return module
 
 
-def test_solvers_match_golden_corpus():
-    make_golden = _make_golden()
-    doc = json.loads(CORPUS.read_text())
+def _load(filename):
+    doc = json.loads((GOLDEN / filename).read_text())
     graphs = {
         name: Graph.from_edges(m, [tuple(e) for e in edges])
         for name, (m, edges) in doc["graphs"].items()
     }
-    assert len(doc["cases"]) > 300
+    return graphs, doc["cases"]
+
+
+def test_solvers_match_golden_corpus():
+    make_golden = _make_golden()
+    graphs, cases = _load("solvers.json")
+    assert len(cases) > 300
     mismatches = []
-    for k, case in enumerate(doc["cases"]):
+    for k, case in enumerate(cases):
         got = make_golden.record(graphs[case["graph"]], case)
         if got != case["expect"]:
             diff = sorted(key for key in got if got[key] != case["expect"][key])
             mismatches.append((k, case["graph"], case["solver"], case["n"], diff))
+    assert not mismatches, mismatches[:10]
+
+
+def test_oracle_matches_golden_corpus():
+    make_golden = _make_golden()
+    graphs, cases = _load("oracle.json")
+    assert len(cases) > 5000
+    mismatches = [
+        (k, case["graph"], case["call"], case["n"], case.get("preds"))
+        for k, case in enumerate(cases)
+        if make_golden.oracle_record(graphs[case["graph"]], case) != case["expect"]
+    ]
     assert not mismatches, mismatches[:10]

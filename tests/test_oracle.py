@@ -1,13 +1,17 @@
 import importlib.util
+import itertools
 import subprocess
 import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutfair import oracle
 from cutfair.allocation import (
+    Allocation,
     bundle_values,
     check_alpha_ef1,
     check_ef,
@@ -16,9 +20,11 @@ from cutfair.allocation import (
     check_wts,
     social_welfare,
 )
+from cutfair.graph import Graph
 from cutfair.instances import (
     SplitMix64,
     gen_appendix_a,
+    gen_appendix_b,
     gen_complete_bipartite,
     gen_cycle,
     gen_fig3,
@@ -195,16 +201,83 @@ def test_symmetry_prunes_but_preserves_existence():
     full = oracle.oracle_count(g, 3, query("ef1"))
     pinned = oracle.oracle_count(g, 3, query("ef1", symmetry=True))
     assert 0 < pinned < full
+    assert 3 * pinned == full  # the pinned sub-count is the count divided by n
+    assert oracle.oracle_exists(g, 3, query("ef1", "wts", symmetry=True)).bundles == (
+        oracle.oracle_exists(g, 3, query("ef1", "wts")).bundles
+    )
 
 
 def test_threads_agree_with_serial():
-    g = gen_fig3(3).graph
-    q1 = query("ef1", "wts")
-    q2 = query("ef1", "wts", threads=2)
-    assert oracle.oracle_count(g, 3, q1) == oracle.oracle_count(g, 3, q2)
-    w1 = oracle.oracle_exists(g, 3, q1)
-    w2 = oracle.oracle_exists(g, 3, q2)
-    assert w1.bundles == w2.bundles
+    for g, n in ((gen_fig3(3).graph, 3), (gen_appendix_b(3).graph, 3), (gen_path(3).graph, 5)):
+        for preds, symmetry in ((("ef1", "wts"), False), (("ef1", "so"), True), (("po",), False)):
+            q1 = query(*preds, symmetry=symmetry)
+            q2 = query(*preds, symmetry=symmetry, threads=2)
+            assert oracle.oracle_count(g, n, q1) == oracle.oracle_count(g, n, q2)
+            w1 = oracle.oracle_exists(g, n, q1)
+            w2 = oracle.oracle_exists(g, n, q2)
+            assert w1 == w2
+        assert oracle.oracle_leximin(g, n).bundles == oracle.oracle_leximin(g, n, threads=2).bundles
+    # fixed vertices split the labelled range between the workers
+    g = gen_path(6).graph
+    fixed = [0, -1, -1, 1, -1, -1]
+    assert oracle._run(g, 2, fixed, EF1, collect=True, threads=2) == oracle._run(
+        g, 2, fixed, EF1, collect=True
+    )
+
+
+def test_witness_query_stops_at_the_first_matching_prefix(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[5])
+        return scan_python(*args)
+
+    monkeypatch.setattr(oracle, "scan", counting)
+    g = gen_cycle(6).graph
+    assert oracle.oracle_exists(g, 3, query("ef1")) is not None
+    assert calls == [[0, 0, 0, -1, -1, -1]]
+    calls.clear()
+    oracle.oracle_count(g, 3, query("ef1"))
+    assert calls == [[0, 0, 0, -1, -1, -1], [0, 0, 1, -1, -1, -1], [0, 1, -1, -1, -1, -1]]
+
+
+KERNEL_PREDICATES = sorted(name for name, p in oracle.PREDICATES.items() if p.bit)
+LABELLED_LIMIT = 4096  # largest n^m the equivalence test scans label by label
+
+
+@st.composite
+def labelled_queries(draw):
+    """A graph with 0-7 vertices, 1-5 bundles (n > m included, n^m at most
+    LABELLED_LIMIT), any set of the six kernel predicates, alpha and symmetry."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=max(k for k in range(8) if n**k <= LABELLED_LIMIT)))
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    preds = draw(st.sets(st.sampled_from(KERNEL_PREDICATES)))
+    alpha = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)]))
+    return Graph.from_edges(m, edges), n, preds, alpha, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=200)
+@given(labelled_queries())
+def test_canonical_oracle_equals_one_labelled_scan(case):
+    """Counts, witnesses and value-vector tables of the canonical enumeration
+    equal those of one Python-kernel scan over every labelled state (the
+    vertex-0-pinned ones with symmetry)."""
+    g, n, preds, alpha, symmetry = case
+    q = query(*preds, alpha=alpha, symmetry=symmetry)
+    mask, fixed, _ = oracle._prepare(g, n, q)
+    states = n ** fixed.count(-1)
+    ref = scan_python(*oracle._scan_args(g, n, mask, alpha, False, True)(fixed, 0, states))
+    assert oracle.oracle_count(g, n, q) == ref["matched"]
+    witness = oracle.oracle_exists(g, n, q)
+    index = ref["first_index"]
+    assert witness == (oracle._decode(g, n, fixed, index) if index >= 0 else None)
+    shift = oracle._shift(g)
+    tables = ["all_vectors", "matched_first", "matched_count"]
+    expected = [{oracle._unpack(key, n, shift): v for key, v in ref[t].items()} for t in tables]
+    assert oracle._collect(g, n, fixed, tables, mask, alpha) == expected
+    assert oracle._value_vectors(g, n, fixed, q.max_states) == expected[0]
 
 
 @pytest.fixture(scope="module")
@@ -251,10 +324,35 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
         for mask in masks:
             for start, stop in ((0, states), (states // 3, 2 * states // 3 + 1)):
                 for first_only, collect in ((False, True), (True, False), (False, False)):
-                    args = oracle._scan_args(
-                        g, n, fixed, mask, Fraction(1, 2), first_only, collect, start, stop
+                    args = oracle._scan_args(g, n, mask, Fraction(1, 2), first_only, collect)(
+                        fixed, start, stop
                     )
                     assert compiled_scan(*args) == scan_python(*args), (trial, mask, start, stop)
+
+
+def test_oracle_entry_points_on_the_compiled_kernel(compiled_scan, monkeypatch):
+    """Every oracle entry point returns the same through the compiled kernel
+    as through the Python one."""
+    g = gen_fig3(3).graph
+    partial = Allocation.of([{0}, {1}, set()])
+
+    def answers():
+        witness = oracle.oracle_exists(g, 3, query("ef1", "wts"))
+        return (
+            witness.bundles,
+            oracle.oracle_exists(g, 3, query("ef1", "ts")),
+            oracle.oracle_count(g, 3, query("ef1", "po", symmetry=True)),
+            [a.bundles for a in oracle.oracle_find_all(g, 3, query("ef1", "so"))],
+            oracle.max_welfare(g, 3),
+            oracle.oracle_leximin(g, 3).bundles,
+            oracle.oracle_max_cut(g),
+            oracle.oracle_pareto(witness, g, 3),
+            oracle.oracle_completable_ef1(partial, g, 3),
+        )
+
+    expected = answers()
+    monkeypatch.setattr(oracle, "scan", compiled_scan)
+    assert answers() == expected
 
 
 def test_kernel_name_is_reported():
