@@ -15,12 +15,10 @@ from .allocation import (
     check_alpha_ef1,
     check_ef,
     check_ef1,
-    check_ef1_min_only,
     check_so,
     check_ts,
     check_wts,
     monochromatic_edges,
-    potential,
     social_welfare,
 )
 from .algorithms import (

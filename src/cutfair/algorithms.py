@@ -86,18 +86,18 @@ def _reattach(bundles, keep, iso, n):
     return out
 
 
-def _relabel(stats: BundleStats, order: list[int]) -> None:
-    order.sort(key=lambda b: stats.bundle_value[b])
+def _round_robin(core: Graph, n: int) -> BundleStats:
+    """The general solvers' start: vertex v in bundle v mod n."""
+    return BundleStats.from_bundles(core, [range(i, core.num_vertices, n) for i in range(n)])
 
 
-def _record(stats: BundleStats, order: list[int], trace: SolveTrace) -> None:
-    values = [stats.bundle_value[b] for b in order]
-    trace.potential_history.append(potential_from_values(values))
+def _step(stats: BundleStats, order: list[int], trace: SolveTrace) -> None:
+    """Re-sort the bundles by value (stably, so ties keep their order) and
+    record the potential and welfare of the new state."""
+    values = stats.bundle_value
+    order.sort(key=values.__getitem__)
+    trace.potential_history.append(potential_from_values([values[b] for b in order]))
     trace.welfare_history.append(sum(values))
-
-
-def _allocation(stats: BundleStats, order: list[int]) -> Allocation:
-    return Allocation.of([stats.members[b] for b in order])
 
 
 def _violator_positions(stats: BundleStats, order: list[int]) -> list[int]:
@@ -110,10 +110,17 @@ def _violator_positions(stats: BundleStats, order: list[int]) -> list[int]:
     ]
 
 
-def _least_helpful(stats: BundleStats, b: int, a1: int) -> Optional[int]:
-    """Least member of bundle b whose transfer to bundle a1 raises v(A_a1)."""
+def _helpful_pick(stats: BundleStats, order: list[int], violators: list[int]):
+    """(bundle, item) for the first violator holding an item whose transfer
+    raises the minimum bundle's value, with its least such item; or None."""
+    a1 = order[0]
     deg, cnt = stats.degree, stats.neighbors_in_bundle
-    return min((o for o in stats.members[b] if deg[o] > 2 * cnt[o][a1]), default=None)
+    for pos in violators:
+        b = order[pos]
+        o = min((o for o in stats.members[b] if deg[o] > 2 * cnt[o][a1]), default=None)
+        if o is not None:
+            return b, o
+    return None
 
 
 def _first_receiver(stats, order, o, exclude) -> Optional[int]:
@@ -135,6 +142,22 @@ def _find_chore(stats: BundleStats, order: list[int], strict: bool):
         if index[b]:
             return pos, b, min(index[b])
     return None
+
+
+def _stabilise(a: Allocation, g: Graph, min_bundles: int, drain) -> tuple[Allocation, SolveTrace]:
+    """Sort a complete allocation's bundles by value, run a stability pass on
+    it and return the sorted result."""
+    if a.n < min_bundles:
+        raise ValueError(f"needs at least {min_bundles} bundles")
+    if not a.is_complete(g):
+        raise ValueError("needs a complete allocation")
+    stats = BundleStats.from_bundles(g, a.bundles)
+    order = list(range(a.n))
+    trace = SolveTrace()
+    _step(stats, order, trace)
+    drain(stats, order, trace)
+    trace.iterations = len(trace.welfare_history) - 1
+    return Allocation.of([stats.members[b] for b in order]), trace
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +223,9 @@ def greedy_two_agents(g: Graph) -> tuple[Allocation, SolveTrace]:
 def _ts_pass(stats: BundleStats, order: list[int], special: Optional[int], trace: SolveTrace):
     """Drain weak chores until no transfer weakly helps both sides.
 
-    The special bundle never receives.  Each move raises welfare by >= 1 and
-    never lowers the potential.
+    A chore goes to the first bundle in value order that it raises, other
+    than its own; the special bundle never receives.  Each move raises
+    welfare by >= 1 and never lowers the potential.
     """
     budget = max(1, 2 * stats.graph.num_edges)
     moves = 0
@@ -209,29 +233,22 @@ def _ts_pass(stats: BundleStats, order: list[int], special: Optional[int], trace
         found = _find_chore(stats, order, strict=False)
         if found is None:
             return
-        pos, b, o = found
-        a1 = order[0]
-        if pos == 0:
-            receiver = _first_receiver(stats, order, o, exclude={b, special})
-        elif a1 != special and stats.marginal_add(a1, o) > 0:
-            receiver = a1
-        else:
-            receiver = _first_receiver(stats, order, o, exclude={b, special})
+        _, b, o = found
+        receiver = _first_receiver(stats, order, o, exclude={b, special})
         if receiver is None:
             raise SolverInvariantError(
                 f"no receiver values item {o} positively; impossible for n >= 4"
             )
         sw_before = sum(stats.bundle_value)
+        phi_before = trace.potential_history[-1]
         stats.apply_move(o, b, receiver)
         moves += 1
         if moves > budget:
             raise BudgetExceededError("stability subroutine exceeded 2|E| moves")
-        _relabel(stats, order)
-        phi_before = trace.potential_history[-1] if trace.potential_history else None
-        _record(stats, order, trace)
+        _step(stats, order, trace)
         if trace.welfare_history[-1] <= sw_before:
             raise SolverInvariantError("welfare did not rise on a chore transfer")
-        if phi_before is not None and trace.potential_history[-1] < phi_before:
+        if trace.potential_history[-1] < phi_before:
             raise SolverInvariantError("potential decreased in stability subroutine")
 
 
@@ -242,18 +259,7 @@ def ts_subroutine(
 
     special names a bundle by its index in the input allocation.
     """
-    if a.n < 4:
-        raise ValueError("needs at least 4 bundles")
-    if not a.is_complete(g):
-        raise ValueError("needs a complete allocation")
-    stats = BundleStats.from_bundles(g, a.bundles)
-    order = list(range(a.n))
-    _relabel(stats, order)
-    trace = SolveTrace()
-    _record(stats, order, trace)
-    _ts_pass(stats, order, special, trace)
-    trace.iterations = len(trace.welfare_history) - 1
-    return _allocation(stats, order), trace
+    return _stabilise(a, g, 4, lambda stats, order, trace: _ts_pass(stats, order, special, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +273,9 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         raise ValueError("need at least as many vertices as bundles")
     core, keep, iso = _split_isolated(g)
     trace = SolveTrace(guarantee="EF1+TS")
-    stats = BundleStats(core, n)
-    for v in range(core.num_vertices):
-        stats.apply_move(v, None, v % n)
+    stats = _round_robin(core, n)
     order = list(range(n))
-    _relabel(stats, order)
-    _record(stats, order, trace)
+    _step(stats, order, trace)
     _ts_pass(stats, order, None, trace)
     budget = max(1, 8 * core.num_vertices * core.num_vertices * n)
     while _violator_positions(stats, order):
@@ -282,20 +285,13 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         # first resolve every violation fixable by a transfer that helps the
         # minimum bundle
         while True:
-            pick = None
-            a1 = order[0]
-            for pos in _violator_positions(stats, order):
-                o = _least_helpful(stats, order[pos], a1)
-                if o is not None:
-                    pick = (order[pos], o)
-                    break
+            pick = _helpful_pick(stats, order, _violator_positions(stats, order))
             if pick is None:
                 break
             src, o = pick
-            stats.apply_move(o, src, a1)
+            stats.apply_move(o, src, order[0])
             trace.case_history.append("I")
-            _relabel(stats, order)
-            _record(stats, order, trace)
+            _step(stats, order, trace)
             _ts_pass(stats, order, None, trace)
             trace.snapshots.append(("I", trace.potential_history[-1]))
         violators = _violator_positions(stats, order)
@@ -316,19 +312,14 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         for o in sorted(stats.members[i_star]):
             if not (stats.bundle_value[i_star] > v1 and stats.removal_floor(i_star) > v1):
                 break
-            receiver = None
-            for b in order[1:]:
-                if b != i_star and stats.marginal_add(b, o) > 0:
-                    receiver = b
-                    break
+            receiver = _first_receiver(stats, order, o, exclude={a1, i_star})
             if receiver is None:
                 raise SolverInvariantError(
                     f"item {o} has no positive receiver; impossible for n >= 4"
                 )
             stats.apply_move(o, i_star, receiver)
         trace.case_history.append("II")
-        _relabel(stats, order)
-        _record(stats, order, trace)
+        _step(stats, order, trace)
         _ts_pass(stats, order, i_star, trace)
         trace.snapshots.append(("II", trace.potential_history[-1]))
     return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace
@@ -359,25 +350,13 @@ def _wts_pass(stats: BundleStats, order: list[int], trace: SolveTrace):
         moves += 1
         if moves > budget:
             raise BudgetExceededError("weak-stability subroutine exceeded its budget")
-        _relabel(stats, order)
-        _record(stats, order, trace)
+        _step(stats, order, trace)
         if trace.potential_history[-1] <= phi_before:
             raise SolverInvariantError("potential did not strictly improve")
 
 
 def wts_subroutine(a: Allocation, g: Graph) -> tuple[Allocation, SolveTrace]:
-    if a.n < 2:
-        raise ValueError("needs at least 2 bundles")
-    if not a.is_complete(g):
-        raise ValueError("needs a complete allocation")
-    stats = BundleStats.from_bundles(g, a.bundles)
-    order = list(range(a.n))
-    _relabel(stats, order)
-    trace = SolveTrace()
-    _record(stats, order, trace)
-    _wts_pass(stats, order, trace)
-    trace.iterations = len(trace.welfare_history) - 1
-    return _allocation(stats, order), trace
+    return _stabilise(a, g, 2, _wts_pass)
 
 
 def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
@@ -389,12 +368,9 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     if n == 1:
         return Allocation.of([set(range(g.num_vertices))]), trace
     core, keep, iso = _split_isolated(g)
-    stats = BundleStats(core, n)
-    for v in range(core.num_vertices):
-        stats.apply_move(v, None, v % n)
+    stats = _round_robin(core, n)
     order = list(range(n))
-    _relabel(stats, order)
-    _record(stats, order, trace)
+    _step(stats, order, trace)
     _wts_pass(stats, order, trace)
     budget = max(1, 8 * core.num_vertices * core.num_vertices * n)
     while True:
@@ -405,12 +381,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         if trace.iterations > budget:
             raise BudgetExceededError("outer loop exceeded its budget")
         a1 = order[0]
-        pick = None
-        for pos in violators:
-            o = _least_helpful(stats, order[pos], a1)
-            if o is not None:
-                pick = (order[pos], o)
-                break
+        pick = _helpful_pick(stats, order, violators)
         if pick is not None:
             src, o = pick
             stats.apply_move(o, src, a1)
@@ -453,8 +424,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             for o in sorted(set(pool) - in_s):
                 stats.apply_move(o, i, j)
             trace.case_history.append("2")
-        _relabel(stats, order)
-        _record(stats, order, trace)
+        _step(stats, order, trace)
         _wts_pass(stats, order, trace)
         trace.snapshots.append((trace.case_history[-1], trace.potential_history[-1]))
     out = _reattach([stats.members[b] for b in order], keep, iso, n)
@@ -555,8 +525,7 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         trace.iterations += 1
         if trace.iterations > budget:
             raise BudgetExceededError("peeling loop exceeded its budget")
-        _relabel(stats, order)
-        _record(stats, order, trace)
+        _step(stats, order, trace)
         # frontier roots are mostly non-leaf (leaf-children go out with their
         # parent), but a compensation step that hands a non-leaf child to the
         # minimum bundle can promote that child's own leaves to the frontier
@@ -629,8 +598,7 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             (tag, [[keep[o] for o in sorted(stats.members[b])] for b in order])
         )
 
-    _relabel(stats, order)
-    _record(stats, order, trace)
+    _step(stats, order, trace)
     if any(x is None for x in stats.assignment):
         raise SolverInvariantError("peeling terminated with unallocated items")
     return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace

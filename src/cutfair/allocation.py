@@ -2,8 +2,8 @@
 
 Agents share one cut-valuation, so envy-freeness degenerates to "all bundle
 values equal" and EF1 checks reduce (after sorting) to checks against the
-minimum-value bundle.  Both the pairwise and the min-only EF1 paths are
-implemented; they must agree and the test suite asserts it.
+minimum-value bundle.  EF1 and alpha-EF1 share one pairwise scan that reads
+each envied bundle's cached removal floor: O(V + n^2).
 """
 
 from __future__ import annotations
@@ -83,12 +83,6 @@ def bundle_values(a: Allocation, g: Graph) -> list[int]:
     return _stats(a, g).bundle_value
 
 
-def sort_bundles(a: Allocation, stats: BundleStats) -> Allocation:
-    """Bundles in non-decreasing value order; ties keep the previous order."""
-    order = sorted(range(a.n), key=lambda i: stats.bundle_value[i])
-    return Allocation(tuple(a.bundles[i] for i in order))
-
-
 def social_welfare(a: Allocation, g: Graph) -> int:
     return sum(bundle_values(a, g))
 
@@ -96,13 +90,6 @@ def social_welfare(a: Allocation, g: Graph) -> int:
 def potential_from_values(values: Sequence[int]) -> Potential:
     vmin = min(values)
     return Potential(vmin, -sum(1 for v in values if v == vmin))
-
-
-def potential(a: Allocation, g: Graph) -> Potential:
-    values = bundle_values(a, g)
-    if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
-        raise ValueError("potential requires bundles sorted by value")
-    return potential_from_values(values)
 
 
 def check_ef(a: Allocation, g: Graph) -> FairnessReport:
@@ -115,10 +102,10 @@ def check_ef(a: Allocation, g: Graph) -> FairnessReport:
     return FairnessReport("EF", not violations, violations)
 
 
-def check_ef1(a: Allocation, g: Graph) -> FairnessReport:
-    """Pairwise EF1: every envy is removable by deleting one item from the envied bundle.
-
-    BundleStats caches each envied bundle's removal floor: O(V + n^2).
+def _ef1(a: Allocation, g: Graph, name: str, num: int, den: int) -> FairnessReport:
+    """Pairwise (num/den)-scaled EF1: every envy i -> j must vanish, after
+    scaling, once the best single item leaves A_j.  Exact integer comparisons;
+    the witness item is the least one reaching A_j's removal floor.
     """
     stats = _stats(a, g)
     values = stats.bundle_value
@@ -127,25 +114,15 @@ def check_ef1(a: Allocation, g: Graph) -> FairnessReport:
         for j, vj in enumerate(values):
             if vj <= vi:
                 continue
-            floor = stats.removal_floor(j)
-            if floor > vi:
-                witness = stats.min_removal_value(j)
-                violations.append(
-                    {"i": i, "j": j, "item": witness[0] if witness else None, "values": [vi, floor]}
-                )
-    return FairnessReport("EF1", not violations, violations)
+            item, floor = stats.min_removal_value(j)  # A_j is non-empty: it is envied
+            if num * floor > den * vi:
+                violations.append({"i": i, "j": j, "item": item, "values": [vi, floor]})
+    return FairnessReport(name, not violations, violations)
 
 
-def check_ef1_min_only(a: Allocation, g: Graph) -> bool:
-    """EF1 verdict via the identical-valuations shortcut: only the minimum-value
-    bundle can be on the envious side."""
-    stats = _stats(a, g)
-    values = stats.bundle_value
-    vmin = min(values) if values else 0
-    for j, vj in enumerate(values):
-        if vj > vmin and stats.removal_floor(j) > vmin:
-            return False
-    return True
+def check_ef1(a: Allocation, g: Graph) -> FairnessReport:
+    """Pairwise EF1: every envy is removable by deleting one item from the envied bundle."""
+    return _ef1(a, g, "EF1", 1, 1)
 
 
 def _require_alpha(alpha) -> Fraction:
@@ -159,17 +136,7 @@ def _require_alpha(alpha) -> Fraction:
 def check_alpha_ef1(a: Allocation, g: Graph, alpha: Fraction) -> FairnessReport:
     """alpha-scaled EF1; comparisons by exact cross-multiplication."""
     alpha = _require_alpha(alpha)
-    stats = _stats(a, g)
-    values = stats.bundle_value
-    violations = []
-    for i, vi in enumerate(values):
-        for j, vj in enumerate(values):
-            if vj <= vi:
-                continue
-            floor = stats.removal_floor(j)
-            if alpha.numerator * floor > alpha.denominator * vi:
-                violations.append({"i": i, "j": j, "item": None, "values": [vi, floor]})
-    return FairnessReport(f"{alpha}-EF1", not violations, violations)
+    return _ef1(a, g, f"{alpha}-EF1", alpha.numerator, alpha.denominator)
 
 
 def _require_complete(a: Allocation, g: Graph, predicate: str) -> None:

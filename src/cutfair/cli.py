@@ -11,7 +11,6 @@ JSON goes to stdout (or --out); a short human summary goes to stderr unless
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,18 +24,12 @@ from .algorithms import (
     SolveGoal,
     SolverInvariantError,
     dispatch_solve,
-    greedy_two_agents,
-    solve_ef1_ts_n4,
-    solve_ef1_wts,
-    solve_forest_ef1_so,
 )
 from .allocation import bundle_values
 from .instances import (
     Instance,
     ParseError,
     from_label,
-    gen_random_forest,
-    gen_random_graph,
     read_allocation,
     read_instance,
     write_instance,
@@ -216,30 +209,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    runs = [
-        (gen_random_graph(m, 0.3, args.seed + m * 7 + n), n, solver, tag)
-        for m in (10, 20, 40, 80)
-        for n, solver, tag in (
-            (2, lambda g, n: greedy_two_agents(g), "hillclimb-2"),
-            (3, solve_ef1_wts, "ef1-wts"),
-            (5, solve_ef1_ts_n4, "ef1-ts"),
-        )
-    ]
-    for m in (10, 20, 40):
-        runs.append((gen_random_forest(m, 2, args.seed + m), 3, solve_forest_ef1_so, "forest-peel"))
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(("label", "m", "edges", "n", "algorithm", "iterations", "moves", "micros"))
-    for inst, n, solver, tag in runs:
-        g = inst.graph
-        t0 = time.perf_counter()
-        _, trace = solver(g, n)
-        micros = round(1e6 * (time.perf_counter() - t0))
-        row = (inst.label, g.num_vertices, g.num_edges, n, tag)
-        out.writerow(row + (trace.iterations, len(trace.welfare_history), micros))
-    return 0
-
-
 def cmd_repro(args) -> int:
     try:
         repro.select(args.only)
@@ -292,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit an instance file")
     _add_source_flags(p)
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("bench", help="solver timing sweep as CSV")
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("repro", help="run the full reproduction suite")
     p.add_argument(

@@ -91,13 +91,9 @@ class Graph:
 
 @dataclass
 class RootedForest:
-    """Parent/children structure over a forest, with a frontier of unallocated roots.
+    """Parent/children structure over a forest, one root per component,
+    children in breadth-first order from each root."""
 
-    The frontier is mutated by the forest peeling solver: allocating a vertex
-    removes it from the frontier and promotes its unallocated children to roots.
-    """
-
-    graph: Graph
     parent: list[Optional[int]]
     children: list[list[int]]
     roots: list[int]
@@ -131,5 +127,5 @@ class RootedForest:
                         parent[u] = v
                         children[v].append(u)
                         queue.append(u)
-        return RootedForest(graph=g, parent=parent, children=children, roots=sorted(chosen))
+        return RootedForest(parent=parent, children=children, roots=sorted(chosen))
 

@@ -196,10 +196,12 @@ def _prefixes(length: int, n: int) -> list[tuple[tuple[int, ...], int, int]]:
     return out
 
 
-def _jobs(g, n, fixed, mask, alpha, first_only, collect, threads):
+def _jobs(g, n, fixed, mask, alpha, first_only, collect):
     """The kernel calls of one query as (args, offset, weight): a call's local
     index i is labelled index offset + i, and each state it visits stands for
-    weight labelled ones.  The calls cover ascending, disjoint index ranges."""
+    weight labelled ones.  The calls cover ascending, disjoint index ranges.
+    A query that fixes vertices other than the vertex-0 pin (completability)
+    breaks the relabelling symmetry and is one labelled call."""
     args = _scan_args(g, n, mask, alpha, first_only, collect)
     m = g.num_vertices
     pinned = m > 0 and fixed[0] == 0
@@ -210,11 +212,7 @@ def _jobs(g, n, fixed, mask, alpha, first_only, collect, threads):
             weight = math.perm(n, used) // (n if pinned else 1)
             yield args([*prefix] + [-1] * free, 0, block), value * block, weight
         return
-    states = _num_states(n, fixed)
-    parts = threads if threads > 1 and states >= 4 * threads else 1
-    bounds = [states * k // parts for k in range(parts + 1)]
-    for k in range(parts):
-        yield args(fixed, bounds[k], bounds[k + 1]), 0, 1
+    yield args(fixed, 0, _num_states(n, fixed)), 0, 1
 
 
 def _scan_worker(args):
@@ -253,7 +251,7 @@ def _merge(done, first_only):
 
 
 def _run(g, n, fixed, mask, alpha=Fraction(1), first_only=False, collect=False, threads=1):
-    jobs = _jobs(g, n, fixed, mask, alpha, first_only, collect, threads)
+    jobs = _jobs(g, n, fixed, mask, alpha, first_only, collect)
     if threads > 1:
         jobs = list(jobs)
         if len(jobs) > 1:
@@ -307,21 +305,15 @@ def _qualifying(g, n, fixed, mask, query, filters):
 
 
 def enumerate_allocations(
-    g: Graph, n: int, complete_only: bool = True, max_states: int = DEFAULT_MAX_STATES
+    g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES
 ) -> Iterator[Allocation]:
-    """Every assignment function exactly once, in lexicographic order.
-
-    With complete_only=False, each vertex may also stay unassigned (encoded as
-    the extra symbol sorting after all bundle indices).
-    """
-    base = n if complete_only else n + 1
-    if base**g.num_vertices > max_states:
-        raise CapExceededError(f"{base ** g.num_vertices} states exceed the cap of {max_states}")
-    for assign in itertools.product(range(base), repeat=g.num_vertices):
+    """Every complete allocation exactly once, in lexicographic order of the
+    assignment function."""
+    _check_cap(n, [-1] * g.num_vertices, max_states)
+    for assign in itertools.product(range(n), repeat=g.num_vertices):
         bundles: list[set[int]] = [set() for _ in range(n)]
         for v, b in enumerate(assign):
-            if b < n:
-                bundles[b].add(v)
+            bundles[b].add(v)
         yield Allocation.of(bundles)
 
 

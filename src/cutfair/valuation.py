@@ -31,10 +31,6 @@ from typing import Iterable, Optional, Sequence
 
 from .graph import Graph
 
-STRICT_GOOD = "strict-good"
-WEAK_CHORE = "weak-chore"
-STRICT_CHORE = "strict-chore"
-
 _STALE = object()  # marks a cached removal floor that must be recomputed
 
 
@@ -59,7 +55,7 @@ class BundleStats:
     ``neighbors_in_bundle``, ``bundle_value``, ``members`` (one vertex set
     per bundle) and ``degree`` (a plain list, for hot loops).  Removal floors
     and chore indexes are read through min_removal_value, removal_floor and
-    chores.  Single-owner mutable; copy() before sharing.
+    chores.  Mutable, with a single owner.
     """
 
     def __init__(self, g: Graph, n: int):
@@ -103,31 +99,6 @@ class BundleStats:
                 stats.bundle_value[b] += deg[o] - cnt[o][b]
         return stats
 
-    def copy(self) -> "BundleStats":
-        dup = BundleStats.__new__(BundleStats)
-        dup.graph = self.graph
-        dup.n = self.n
-        dup.degree = self.degree  # never mutated, so shared
-        dup.assignment = list(self.assignment)
-        dup.neighbors_in_bundle = [list(row) for row in self.neighbors_in_bundle]
-        dup.bundle_value = list(self.bundle_value)
-        dup.members = [set(m) for m in self.members]
-        dup._floor = list(self._floor)
-        dup._chores = None
-        if self._chores is not None:
-            dup._chores = tuple([set(s) for s in sets] for sets in self._chores)
-        return dup
-
-    @property
-    def bundle_size(self) -> list[int]:
-        return [len(m) for m in self.members]
-
-    def value(self, i: int) -> int:
-        return self.bundle_value[i]
-
-    def bundles(self) -> list[set[int]]:
-        return [set(m) for m in self.members]
-
     def marginal_add(self, i: int, o: int) -> int:
         """v(A_i + o) - v(A_i).  o must not already be in bundle i."""
         if self.assignment[o] == i:
@@ -139,15 +110,6 @@ class BundleStats:
         if self.assignment[o] != i:
             raise ValueError(f"vertex {o} not in bundle {i}")
         return 2 * self.neighbors_in_bundle[o][i] - self.degree[o]
-
-    def classify_item(self, i: int, o: int) -> str:
-        """Classify o against A_i (against A_i minus o when o sits in A_i)."""
-        margin = self.degree[o] - 2 * self.neighbors_in_bundle[o][i]
-        if margin > 0:
-            return STRICT_GOOD
-        if margin == 0:
-            return WEAK_CHORE
-        return STRICT_CHORE
 
     def apply_move(self, o: int, src: Optional[int], dst: Optional[int]) -> None:
         """Move o from bundle src to bundle dst (None means unassigned).

@@ -1,5 +1,6 @@
 import pytest
 
+from cutfair import algorithms
 from cutfair.algorithms import (
     GoalInfeasibleError,
     SolveGoal,
@@ -33,11 +34,33 @@ from cutfair.instances import (
     gen_random_graph,
     gen_star,
 )
+from cutfair.valuation import BundleStats
 
 
 def with_isolated(g, extra):
     """The same graph plus `extra` isolated vertices appended at the end."""
     return Graph.from_edges(g.num_vertices + extra, g.edges)
+
+
+def start_from(monkeypatch, bundles):
+    """Make the general solvers start from `bundles` instead of round-robin.
+    No start state the solvers reach on their own runs case II of the n >= 4
+    solver or case 2 of the general-n solver."""
+    monkeypatch.setattr(
+        algorithms, "_round_robin", lambda core, n: BundleStats.from_bundles(core, bundles)
+    )
+
+
+def monotone_as_criterion_8(trace, tag):
+    """Criterion 8's potential rules, applied to a whole solver trace: the
+    potential never falls from one recorded state to the next, and a snapshot
+    of case `tag` that directly follows another one lies strictly above it."""
+    phis = trace.potential_history
+    assert all(phis[k] <= phis[k + 1] for k in range(len(phis) - 1))
+    last = None
+    for snap_tag, phi in trace.snapshots:
+        assert snap_tag != tag or last is None or phi > last
+        last = phi if snap_tag == tag else None
 
 
 # -- two agents --------------------------------------------------------------
@@ -134,6 +157,18 @@ def test_ef1_ts_solver_handles_isolated_vertices():
         assert check_ef1(a, g).holds and check_ts(a, g).holds
 
 
+def test_ef1_ts_solver_case_ii_parks_the_violator(monkeypatch):
+    g = Graph.from_edges(
+        7, [(0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (2, 3), (2, 5), (3, 4)]
+    )
+    start_from(monkeypatch, [{5, 6}, {0, 4}, {3}, {1, 2}])
+    a, trace = solve_ef1_ts_n4(g, 4)
+    assert trace.case_history == ["II", "I"]
+    assert check_ef1(a, g).holds and check_ts(a, g).holds
+    assert a.to_lists() == [[3], [5, 6], [2, 4], [0, 1]]
+    monotone_as_criterion_8(trace, "II")
+
+
 # -- general-n solver --------------------------------------------------------
 
 
@@ -152,6 +187,35 @@ def test_ef1_wts_solver_on_two_hub_instance():
     # the known-good certificate: both hubs with one spoke, spokes split
     marked = Allocation.of([{0, 4}, {1}, {2, 3}])
     assert check_ef1(marked, g).holds and check_wts(marked, g).holds
+
+
+def test_ef1_wts_solver_case_2_carves_the_violator(monkeypatch):
+    cases = [
+        (
+            Graph.from_edges(
+                11, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 5), (3, 5), (4, 6), (6, 10), (7, 9), (8, 9)]
+            ),
+            [{0, 1, 3, 6, 9, 10}, {4, 7}, {2, 5, 8}],
+            [[2, 5, 7, 8, 10], [3, 4, 9], [0, 1, 6]],
+        ),
+        # here the carved subset's value passes through exactly the minimum
+        # value, so the carve must go on until it is strictly above it
+        (
+            Graph.from_edges(
+                9, [(0, 2), (0, 5), (1, 4), (1, 8), (2, 3), (3, 4), (3, 7), (4, 6), (5, 6), (5, 7)]
+            ),
+            [{1, 2, 6, 7, 8}, {0, 5}, {3, 4}],
+            [[4, 7], [1, 2, 6], [0, 3, 5, 8]],
+        ),
+    ]
+    for g, start, expect in cases:
+        start_from(monkeypatch, start)
+        a, trace = solve_ef1_wts(g, 3)
+        assert trace.case_history == ["2"]
+        assert check_ef1(a, g).holds and check_wts(a, g).holds
+        assert a.all_nonempty()
+        assert a.to_lists() == expect
+        monotone_as_criterion_8(trace, "2")
 
 
 def test_ef1_wts_solver_three_bundles_sweep():

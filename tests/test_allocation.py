@@ -10,19 +10,15 @@ from cutfair.allocation import (
     check_alpha_ef1,
     check_ef,
     check_ef1,
-    check_ef1_min_only,
     check_so,
     check_ts,
     check_wts,
     monochromatic_edges,
-    potential,
     potential_from_values,
     social_welfare,
-    sort_bundles,
 )
 from cutfair.graph import Graph
 from cutfair.instances import SplitMix64, gen_cycle, gen_fig1, gen_random_graph
-from cutfair.valuation import BundleStats
 
 
 def random_state(rng, m, n):
@@ -56,15 +52,6 @@ def test_bundle_values_and_welfare_on_joined_stars():
     assert social_welfare(a, g) == 14 == 2 * g.num_edges
 
 
-def test_sort_bundles_stable():
-    g = gen_fig1().graph
-    a = Allocation.of([{0}, {1}, {2, 3, 5, 6, 7}, {4}])
-    s = sort_bundles(a, BundleStats.from_bundles(g, a.bundles))
-    assert bundle_values(s, g) == sorted(bundle_values(a, g))
-    # ties keep input order: the two value-4 bundles stay as {0} before {4}
-    assert s.bundles.index(frozenset({0})) < s.bundles.index(frozenset({4}))
-
-
 def test_check_ef():
     g = gen_fig1().graph
     assert check_ef(Allocation.of([{0, 1, 2, 3}, {4, 5, 6, 7}]), g).holds
@@ -85,13 +72,6 @@ def test_check_ef1_pairwise():
     bad = check_ef1(Allocation.of([set(), {1}, {2, 3}, {0}, {4, 5, 6, 7}]), g)
     assert bad.holds is False
     assert any(v["j"] == 4 for v in bad.violations)
-
-
-def test_ef1_paths_agree_on_random_states():
-    rng = SplitMix64(23)
-    for _ in range(300):
-        g, a = random_state(rng, 2 + rng.below(9), 2 + rng.below(4))
-        assert check_ef1(a, g).holds == check_ef1_min_only(a, g)
 
 
 def test_alpha_ef1_matches_ef1_at_one_and_relaxes_below():
@@ -115,7 +95,10 @@ def test_alpha_ef1_exact_threshold():
     a = Allocation.of([{0}, {2, 3}])
     assert bundle_values(a, g) == [1, 6]
     assert check_alpha_ef1(a, g, Fraction(1)).holds is False
-    assert check_alpha_ef1(a, g, Fraction(1, 2)).holds is False
+    # the witness is the least item whose removal reaches the floor, as for EF1
+    assert check_alpha_ef1(a, g, Fraction(1, 2)).violations == [
+        {"i": 0, "j": 1, "item": 2, "values": [1, 3]}
+    ]
     assert check_alpha_ef1(a, g, Fraction(1, 3)).holds is True
 
 
@@ -179,10 +162,6 @@ def test_check_so_oracle_tier_and_cap():
 def test_potential_ordering_and_guard():
     assert potential_from_values([2, 2, 5]) == Potential(2, -2)
     assert Potential(2, -2) < Potential(2, -1) < Potential(3, -4)
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="sorted"):
-        potential(Allocation.of([{1}, {0}, {2}]), g)
-    assert potential(Allocation.of([{0}, {2}, {1}]), g) == Potential(1, -2)
 
 
 def test_fairness_report_guards_and_json():

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import pytest
@@ -139,17 +138,6 @@ def test_gen_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "--label", "path:3")
     assert code == 0
     assert "p fairdiv 3 2 2" in out
-
-
-def test_bench_emits_csv(capsys):
-    code, out, _ = run(capsys, "bench", "--seed", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("label,m,edges,n,algorithm")
-    assert len(lines) > 5
-    header, *rows = csv.reader(lines)
-    assert all(len(row) == len(header) for row in rows)
-    assert any(row[header.index("algorithm")] == "forest-peel" for row in rows)
 
 
 def test_repro_single_criterion(capsys):

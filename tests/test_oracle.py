@@ -67,8 +67,6 @@ def test_cap_enforced():
 def test_enumerate_allocations_counts():
     g = gen_path(3).graph
     assert sum(1 for _ in oracle.enumerate_allocations(g, 2)) == 8
-    partial = list(oracle.enumerate_allocations(g, 2, complete_only=False))
-    assert len(partial) == 27
     with pytest.raises(CapExceededError):
         list(oracle.enumerate_allocations(g, 5, max_states=10))
 
@@ -217,12 +215,6 @@ def test_threads_agree_with_serial():
             w2 = oracle.oracle_exists(g, n, q2)
             assert w1 == w2
         assert oracle.oracle_leximin(g, n).bundles == oracle.oracle_leximin(g, n, threads=2).bundles
-    # fixed vertices split the labelled range between the workers
-    g = gen_path(6).graph
-    fixed = [0, -1, -1, 1, -1, -1]
-    assert oracle._run(g, 2, fixed, EF1, collect=True, threads=2) == oracle._run(
-        g, 2, fixed, EF1, collect=True
-    )
 
 
 def test_witness_query_stops_at_the_first_matching_prefix(monkeypatch):

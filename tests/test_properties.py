@@ -144,7 +144,6 @@ STEPS = st.one_of(
     st.tuples(st.just("move"), st.integers(min_value=0), st.integers(min_value=0)),
     st.tuples(st.just("floor"), st.integers(min_value=0)),
     st.tuples(st.just("chores")),
-    st.tuples(st.just("copy")),
 )
 
 
@@ -154,7 +153,6 @@ def test_bundle_caches_survive_random_moves(state, steps):
     g, bundles = state
     stats = BundleStats.from_bundles(g, bundles)
     n = stats.n
-    earlier = []
     for step in steps:
         if step[0] == "move":
             o = step[1] % g.num_vertices
@@ -168,16 +166,10 @@ def test_bundle_caches_survive_random_moves(state, steps):
             i = step[1] % n
             best = stats.min_removal_value(i)
             assert stats.removal_floor(i) == (0 if best is None else best[1])
-        elif step[0] == "chores":
+        else:
             weak, strict = stats.chores()
             assert all(strict[i] <= weak[i] <= stats.members[i] for i in range(n))
-        else:
-            earlier.append((stats, stats.bundles()))
-            stats = stats.copy()
         stats.check_consistency()
-    for old, members in earlier:  # later moves on a copy leave the original alone
-        assert old.bundles() == members
-        old.check_consistency()
 
 
 @given(partial_states())
@@ -191,7 +183,6 @@ def test_from_bundles_equals_a_build_by_moves(state):
     assert stats.assignment == built.assignment
     assert stats.neighbors_in_bundle == built.neighbors_in_bundle
     assert stats.bundle_value == built.bundle_value
-    assert stats.bundle_size == built.bundle_size
     assert stats.members == built.members
     stats.check_consistency()
     taken = [o for bundle in bundles for o in bundle]

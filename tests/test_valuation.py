@@ -2,13 +2,7 @@ import pytest
 
 from cutfair.graph import Graph
 from cutfair.instances import SplitMix64, gen_random_graph
-from cutfair.valuation import (
-    STRICT_CHORE,
-    STRICT_GOOD,
-    WEAK_CHORE,
-    BundleStats,
-    cut_value,
-)
+from cutfair.valuation import BundleStats, cut_value
 
 
 def path(k):
@@ -45,8 +39,7 @@ def test_from_bundles_matches_cut_value():
     bundles = [{0, 3}, {1}, {2, 4}]
     stats = BundleStats.from_bundles(g, bundles)
     assert stats.bundle_value == [cut_value(g, b) for b in bundles]
-    assert stats.bundle_size == [2, 1, 2]
-    assert stats.bundles() == [set(b) for b in bundles]
+    assert stats.members == [set(b) for b in bundles]
 
 
 def test_marginals_match_recompute():
@@ -105,26 +98,6 @@ def test_min_removal_value_tie_breaks_low_index():
     # removing 0 or 1 both leave value 1; least index wins
     assert stats.min_removal_value(0) == (0, 1)
     assert BundleStats.from_bundles(g, [set(), {2}]).min_removal_value(0) is None
-
-
-def test_classify_item():
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    stats = BundleStats.from_bundles(g, [{1, 2, 3}, set()])
-    assert stats.classify_item(0, 0) == STRICT_CHORE
-    assert stats.classify_item(1, 0) == STRICT_GOOD
-    g2 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    stats2 = BundleStats.from_bundles(g2, [{0}, {2}])
-    assert stats2.classify_item(0, 1) == WEAK_CHORE
-
-
-def test_copy_is_independent():
-    g = path(4)
-    stats = BundleStats.from_bundles(g, [{0, 1}, {2, 3}])
-    dup = stats.copy()
-    dup.apply_move(0, 0, 1)
-    assert stats.assignment[0] == 0
-    stats.check_consistency()
-    dup.check_consistency()
 
 
 def test_rejects_zero_bundles():
