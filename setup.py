@@ -1,25 +1,19 @@
 """Build script for the optional compiled enumeration kernel.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time), so a failed Cython build is not fatal.
+``_scan.c`` is plain C against the CPython API, built with the system C
+compiler.  The package works without it (a pure-Python kernel is selected at
+import time), so the extension is optional and a failed build is not fatal.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "cutfair.oracle._scan",
-                ["src/cutfair/oracle/_scan.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "cutfair.oracle._scan",
+            ["src/cutfair/oracle/_scan.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

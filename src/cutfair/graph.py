@@ -81,12 +81,8 @@ class Graph:
         return comps
 
     def is_forest(self) -> bool:
-        """True iff acyclic: every component has |E_c| = |V_c| - 1."""
-        for comp in self.connected_components():
-            internal = sum(len(self.adjacency[v]) for v in comp) // 2
-            if internal != len(comp) - 1:
-                return False
-        return True
+        """True iff acyclic: a simple graph is a forest iff |E| = |V| - #components."""
+        return self.num_edges == self.num_vertices - len(self.connected_components())
 
 
 @dataclass
@@ -100,9 +96,9 @@ class RootedForest:
 
     @staticmethod
     def build(g: Graph, roots: Optional[Sequence[int]] = None) -> "RootedForest":
-        if not g.is_forest():
-            raise GraphError("rooting needs an acyclic graph")
         comps = g.connected_components()
+        if g.num_edges != g.num_vertices - len(comps):
+            raise GraphError("rooting needs an acyclic graph")
         if roots is None:
             chosen = [min(c) for c in comps]
         else:
@@ -119,8 +115,7 @@ class RootedForest:
         for r in chosen:
             seen[r] = True
             queue = [r]
-            while queue:
-                v = queue.pop(0)
+            for v in queue:  # grows while it is walked: breadth-first order
                 for u in g.adjacency[v]:
                     if not seen[u]:
                         seen[u] = True

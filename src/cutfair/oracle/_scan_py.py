@@ -2,8 +2,8 @@
 
 Walks assignment functions (free vertices -> bundles) in lexicographic order
 with incremental cut-value maintenance, evaluating fairness predicates on
-each state.  Semantically identical to the compiled kernel in _scan.pyx; the
-compiled one is preferred at import time when available.
+each state.  Semantically identical to the hand-written C kernel in _scan.c;
+the compiled one is preferred at import time when available.
 """
 
 from __future__ import annotations

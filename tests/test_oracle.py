@@ -1,6 +1,9 @@
 import importlib.util
 import itertools
+import os
+import shutil
 import subprocess
+import sys
 import sysconfig
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +43,6 @@ from cutfair.oracle._kernel import (
     NONEMPTY,
     TS,
     WTS,
-    scan,
     scan_python,
 )
 
@@ -274,35 +276,36 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
 
 @pytest.fixture(scope="module")
 def compiled_scan(tmp_path_factory):
-    """The compiled kernel: the installed extension, else the committed
-    ``_scan.c`` built here with the C compiler Python was built with."""
-    if scan is not scan_python:
-        return scan
-    source = Path(oracle.__file__).with_name("_scan.c")
-    target = tmp_path_factory.mktemp("kernel") / ("_scan" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cc = (sysconfig.get_config_var("CC") or "cc").split()
-    include = sysconfig.get_paths()["include"]
-    try:
-        subprocess.run(
-            [*cc, "-shared", "-fPIC", "-O1", "-w", "-I", include, str(source), "-o", str(target)],
-            check=True,
-            capture_output=True,
-            timeout=300,
-        )
-    except (OSError, subprocess.SubprocessError) as exc:
-        pytest.skip(f"the compiled kernel is not built and _scan.c does not build here: {exc}")
+    """The compiled kernel, built from ``_scan.c`` by ``setup.py build_ext``
+    (the recipe that ships) with warnings as errors, into a temporary
+    directory."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(cc.split()[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) on PATH")
+    out = tmp_path_factory.mktemp("kernel")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext"]
+        + ["--build-lib", str(out), "--build-temp", str(out / "tmp")],
+        cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "CFLAGS": "-Wall -Wextra -Werror"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    # the extension is optional, so a failed compile still exits 0
+    target = out / "cutfair" / "oracle" / ("_scan" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert proc.returncode == 0 and target.exists(), proc.stdout + proc.stderr
     spec = importlib.util.spec_from_file_location("cutfair.oracle._scan", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.scan
 
 
-def test_kernel_parity_compiled_vs_python(compiled_scan):
-    """Both kernels return identical result dictionaries for each mask bit and
-    their union, with and without fixed vertices, over the whole range and a
-    sub-range, in every scan mode."""
+def parity_cases():
+    """(graph, n, fixed): random graphs with and without fixed vertices, then
+    the edge cases: no vertices, no arcs, n = 1, n > m, isolated vertices,
+    n = 4 and n = 5."""
     rng = SplitMix64(404)
-    masks = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
     for trial in range(10):
         m = 3 + rng.below(4)
         n = 2 + trial % 2
@@ -312,14 +315,50 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
             fixed[0] = 0
         if trial % 3 == 1:
             fixed[m - 1] = n - 1
+        yield g, n, fixed
+    for g, n in (
+        (Graph.from_edges(0, []), 2),
+        (Graph.from_edges(3, []), 2),
+        (gen_random_graph(5, 0.5, 1).graph, 1),
+        (Graph.from_edges(2, [(0, 1)]), 4),
+        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)]), 3),
+        (gen_random_graph(5, 0.6, 2).graph, 4),
+        (gen_random_graph(4, 0.6, 3).graph, 5),
+    ):
+        yield g, n, [-1] * g.num_vertices
+
+
+def test_kernel_parity_compiled_vs_python(compiled_scan):
+    """Both kernels return identical result dictionaries for each mask bit and
+    their union, on every parity case, over the whole range and a sub-range,
+    in every scan mode."""
+    masks = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
+    for case, (g, n, fixed) in enumerate(parity_cases()):
         states = n ** sum(f < 0 for f in fixed)
         for mask in masks:
             for start, stop in ((0, states), (states // 3, 2 * states // 3 + 1)):
-                for first_only, collect in ((False, True), (True, False), (False, False)):
+                for first_only, collect in itertools.product((False, True), repeat=2):
                     args = oracle._scan_args(g, n, mask, Fraction(1, 2), first_only, collect)(
                         fixed, start, stop
                     )
-                    assert compiled_scan(*args) == scan_python(*args), (trial, mask, start, stop)
+                    assert compiled_scan(*args) == scan_python(*args), (case, mask, start, stop)
+
+
+def test_kernels_reject_bad_start_and_sizes(compiled_scan):
+    """Both kernels refuse a negative start and one at or beyond n**free; the
+    compiled one refuses a short ``fixed`` list instead of reading past it,
+    and ends a range that runs past n**free at its last state instead of
+    stepping past its digits."""
+    g = gen_random_graph(4, 0.5, 5).graph
+    args = oracle._scan_args(g, 3, EF1, Fraction(1), False, False)
+    for kernel in (compiled_scan, scan_python):
+        for start in (-1, 3**4, 3**4 + 7):
+            with pytest.raises(ValueError, match="start outside the enumeration range"):
+                kernel(*args([-1] * 4, start, start + 1))
+    with pytest.raises(ValueError, match="fixed"):
+        compiled_scan(*args([-1] * 3, 0, 1))
+    assert compiled_scan(*args([-1] * 4, 5, 3**4 + 9))["states"] == 3**4 - 5
+    assert compiled_scan(*args([0, 1, 2, 0], 0, 4))["states"] == 1
 
 
 def test_oracle_entry_points_on_the_compiled_kernel(compiled_scan, monkeypatch):
