@@ -417,9 +417,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                         "subset building stalled below the minimum value"
                     )
                 in_s.add(o)
-                vs += deg[o] - 2 * sum(
-                    1 for u in core.adjacency[o] if u in in_s and u != o
-                )
+                vs += margin
             j = next(b for b in order if b not in (a1, i))
             for o in sorted(set(pool) - in_s):
                 stats.apply_move(o, i, j)

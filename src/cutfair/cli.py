@@ -175,7 +175,7 @@ def cmd_oracle(args) -> int:
         note = "completable" if found else "not-completable"
         doc = {"query": "complete-partial-ef1", "verdict": note}
     else:
-        query = _query(args, symmetry=args.symmetry, threads=args.threads)
+        query = _query(args, symmetry=args.symmetry)
         doc = {"query": sorted(query.predicates)}
         if args.count:
             found = oracle.oracle_count(g, n, query)
@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pin vertex 0 to bundle 0: the witness is unchanged, with --count the verdict is "
         "the pinned sub-count (the number of allocations divided by n), and no query gets cheaper",
     )
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit an instance file")

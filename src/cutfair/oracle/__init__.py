@@ -11,23 +11,22 @@ sorted-vector: agents are interchangeable under a shared valuation, so bundle
 identities carry no information.
 
 For the same reason every predicate is invariant under relabelling the
-bundles, so a query with no fixed vertex (other than the vertex-0 pin of
-``symmetry`` and ``oracle_max_cut``) enumerates one labelling per bundle
-partition of its first L = min(n, m) vertices: each canonical prefix, a
-restricted growth string (Knuth, TAOCP 4A, 7.2.1.5), is one kernel call with
-the vertices after it free.  A prefix using j labels stands for n!/(n - j)!
-labelled ones, so weighted counts equal labelled counts, and the lex-least
-labelled index of any relabelling-invariant set is itself canonical, so
-witnesses and least indices are the labelled ones.  Indices, counts and the
-state cap are all in labelled terms.
+bundles, so a query with no fixed vertex is one canonical kernel scan: it
+visits one labelling per bundle partition of all m vertices, the restricted
+growth string (Knuth, TAOCP 4A, 7.2.1.5).  A string using j labels stands for
+n!/(n - j)! labelled allocations, so weighted counts equal labelled counts,
+and the lex-least labelled index of any relabelling-invariant set is itself
+canonical, so witnesses and least indices are the labelled ones.  The
+vertex-0 pin of ``symmetry`` and ``oracle_max_cut`` runs the same scan with
+counts divided by n; every restricted growth string starts with bundle 0, so
+its indices are those of the pinned enumeration.  Any other fixed vertex
+(completability) breaks the symmetry, and that query is one labelled scan.
+Indices, counts and the state cap are all in labelled terms.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -108,17 +107,23 @@ class OracleQuery:
     alpha: Fraction = Fraction(1)
     max_states: int = DEFAULT_MAX_STATES
     symmetry: bool = False
-    threads: int = 1
+    threads: int = 1  # accepted as 1 only: a query is one kernel scan
 
     def __post_init__(self):
         unknown = self.predicates - KNOWN_PREDICATES
         if unknown:
             raise ValueError(f"unknown predicates: {sorted(unknown)}")
         _require_alpha(self.alpha)
+        _require_one_thread(self.threads)
 
     @staticmethod
     def of(predicates, **kwargs) -> "OracleQuery":
         return OracleQuery(predicates=frozenset(predicates), **kwargs)
+
+
+def _require_one_thread(threads: int) -> None:
+    if threads != 1:
+        raise ValueError(f"threads must be 1, not {threads}: an oracle query is one kernel scan")
 
 
 def _csr(g: Graph):
@@ -161,105 +166,39 @@ def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
 
 def _scan_args(g, n, mask, alpha, first_only, collect):
     """The kernel arguments of a scan on g, as a function of its fixed
-    vertices and index range [start, stop)."""
+    vertices, its first labelled index and whether it is canonical."""
     indptr, indices, degrees = _csr(g)
     shift = _shift(g)
     if n * shift > 62:
         raise CapExceededError("value vector does not pack into 64 bits")
 
-    def args(fixed, start, stop):
+    def args(fixed, start=0, canonical=False):
+        states = _num_states(n, fixed)
+        if states >= 1 << 63:
+            raise CapExceededError(f"{states} states overflow the kernel's 64-bit indices")
         return (
             g.num_vertices, n, indptr, indices, degrees, list(fixed),
             mask, alpha.numerator, alpha.denominator,
-            first_only, collect, start, stop, shift,
+            first_only, collect, start, canonical, shift,
         )
 
     return args
 
 
-@functools.lru_cache(maxsize=None)
-def _prefixes(length: int, n: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """The canonical prefixes of at most ``length`` vertices over n labels, in
-    lexicographic order, each with its value in base n and the number of
-    labels it uses.  A prefix is a restricted growth string; it stops growing
-    once it uses n - 1 labels, since from there on every label may follow."""
-    out = []
-
-    def grow(prefix, value, used):
-        if len(prefix) == length or used >= n - 1:
-            out.append((prefix, value, used))
-            return
-        for b in range(used + 1):
-            grow(prefix + (b,), value * n + b, max(used, b + 1))
-
-    grow((), 0, 0)
-    return out
-
-
-def _jobs(g, n, fixed, mask, alpha, first_only, collect):
-    """The kernel calls of one query as (args, offset, weight): a call's local
-    index i is labelled index offset + i, and each state it visits stands for
-    weight labelled ones.  The calls cover ascending, disjoint index ranges.
-    A query that fixes vertices other than the vertex-0 pin (completability)
-    breaks the relabelling symmetry and is one labelled call."""
+def _run(g, n, fixed, mask, alpha=Fraction(1), first_only=False, collect=False):
+    """The kernel result of one scan over the allocations that keep the fixed
+    vertices in place, in labelled indices and counts."""
     args = _scan_args(g, n, mask, alpha, first_only, collect)
     m = g.num_vertices
     pinned = m > 0 and fixed[0] == 0
-    if all(b < 0 for b in fixed[1 if pinned else 0 :]):
-        for prefix, value, used in _prefixes(min(n, m), n):
-            free = m - len(prefix)
-            block = n**free
-            weight = math.perm(n, used) // (n if pinned else 1)
-            yield args([*prefix] + [-1] * free, 0, block), value * block, weight
-        return
-    yield args(fixed, 0, _num_states(n, fixed)), 0, 1
-
-
-def _scan_worker(args):
-    return scan(*args)
-
-
-def _merge(done, first_only):
-    """The kernel result of a whole query from its (job, result) pairs, in
-    labelled indices and counts.  In first_only mode it stops at the first
-    job that matches, which holds the least matching index."""
-    out = None
-    for (_, offset, weight), res in done:
-        if weight != 1:
-            res["matched"] *= weight
-            if res["matched_count"] is not None:
-                res["matched_count"] = {key: weight * c for key, c in res["matched_count"].items()}
-        if out is None:
-            out = res  # the first job starts at labelled index 0
-        else:
-            out["states"] += res["states"]
-            out["matched"] += res["matched"]
-            if out["first_index"] < 0 <= res["first_index"]:
-                out["first_index"] = offset + res["first_index"]
-            if res["all_vectors"] is not None:
-                for name in ("all_vectors", "matched_first"):
-                    table = out[name]
-                    for key, index in res[name].items():
-                        if key not in table:  # earlier jobs hold lower indices
-                            table[key] = offset + index
-                counts = out["matched_count"]
-                for key, c in res["matched_count"].items():
-                    counts[key] = counts.get(key, 0) + c
-        if first_only and out["first_index"] >= 0:
-            break
-    return out
-
-
-def _run(g, n, fixed, mask, alpha=Fraction(1), first_only=False, collect=False, threads=1):
-    jobs = _jobs(g, n, fixed, mask, alpha, first_only, collect)
-    if threads > 1:
-        jobs = list(jobs)
-        if len(jobs) > 1:
-            calls = [args for args, _, _ in jobs]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_scan_worker, calls, chunksize=-(-len(calls) // threads)))
-            return _merge(zip(jobs, results), first_only)
-    return _merge(((job, scan(*job[0])) for job in jobs), first_only)
+    if any(b >= 0 for b in fixed[1 if pinned else 0 :]):
+        return scan(*args(fixed))
+    result = scan(*args([-1] * m, canonical=True))
+    if pinned:  # vertex 0 is in bundle 0 in one labelling of every n
+        result["matched"] //= n
+        if collect:
+            result["matched_count"] = {key: c // n for key, c in result["matched_count"].items()}
+    return result
 
 
 def _unpack(key: int, n: int, shift: int) -> tuple[int, ...]:
@@ -268,18 +207,18 @@ def _unpack(key: int, n: int, shift: int) -> tuple[int, ...]:
     return tuple([(key >> s) & mask for s in range(shift * (n - 1), -1, -shift)])
 
 
-def _collect(g, n, fixed, tables, mask=0, alpha=Fraction(1), threads=1) -> list[dict]:
+def _collect(g, n, fixed, tables, mask=0, alpha=Fraction(1)) -> list[dict]:
     """The named vector tables of a collect-mode scan, keyed by ascending value tuples."""
-    result = _run(g, n, fixed, mask, alpha, collect=True, threads=threads)
+    result = _run(g, n, fixed, mask, alpha, collect=True)
     shift = _shift(g)
     return [{_unpack(key, n, shift): v for key, v in result[name].items()} for name in tables]
 
 
-def _value_vectors(g, n, fixed, max_states, threads=1) -> dict[tuple[int, ...], int]:
+def _value_vectors(g, n, fixed, max_states) -> dict[tuple[int, ...], int]:
     """{ascending value vector: least index} over every allocation that keeps
     the fixed vertices in place."""
     _check_cap(n, fixed, max_states)
-    return _collect(g, n, fixed, ["all_vectors"], threads=threads)[0]
+    return _collect(g, n, fixed, ["all_vectors"])[0]
 
 
 def _prepare(g, n, query: OracleQuery):
@@ -297,7 +236,7 @@ def _qualifying(g, n, fixed, mask, query, filters):
     """The least index and the count of each matched vector, and the matched
     vectors that pass every global filter."""
     tables = ["all_vectors", "matched_first", "matched_count"]
-    vectors, first, count = _collect(g, n, fixed, tables, mask, query.alpha, query.threads)
+    vectors, first, count = _collect(g, n, fixed, tables, mask, query.alpha)
     keys = set(first)
     for keep in filters:
         keys &= keep(vectors)
@@ -324,7 +263,7 @@ def oracle_exists(g: Graph, n: int, query: OracleQuery) -> Optional[Allocation]:
         first, _, keys = _qualifying(g, n, fixed, mask, query, filters)
         index = min((first[k] for k in keys), default=-1)
     else:
-        result = _run(g, n, fixed, mask, query.alpha, first_only=True, threads=query.threads)
+        result = _run(g, n, fixed, mask, query.alpha, first_only=True)
         index = result["first_index"]
     return _decode(g, n, fixed, index) if index >= 0 else None
 
@@ -336,7 +275,7 @@ def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
     and makes no query cheaper, since enumeration is canonical anyway."""
     mask, fixed, filters = _prepare(g, n, query)
     if not filters:
-        return _run(g, n, fixed, mask, query.alpha, threads=query.threads)["matched"]
+        return _run(g, n, fixed, mask, query.alpha)["matched"]
     _, count, keys = _qualifying(g, n, fixed, mask, query, filters)
     return sum(count[k] for k in keys)
 
@@ -350,7 +289,7 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     args = _scan_args(g, n, mask, query.alpha, True, False)
     out = []
     while start < stop:
-        index = scan(*args(fixed, start, stop))["first_index"]
+        index = scan(*args(fixed, start))["first_index"]
         if index < 0:
             break
         a = _decode(g, n, fixed, index)
@@ -380,9 +319,10 @@ def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX
 
 def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threads: int = 1) -> Allocation:
     """Allocation whose sorted value vector is lexicographically maximal; first
-    in enumeration order on ties."""
+    in enumeration order on ties.  ``threads`` must be 1."""
+    _require_one_thread(threads)
     fixed = [-1] * g.num_vertices
-    vectors = _value_vectors(g, n, fixed, max_states, threads)
+    vectors = _value_vectors(g, n, fixed, max_states)
     return _decode(g, n, fixed, vectors[max(vectors)])
 
 

@@ -2,9 +2,12 @@
  *
  * Walks assignment functions (free vertices -> bundles) in lexicographic
  * order with incremental cut-value maintenance, evaluating the fairness
- * predicates of require_mask on each state.  The argument lengths are
- * checked; their contents (vertex ids, bundle ids, degrees) are trusted, as
- * the oracle builds them.
+ * predicates of require_mask on each state.  In canonical mode it visits only
+ * the restricted growth strings, one per bundle partition, and weights each
+ * match by the number of labellings of its partition.  The argument lengths
+ * are checked; their contents (vertex ids, bundle ids, degrees) are trusted,
+ * as the oracle builds them.  The oracle refuses a scan whose n**free reaches
+ * 2**63, so every index, count and weight fits a long long.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -45,19 +48,30 @@ done:
     return rc;
 }
 
-/* Record a state's packed sorted value vector: its least index in
- * all_vectors and, for a matching state, in matched_first, with the number of
- * matching states in matched_count. */
+/* The labelled index of the state whose free-vertex labels are digits. */
+static long long
+labelled_index(const int *digits, int f, int n)
+{
+    long long index = 0;
+    for (int k = 0; k < f; k++)
+        index = index * n + digits[k];
+    return index;
+}
+
+/* Record the packed sorted value vector key of the state labelled digits: its
+ * least index in all_vectors and, for a matching state, in matched_first,
+ * with the number of labelled matching states in matched_count. */
 static int
 collect_state(PyObject *all_vectors, PyObject *matched_first,
-              PyObject *matched_count, long long key, long long index, int ok)
+              PyObject *matched_count, long long key, const int *digits, int f,
+              int n, int ok, long long weight)
 {
     PyObject *k = PyLong_FromLongLong(key), *idx = NULL, *c;
     int rc = -1;
     if (k == NULL)
         return -1;
     if (PyDict_GetItemWithError(all_vectors, k) == NULL) {
-        if (PyErr_Occurred() || (idx = PyLong_FromLongLong(index)) == NULL
+        if (PyErr_Occurred() || (idx = PyLong_FromLongLong(labelled_index(digits, f, n))) == NULL
             || PyDict_SetItem(all_vectors, k, idx) < 0)
             goto done;
     }
@@ -66,13 +80,13 @@ collect_state(PyObject *all_vectors, PyObject *matched_first,
         if (c == NULL) {
             if (PyErr_Occurred())
                 goto done;
-            if (idx == NULL && (idx = PyLong_FromLongLong(index)) == NULL)
+            if (idx == NULL && (idx = PyLong_FromLongLong(labelled_index(digits, f, n))) == NULL)
                 goto done;
             if (PyDict_SetItem(matched_first, k, idx) < 0)
                 goto done;
-            c = PyLong_FromLong(1);
+            c = PyLong_FromLongLong(weight);
         } else {
-            c = PyLong_FromLongLong(PyLong_AsLongLong(c) + 1);
+            c = PyLong_FromLongLong(PyLong_AsLongLong(c) + weight);
         }
         if (c == NULL)
             goto done;
@@ -91,13 +105,13 @@ done:
 static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    int m, n, require_mask, first_only, collect_vectors, shift;
-    long long alpha_num, alpha_den, start, stop;
+    int m, n, require_mask, first_only, collect_vectors, canonical, shift;
+    long long alpha_num, alpha_den, start;
     PyObject *indptr_obj, *indices_obj, *degrees_obj, *fixed_obj;
-    if (!PyArg_ParseTuple(args, "iiOOOOiLLppLLi:scan", &m, &n, &indptr_obj,
+    if (!PyArg_ParseTuple(args, "iiOOOOiLLppLpi:scan", &m, &n, &indptr_obj,
                           &indices_obj, &degrees_obj, &fixed_obj, &require_mask,
                           &alpha_num, &alpha_den, &first_only, &collect_vectors,
-                          &start, &stop, &shift))
+                          &start, &canonical, &shift))
         return NULL;
     if (m < 0 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
@@ -109,14 +123,14 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
 
     PyObject *result = NULL, *all_vectors = NULL, *matched_first = NULL,
              *matched_count = NULL;
-    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)5 * m + 1 + (size_t)num_arcs));
+    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)6 * m + 1 + (size_t)num_arcs));
     long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)m * n + (size_t)4 * n));
     if (ibuf == NULL || lbuf == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     int *indptr = ibuf, *indices = indptr + m + 1, *degrees = indices + num_arcs,
-        *assign = degrees + m, *freev = assign + m, *digits = freev + m;
+        *assign = degrees + m, *freev = assign + m, *digits = freev + m, *top = digits + m;
     long long *cnt = lbuf, *values = cnt + (size_t)m * n, *sizes = values + n,
               *minrem = sizes + n, *sortbuf = minrem + n;
 
@@ -137,13 +151,17 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             goto done;
     }
 
-    int i, j, k, b, d, nd, v, u, p, deg, f = 0, ok;
-    long long r, gain, key, index, rem, vmin, vmax, tmp;
+    int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok;
+    long long r, gain, key, rem, vmin, vmax, tmp, weight = 1;
     long long states = 0, matched = 0, first_index = -1;
 
     for (i = 0; i < m; i++)
         if (assign[i] < 0)
             freev[f++] = i;
+    if (canonical && (start != 0 || f < m)) {
+        PyErr_SetString(PyExc_ValueError, "a canonical scan starts at 0 with no fixed vertex");
+        goto done;
+    }
     rem = start;
     for (k = f - 1; k >= 0; k--) {
         digits[k] = (int)(rem % n);
@@ -153,8 +171,11 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "start outside the enumeration range");
         goto done;
     }
-    for (k = 0; k < f; k++)
+    for (k = 0; k < f; k++) {
         assign[freev[k]] = digits[k];
+        /* the largest label digit k may take */
+        top[k] = !canonical ? n - 1 : k == 0 ? 0 : n > 1;
+    }
 
     for (i = 0; i < m * n; i++)
         cnt[i] = 0;
@@ -171,7 +192,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         sizes[b] += 1;
     }
 
-    for (index = start; index < stop;) {
+    for (;;) {
         states += 1;
         ok = 1;
         if (require_mask & NONEMPTY) {
@@ -251,6 +272,18 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             }
         }
 
+        if (ok) {
+            /* a canonical state stands for the n!/(n - j)! labellings of its j
+             * non-empty bundles, which are bundles 0 to j - 1 */
+            for (j = 0, weight = 1; canonical && j < n && sizes[j] > 0; j++)
+                weight *= n - j;
+            matched += weight;
+            if (first_index < 0) {
+                first_index = labelled_index(digits, f, n);
+                if (first_only && !collect_vectors)
+                    break;
+            }
+        }
         if (collect_vectors) {
             for (b = 0; b < n; b++)
                 sortbuf[b] = values[b];
@@ -263,26 +296,19 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             key = 0;
             for (b = 0; b < n; b++)
                 key = (key << shift) | sortbuf[b];
-            if (collect_state(all_vectors, matched_first, matched_count, key, index, ok) < 0)
+            if (collect_state(all_vectors, matched_first, matched_count, key, digits, f, n,
+                              ok, weight) < 0)
                 goto done;
         }
-        if (ok) {
-            matched += 1;
-            if (first_index < 0)
-                first_index = index;
-            if (first_only && !collect_vectors)
-                break;
-        }
 
-        index += 1;
-        if (index >= stop)
-            break;
-        /* Step to the next index: increment the base-n digits of the free
-         * vertices, moving each changed vertex from bundle d to nd. */
+        /* Step to the next index: increment the digits of the free vertices,
+         * digit k up to top[k], moving each changed vertex from bundle d to
+         * nd. */
         for (k = f - 1; k >= 0; k--) {
             d = digits[k];
             v = freev[k];
-            nd = d + 1 < n ? d + 1 : 0;
+            t = top[k];
+            nd = d < t ? d + 1 : 0;
             values[d] += 2 * cnt[v * n + d] - degrees[v];
             sizes[d] -= 1;
             for (p = indptr[v]; p < indptr[v + 1]; p++) {
@@ -294,8 +320,14 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             sizes[nd] += 1;
             assign[v] = nd;
             digits[k] = nd;
-            if (nd != 0)
+            if (nd != 0) {
+                if (t < n - 1) { /* canonical, and the digits after k reset to 0 */
+                    t += nd == t;
+                    for (j = k + 1; j < f; j++)
+                        top[j] = t;
+                }
                 break;
+            }
         }
         if (k < 0) /* carried out of the top digit: past index n**f - 1 */
             break;
@@ -317,9 +349,10 @@ done:
 
 PyDoc_STRVAR(scan_doc,
 "scan(num_vertices, n, indptr, indices, degrees, fixed, require_mask,\n"
-"     alpha_num, alpha_den, first_only, collect_vectors, start, stop, shift, /)\n"
+"     alpha_num, alpha_den, first_only, collect_vectors, start, canonical, shift, /)\n"
 "--\n\n"
-"Scan global assignment indices [start, stop); see _scan_py.scan.");
+"Scan global assignment indices from start on, or only the canonical ones;\n"
+"see _scan_py.scan.");
 
 static PyMethodDef methods[] = {
     {"scan", scan, METH_VARARGS, scan_doc},

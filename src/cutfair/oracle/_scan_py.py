@@ -2,11 +2,17 @@
 
 Walks assignment functions (free vertices -> bundles) in lexicographic order
 with incremental cut-value maintenance, evaluating fairness predicates on
-each state.  Semantically identical to the hand-written C kernel in _scan.c;
+each state.  In canonical mode it visits only restricted growth strings
+(Knuth, TAOCP 4A, 7.2.1.5): digit k rises to at most one more than the
+largest digit before it, so each bundle partition is visited once, by its
+lex-least labelling, and a match counts for every labelling of its
+partition.  Semantically identical to the hand-written C kernel in _scan.c;
 the compiled one is preferred at import time when available.
 """
 
 from __future__ import annotations
+
+from math import perm
 
 NONEMPTY = 1
 EF = 2
@@ -16,6 +22,14 @@ TS = 16
 WTS = 32
 
 BIG = 1 << 60
+
+
+def _index(digits, n):
+    """The labelled index of the state whose free-vertex labels are digits."""
+    index = 0
+    for d in digits:
+        index = index * n + d
+    return index
 
 
 def scan(
@@ -31,21 +45,24 @@ def scan(
     first_only,
     collect_vectors,
     start,
-    stop,
+    canonical,
     shift,
 ):
-    """Scan global assignment indices [start, stop).
+    """Scan global assignment indices from start to n**free - 1; in canonical
+    mode (no fixed vertex, start 0) only the restricted growth strings.
 
     Returns a dict with:
       states          -- number of states visited
-      matched         -- number matching require_mask
+      matched         -- number of labelled states matching require_mask
       first_index     -- least matching index, or -1
       all_vectors     -- {packed sorted value vector: least index} (collect only)
       matched_first   -- same, restricted to matching states (collect only)
-      matched_count   -- {packed vector: matching-state count} (collect only)
+      matched_count   -- {packed vector: labelled matching-state count} (collect only)
     """
     free = [v for v in range(num_vertices) if fixed[v] < 0]
     f = len(free)
+    if canonical and (start != 0 or f < num_vertices):
+        raise ValueError("a canonical scan starts at 0 with no fixed vertex")
     assign = list(fixed)
     digits = [0] * f
     rem = start
@@ -56,6 +73,10 @@ def scan(
         raise ValueError("start outside the enumeration range")
     for k, v in enumerate(free):
         assign[v] = digits[k]
+    n1 = n - 1
+    top = [min(n1, k, 1) if canonical else n1 for k in range(f)]  # the largest label of digit k
+    # a canonical state with e empty bundles stands for n!/e! labellings
+    weights = [perm(n, n - e) for e in range(n + 1)]
 
     cnt = [[0] * n for _ in range(num_vertices)]
     for v in range(num_vertices):
@@ -78,8 +99,7 @@ def scan(
     matched = 0
     first_index = -1
 
-    index = start
-    while index < stop:
+    while True:
         states += 1
         ok = True
         if require_mask & NONEMPTY:
@@ -129,33 +149,32 @@ def scan(
                 if not ok:
                     break
 
+        if ok:
+            weight = weights[sizes.count(0)] if canonical else 1
+            matched += weight
+            if first_index < 0:
+                first_index = _index(digits, n)
+                if first_only and not collect_vectors:
+                    break
         if collect_vectors:
             key = 0
             for v in sorted(values):
                 key = (key << shift) | v
             if key not in all_vectors:
-                all_vectors[key] = index
+                all_vectors[key] = _index(digits, n)
             if ok:
                 if key not in matched_first:
-                    matched_first[key] = index
-                    matched_count[key] = 1
+                    matched_first[key] = _index(digits, n)
+                    matched_count[key] = weight
                 else:
-                    matched_count[key] += 1
-        if ok:
-            matched += 1
-            if first_index < 0:
-                first_index = index
-            if first_only and not collect_vectors:
-                break
+                    matched_count[key] += weight
 
-        index += 1
-        if index >= stop:
-            break
         k = f - 1
-        while True:
+        while k >= 0:
             d = digits[k]
             v = free[k]
-            nd = d + 1 if d + 1 < n else 0
+            t = top[k]
+            nd = d + 1 if d < t else 0
             # incremental move of v from bundle d to nd
             values[d] += 2 * cnt[v][d] - degrees[v]
             sizes[d] -= 1
@@ -166,9 +185,13 @@ def scan(
             sizes[nd] += 1
             assign[v] = nd
             digits[k] = nd
-            if nd != 0:
+            if nd:
+                if t < n1:  # canonical, and the digits after k reset to 0
+                    top[k + 1 :] = [t + 1 if nd == t else t] * (f - k - 1)
                 break
             k -= 1
+        if k < 0:  # carried out of the top digit
+            break
 
     return {
         "states": states,

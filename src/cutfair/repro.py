@@ -319,10 +319,7 @@ def criterion_7(ctx: ReproContext) -> CriterionResult:
         viol = [
             k
             for k in range(n)
-            if stats.bundle_value[k] > v1
-            and (lambda best: best is not None and best[1] > v1)(
-                stats.min_removal_value(k)
-            )
+            if stats.bundle_value[k] > v1 and stats.removal_floor(k) > v1
         ]
         if len(viol) > 1 and all(
             margins[o][a1] <= 0

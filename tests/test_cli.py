@@ -204,6 +204,8 @@ def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path):
         ("check", "--label", "fig3:d=3", "--alloc", str(alloc_path), "--pred", "ts"),
         *(("check", "--label", "fig3:d=3", "--alloc", str(path)) for path in bad_paths),
         ("oracle", "--label", "fig3:d=3", "--out", unwritable),
+        # 2**64 labelled states overflow the kernel's indices, whatever the cap
+        ("oracle", "--label", "path:64", "-n", "2", "--pred", "ef1", "--max-states", str(2**70)),
         ("solve", "--label", "fig3:d=3", "--out", unwritable),
         ("gen", "--label", "fig3:d=3", "--out", unwritable),
     ):

@@ -4,7 +4,7 @@ The corpora are written by benchmarks/make_golden.py; each case stores its
 input graph, so these tests re-run the solver and compare bundles,
 iterations, case counts, histories, guarantee and the snapshot digest, and
 re-run the oracle call and compare its witnesses, counts, lists, verdicts or
-the error it raised.
+the error it raised, on the active kernel and on the compiled one.
 """
 
 import importlib.util
@@ -48,6 +48,17 @@ def test_solvers_match_golden_corpus():
 
 
 def test_oracle_matches_golden_corpus():
+    _check_oracle_corpus()
+
+
+def test_compiled_kernel_matches_oracle_golden_corpus(compiled_scan, monkeypatch):
+    from cutfair import oracle
+
+    monkeypatch.setattr(oracle, "scan", compiled_scan)
+    _check_oracle_corpus()
+
+
+def _check_oracle_corpus():
     make_golden = _make_golden()
     graphs, cases = _load("oracle.json")
     assert len(cases) > 5000

@@ -1,12 +1,5 @@
-import importlib.util
 import itertools
-import os
-import shutil
-import subprocess
-import sys
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +20,6 @@ from cutfair.graph import Graph
 from cutfair.instances import (
     SplitMix64,
     gen_appendix_a,
-    gen_appendix_b,
     gen_complete_bipartite,
     gen_cycle,
     gen_fig3,
@@ -207,32 +199,62 @@ def test_symmetry_prunes_but_preserves_existence():
     )
 
 
-def test_threads_agree_with_serial():
-    for g, n in ((gen_fig3(3).graph, 3), (gen_appendix_b(3).graph, 3), (gen_path(3).graph, 5)):
-        for preds, symmetry in ((("ef1", "wts"), False), (("ef1", "so"), True), (("po",), False)):
-            q1 = query(*preds, symmetry=symmetry)
-            q2 = query(*preds, symmetry=symmetry, threads=2)
-            assert oracle.oracle_count(g, n, q1) == oracle.oracle_count(g, n, q2)
-            w1 = oracle.oracle_exists(g, n, q1)
-            w2 = oracle.oracle_exists(g, n, q2)
-            assert w1 == w2
-        assert oracle.oracle_leximin(g, n).bundles == oracle.oracle_leximin(g, n, threads=2).bundles
+def test_threads_other_than_one_are_refused():
+    with pytest.raises(ValueError, match="threads must be 1"):
+        query("ef1", threads=2)
+    with pytest.raises(ValueError, match="threads must be 1"):
+        oracle.oracle_leximin(gen_path(3).graph, 2, threads=0)
 
 
-def test_witness_query_stops_at_the_first_matching_prefix(monkeypatch):
+def test_every_entry_point_but_find_all_is_one_kernel_scan(monkeypatch):
+    """One kernel call per query, canonical unless a partial allocation fixes
+    vertices other than the vertex-0 pin."""
     calls = []
 
     def counting(*args):
-        calls.append(args[5])
+        calls.append(args[12])
         return scan_python(*args)
 
     monkeypatch.setattr(oracle, "scan", counting)
-    g = gen_cycle(6).graph
-    assert oracle.oracle_exists(g, 3, query("ef1")) is not None
-    assert calls == [[0, 0, 0, -1, -1, -1]]
+    g = gen_fig3(3).graph
+    witness = oracle.oracle_exists(g, 3, query("ef1", "wts"))
+    queries = (
+        lambda: oracle.oracle_exists(g, 3, query("ef1")),
+        lambda: oracle.oracle_exists(g, 3, query("ef1", "so", symmetry=True)),
+        lambda: oracle.oracle_count(g, 3, query("ef1", "ts")),
+        lambda: oracle.oracle_count(g, 3, query("ef1", "po", symmetry=True)),
+        lambda: oracle.max_welfare(g, 3),
+        lambda: oracle.oracle_pareto(witness, g, 3),
+        lambda: oracle.oracle_leximin(g, 3),
+        lambda: oracle.oracle_max_cut(g),
+    )
+    for run in queries:
+        calls.clear()
+        run()
+        assert calls == [True]
     calls.clear()
-    oracle.oracle_count(g, 3, query("ef1"))
-    assert calls == [[0, 0, 0, -1, -1, -1], [0, 0, 1, -1, -1, -1], [0, 1, -1, -1, -1, -1]]
+    assert oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3)
+    assert calls == [False]
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"])
+def test_overflowing_queries_are_refused_before_any_kernel_call(kernel, request, monkeypatch):
+    """n**free at or above 2**63 does not fit the kernel's indices: the query
+    raises CapExceededError, whatever its cap, and never reaches the kernel."""
+    scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
+    calls = []
+    monkeypatch.setattr(oracle, "scan", lambda *args: calls.append(args) or scan(*args))
+    cap = 2**70
+    for call in (
+        lambda: oracle.oracle_exists(gen_path(64).graph, 2, query("ef1", max_states=cap)),
+        lambda: oracle.oracle_exists(gen_path(64).graph, 2, query("ef1", max_states=cap, symmetry=True)),
+        lambda: oracle.oracle_find_all(gen_path(63).graph, 2, query("ef1", "ts", max_states=cap)),
+        lambda: oracle.oracle_max_cut(gen_path(64).graph, max_states=cap),
+        lambda: oracle.oracle_max_cut(gen_path(65).graph, max_states=cap),
+    ):
+        with pytest.raises(CapExceededError, match="64-bit"):
+            call()
+    assert calls == []
 
 
 KERNEL_PREDICATES = sorted(name for name, p in oracle.PREDICATES.items() if p.bit)
@@ -261,8 +283,7 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
     g, n, preds, alpha, symmetry = case
     q = query(*preds, alpha=alpha, symmetry=symmetry)
     mask, fixed, _ = oracle._prepare(g, n, q)
-    states = n ** fixed.count(-1)
-    ref = scan_python(*oracle._scan_args(g, n, mask, alpha, False, True)(fixed, 0, states))
+    ref = scan_python(*oracle._scan_args(g, n, mask, alpha, False, True)(fixed))
     assert oracle.oracle_count(g, n, q) == ref["matched"]
     witness = oracle.oracle_exists(g, n, q)
     index = ref["first_index"]
@@ -272,33 +293,6 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
     expected = [{oracle._unpack(key, n, shift): v for key, v in ref[t].items()} for t in tables]
     assert oracle._collect(g, n, fixed, tables, mask, alpha) == expected
     assert oracle._value_vectors(g, n, fixed, q.max_states) == expected[0]
-
-
-@pytest.fixture(scope="module")
-def compiled_scan(tmp_path_factory):
-    """The compiled kernel, built from ``_scan.c`` by ``setup.py build_ext``
-    (the recipe that ships) with warnings as errors, into a temporary
-    directory."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(cc.split()[0]) is None:
-        pytest.skip(f"no C compiler ({cc}) on PATH")
-    out = tmp_path_factory.mktemp("kernel")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext"]
-        + ["--build-lib", str(out), "--build-temp", str(out / "tmp")],
-        cwd=Path(__file__).resolve().parents[1],
-        env={**os.environ, "CFLAGS": "-Wall -Wextra -Werror"},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    # the extension is optional, so a failed compile still exits 0
-    target = out / "cutfair" / "oracle" / ("_scan" + sysconfig.get_config_var("EXT_SUFFIX"))
-    assert proc.returncode == 0 and target.exists(), proc.stdout + proc.stderr
-    spec = importlib.util.spec_from_file_location("cutfair.oracle._scan", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.scan
 
 
 def parity_cases():
@@ -330,35 +324,48 @@ def parity_cases():
 
 def test_kernel_parity_compiled_vs_python(compiled_scan):
     """Both kernels return identical result dictionaries for each mask bit and
-    their union, on every parity case, over the whole range and a sub-range,
-    in every scan mode."""
+    their union, on every parity case, labelled from index 0 and from a third
+    of the way, and canonical with the case's fixed vertices freed, in every
+    scan mode."""
     masks = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
     for case, (g, n, fixed) in enumerate(parity_cases()):
         states = n ** sum(f < 0 for f in fixed)
+        scans = ((fixed, 0, False), (fixed, states // 3, False), ([-1] * len(fixed), 0, True))
         for mask in masks:
-            for start, stop in ((0, states), (states // 3, 2 * states // 3 + 1)):
-                for first_only, collect in itertools.product((False, True), repeat=2):
-                    args = oracle._scan_args(g, n, mask, Fraction(1, 2), first_only, collect)(
-                        fixed, start, stop
-                    )
-                    assert compiled_scan(*args) == scan_python(*args), (case, mask, start, stop)
+            for first_only, collect in itertools.product((False, True), repeat=2):
+                args = oracle._scan_args(g, n, mask, Fraction(1, 2), first_only, collect)
+                for free, start, canonical in scans:
+                    call = args(free, start, canonical)
+                    assert compiled_scan(*call) == scan_python(*call), (case, mask, start, canonical)
+
+
+def test_canonical_scan_visits_one_labelling_per_partition():
+    """A canonical scan of m vertices into n bundles visits one state per
+    partition into at most n blocks, and its count of every state is n**m."""
+    g = gen_path(5).graph
+    for n, partitions in ((1, 1), (2, 16), (3, 41), (5, 52), (7, 52)):
+        result = scan_python(*oracle._scan_args(g, n, 0, Fraction(1), False, False)([-1] * 5, 0, True))
+        assert (result["states"], result["matched"]) == (partitions, n**5)
 
 
 def test_kernels_reject_bad_start_and_sizes(compiled_scan):
-    """Both kernels refuse a negative start and one at or beyond n**free; the
-    compiled one refuses a short ``fixed`` list instead of reading past it,
-    and ends a range that runs past n**free at its last state instead of
-    stepping past its digits."""
+    """Both kernels refuse a negative start, one at or beyond n**free, and a
+    canonical scan that starts elsewhere than 0 or fixes a vertex; the
+    compiled one refuses a short ``fixed`` list instead of reading past it.
+    A labelled scan runs from its start to the end of the range."""
     g = gen_random_graph(4, 0.5, 5).graph
     args = oracle._scan_args(g, 3, EF1, Fraction(1), False, False)
     for kernel in (compiled_scan, scan_python):
         for start in (-1, 3**4, 3**4 + 7):
             with pytest.raises(ValueError, match="start outside the enumeration range"):
-                kernel(*args([-1] * 4, start, start + 1))
+                kernel(*args([-1] * 4, start))
+        for fixed, start in (([-1] * 4, 1), ([-1] * 4, -1), ([0, -1, -1, -1], 0)):
+            with pytest.raises(ValueError, match="canonical scan starts at 0"):
+                kernel(*args(fixed, start, True))
+        assert kernel(*args([-1] * 4, 5))["states"] == 3**4 - 5
+        assert kernel(*args([0, 1, 2, 0]))["states"] == 1
     with pytest.raises(ValueError, match="fixed"):
-        compiled_scan(*args([-1] * 3, 0, 1))
-    assert compiled_scan(*args([-1] * 4, 5, 3**4 + 9))["states"] == 3**4 - 5
-    assert compiled_scan(*args([0, 1, 2, 0], 0, 4))["states"] == 1
+        compiled_scan(*args([-1] * 3))
 
 
 def test_oracle_entry_points_on_the_compiled_kernel(compiled_scan, monkeypatch):
