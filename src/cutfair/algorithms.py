@@ -459,16 +459,10 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         bundles = [{v for v in range(core.num_vertices) if color[v] == c} for c in (0, 1)]
         return Allocation.of(_reattach(bundles, keep, iso, 2)), trace
 
-    comps = core.connected_components()
-    roots = []
-    exempt = set()
-    for comp in comps:
-        if len(comp) >= 3:
-            roots.append(min(v for v in comp if len(core.adjacency[v]) >= 2))
-        else:
-            r = min(comp)
-            roots.append(r)
-            exempt.add(r)
+    roots = [  # a tree of three or more vertices is rooted at its least inner vertex
+        min(v for v in comp if len(core.adjacency[v]) >= 2) if len(comp) >= 3 else min(comp)
+        for comp in core.connected_components()
+    ]
     rf = RootedForest.build(core, roots)
     stats = BundleStats(core, n)
     deg = stats.degree
@@ -499,8 +493,15 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             if stats.assignment[c] is None and deg[c] == 1
         ]
 
-    def unallocated_children(o_t):
-        return [c for c in rf.children[o_t] if stats.assignment[c] is None]
+    def compensate(o_t, a1, bound):
+        """Hand o_t's unallocated children to a1, first child first, until
+        a1's value reaches bound()."""
+        rest = (c for c in rf.children[o_t] if stats.assignment[c] is None)
+        while stats.bundle_value[a1] < bound():
+            c = next(rest, None)
+            if c is None:
+                raise SolverInvariantError("ran out of children to compensate")
+            allocate(c, a1)
 
     def distribute_leaf_children(o_t, positions):
         while True:
@@ -546,14 +547,7 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                 allocate(o_t, a2)
                 h2 = stats.min_removal_value(a2)[0]
                 distribute_leaf_children(o_t, [0] + list(range(2, n)))
-                while (
-                    stats.bundle_value[a1]
-                    < stats.bundle_value[a2] + stats.marginal_remove(a2, h2)
-                ):
-                    rest = unallocated_children(o_t)
-                    if not rest:
-                        raise SolverInvariantError("ran out of children to compensate")
-                    allocate(rest[0], a1)
+                compensate(o_t, a1, lambda: stats.bundle_value[a2] + stats.marginal_remove(a2, h2))
                 tag = "2"
             else:
                 drops = {
@@ -581,15 +575,11 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                 allocate(o_t, j)
                 for leaf in leaf_children(o_t):
                     allocate(leaf, a1)
-                while stats.bundle_value[a1] < min(
+                compensate(o_t, a1, lambda: min(
                     stats.bundle_value[a2],
                     stats.bundle_value[j]
                     + (stats.marginal_remove(j, oj) if oj is not None else 0),
-                ):
-                    rest = unallocated_children(o_t)
-                    if not rest:
-                        raise SolverInvariantError("ran out of children to compensate")
-                    allocate(rest[0], a1)
+                ))
                 tag = "3"
         trace.case_history.append(tag)
         trace.snapshots.append(

@@ -21,7 +21,9 @@ vertex-0 pin of ``symmetry`` and ``oracle_max_cut`` runs the same scan with
 counts divided by n; every restricted growth string starts with bundle 0, so
 its indices are those of the pinned enumeration.  Any other fixed vertex
 (completability) breaks the symmetry, and that query is one labelled scan.
-Indices, counts and the state cap are all in labelled terms.
+``oracle_find_all`` lists every labelled match, so it is one labelled scan
+too (after the canonical one of an SO or PO filter).  Indices, counts and the
+state cap are all in labelled terms.
 """
 
 from __future__ import annotations
@@ -60,7 +62,14 @@ def _welfare_optimal(vectors) -> set[tuple[int, ...]]:
 
 
 def _undominated(vectors) -> set[tuple[int, ...]]:
-    return {v for v in vectors if not any(_dominates(w, v) for w in vectors)}
+    """The vectors no other one dominates, in one sweep by descending sum: a
+    dominator has the larger sum, so it is seen first, and a dominated
+    dominator is itself dominated by a kept vector (dominance is transitive)."""
+    kept: list[tuple[int, ...]] = []
+    for v in sorted(vectors, key=sum, reverse=True):
+        if not any(_dominates(w, v) for w in kept):
+            kept.append(v)
+    return set(kept)
 
 
 class _Predicate(NamedTuple):
@@ -166,20 +175,20 @@ def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
 
 def _scan_args(g, n, mask, alpha, first_only, collect):
     """The kernel arguments of a scan on g, as a function of its fixed
-    vertices, its first labelled index and whether it is canonical."""
+    vertices, whether it is canonical and whether it lists its matches."""
     indptr, indices, degrees = _csr(g)
     shift = _shift(g)
     if n * shift > 62:
         raise CapExceededError("value vector does not pack into 64 bits")
 
-    def args(fixed, start=0, canonical=False):
+    def args(fixed, canonical=False, list_matches=False):
         states = _num_states(n, fixed)
         if states >= 1 << 63:
             raise CapExceededError(f"{states} states overflow the kernel's 64-bit indices")
         return (
             g.num_vertices, n, indptr, indices, degrees, list(fixed),
             mask, alpha.numerator, alpha.denominator,
-            first_only, collect, start, canonical, shift,
+            first_only, collect, list_matches, canonical, shift,
         )
 
     return args
@@ -282,21 +291,12 @@ def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
 
 def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     """All matching allocations in labelled enumeration order (desk-scale
-    only): one early-exit kernel call per match, each starting after the last."""
+    only): one labelled scan that lists every match."""
     mask, fixed, filters = _prepare(g, n, query)
     keys = _qualifying(g, n, fixed, mask, query, filters)[2] if filters else None
-    start, stop = 0, _num_states(n, fixed)
-    args = _scan_args(g, n, mask, query.alpha, True, False)
-    out = []
-    while start < stop:
-        index = scan(*args(fixed, start))["first_index"]
-        if index < 0:
-            break
-        a = _decode(g, n, fixed, index)
-        if keys is None or tuple(sorted(bundle_values(a, g))) in keys:
-            out.append(a)
-        start = index + 1
-    return out
+    args = _scan_args(g, n, mask, query.alpha, False, False)
+    found = (_decode(g, n, fixed, i) for i in scan(*args(fixed, list_matches=True))["matches"])
+    return [a for a in found if keys is None or tuple(sorted(bundle_values(a, g))) in keys]
 
 
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:

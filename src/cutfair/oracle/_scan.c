@@ -105,13 +105,13 @@ done:
 static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    int m, n, require_mask, first_only, collect_vectors, canonical, shift;
-    long long alpha_num, alpha_den, start;
+    int m, n, require_mask, first_only, collect_vectors, list_matches, canonical, shift;
+    long long alpha_num, alpha_den;
     PyObject *indptr_obj, *indices_obj, *degrees_obj, *fixed_obj;
-    if (!PyArg_ParseTuple(args, "iiOOOOiLLppLpi:scan", &m, &n, &indptr_obj,
+    if (!PyArg_ParseTuple(args, "iiOOOOiLLppppi:scan", &m, &n, &indptr_obj,
                           &indices_obj, &degrees_obj, &fixed_obj, &require_mask,
                           &alpha_num, &alpha_den, &first_only, &collect_vectors,
-                          &start, &canonical, &shift))
+                          &list_matches, &canonical, &shift))
         return NULL;
     if (m < 0 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
@@ -121,7 +121,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     if (num_arcs < 0)
         return NULL;
 
-    PyObject *result = NULL, *all_vectors = NULL, *matched_first = NULL,
+    PyObject *result = NULL, *matches = NULL, *all_vectors = NULL, *matched_first = NULL,
              *matched_count = NULL;
     int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)6 * m + 1 + (size_t)num_arcs));
     long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)m * n + (size_t)4 * n));
@@ -145,6 +145,8 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         || read_ints(degrees_obj, m, degrees, "degrees") < 0
         || read_ints(fixed_obj, m, assign, "fixed") < 0)
         goto done;
+    if (list_matches && (matches = PyList_New(0)) == NULL)
+        goto done;
     if (collect_vectors) {
         if ((all_vectors = PyDict_New()) == NULL || (matched_first = PyDict_New()) == NULL
             || (matched_count = PyDict_New()) == NULL)
@@ -152,27 +154,18 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     }
 
     int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok;
-    long long r, gain, key, rem, vmin, vmax, tmp, weight = 1;
+    long long r, gain, key, vmin, vmax, tmp, weight = 1;
     long long states = 0, matched = 0, first_index = -1;
 
     for (i = 0; i < m; i++)
         if (assign[i] < 0)
             freev[f++] = i;
-    if (canonical && (start != 0 || f < m)) {
-        PyErr_SetString(PyExc_ValueError, "a canonical scan starts at 0 with no fixed vertex");
-        goto done;
-    }
-    rem = start;
-    for (k = f - 1; k >= 0; k--) {
-        digits[k] = (int)(rem % n);
-        rem /= n;
-    }
-    if (start < 0 || rem != 0) {
-        PyErr_SetString(PyExc_ValueError, "start outside the enumeration range");
+    if (canonical && f < m) {
+        PyErr_SetString(PyExc_ValueError, "a canonical scan fixes no vertex");
         goto done;
     }
     for (k = 0; k < f; k++) {
-        assign[freev[k]] = digits[k];
+        digits[k] = assign[freev[k]] = 0;
         /* the largest label digit k may take */
         top[k] = !canonical ? n - 1 : k == 0 ? 0 : n > 1;
     }
@@ -278,6 +271,14 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             for (j = 0, weight = 1; canonical && j < n && sizes[j] > 0; j++)
                 weight *= n - j;
             matched += weight;
+            if (list_matches) {
+                PyObject *idx = PyLong_FromLongLong(labelled_index(digits, f, n));
+                if (idx == NULL || PyList_Append(matches, idx) < 0) {
+                    Py_XDECREF(idx);
+                    goto done;
+                }
+                Py_DECREF(idx);
+            }
             if (first_index < 0) {
                 first_index = labelled_index(digits, f, n);
                 if (first_only && !collect_vectors)
@@ -333,14 +334,16 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             break;
     }
 
-    result = Py_BuildValue("{s:L,s:L,s:L,s:O,s:O,s:O}", "states", states, "matched", matched,
-                           "first_index", first_index,
+    result = Py_BuildValue("{s:L,s:L,s:L,s:O,s:O,s:O,s:O}", "states", states, "matched",
+                           matched, "first_index", first_index,
+                           "matches", list_matches ? matches : Py_None,
                            "all_vectors", collect_vectors ? all_vectors : Py_None,
                            "matched_first", collect_vectors ? matched_first : Py_None,
                            "matched_count", collect_vectors ? matched_count : Py_None);
 done:
     PyMem_Free(ibuf);
     PyMem_Free(lbuf);
+    Py_XDECREF(matches);
     Py_XDECREF(all_vectors);
     Py_XDECREF(matched_first);
     Py_XDECREF(matched_count);
@@ -349,9 +352,9 @@ done:
 
 PyDoc_STRVAR(scan_doc,
 "scan(num_vertices, n, indptr, indices, degrees, fixed, require_mask,\n"
-"     alpha_num, alpha_den, first_only, collect_vectors, start, canonical, shift, /)\n"
+"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, canonical, shift, /)\n"
 "--\n\n"
-"Scan global assignment indices from start on, or only the canonical ones;\n"
+"Scan every global assignment index, or only the canonical ones;\n"
 "see _scan_py.scan.");
 
 static PyMethodDef methods[] = {

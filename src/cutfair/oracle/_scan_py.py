@@ -44,35 +44,29 @@ def scan(
     alpha_den,
     first_only,
     collect_vectors,
-    start,
+    list_matches,
     canonical,
     shift,
 ):
-    """Scan global assignment indices from start to n**free - 1; in canonical
-    mode (no fixed vertex, start 0) only the restricted growth strings.
+    """Scan global assignment indices from 0 to n**free - 1; in canonical
+    mode (no fixed vertex) only the restricted growth strings.
 
     Returns a dict with:
       states          -- number of states visited
       matched         -- number of labelled states matching require_mask
       first_index     -- least matching index, or -1
+      matches         -- index of every matching state visited, in scan order
+                         (list_matches only)
       all_vectors     -- {packed sorted value vector: least index} (collect only)
       matched_first   -- same, restricted to matching states (collect only)
       matched_count   -- {packed vector: labelled matching-state count} (collect only)
     """
     free = [v for v in range(num_vertices) if fixed[v] < 0]
     f = len(free)
-    if canonical and (start != 0 or f < num_vertices):
-        raise ValueError("a canonical scan starts at 0 with no fixed vertex")
-    assign = list(fixed)
+    if canonical and f < num_vertices:
+        raise ValueError("a canonical scan fixes no vertex")
+    assign = [max(b, 0) for b in fixed]  # every free vertex starts in bundle 0
     digits = [0] * f
-    rem = start
-    for k in range(f - 1, -1, -1):
-        digits[k] = rem % n
-        rem //= n
-    if rem:
-        raise ValueError("start outside the enumeration range")
-    for k, v in enumerate(free):
-        assign[v] = digits[k]
     n1 = n - 1
     top = [min(n1, k, 1) if canonical else n1 for k in range(f)]  # the largest label of digit k
     # a canonical state with e empty bundles stands for n!/e! labellings
@@ -92,6 +86,7 @@ def scan(
 
     adj = [indices[indptr[v] : indptr[v + 1]] for v in range(num_vertices)]
 
+    matches = [] if list_matches else None
     all_vectors: dict = {}
     matched_first: dict = {}
     matched_count: dict = {}
@@ -152,6 +147,8 @@ def scan(
         if ok:
             weight = weights[sizes.count(0)] if canonical else 1
             matched += weight
+            if list_matches:
+                matches.append(_index(digits, n))
             if first_index < 0:
                 first_index = _index(digits, n)
                 if first_only and not collect_vectors:
@@ -197,6 +194,7 @@ def scan(
         "states": states,
         "matched": matched,
         "first_index": first_index,
+        "matches": matches,
         "all_vectors": all_vectors if collect_vectors else None,
         "matched_first": matched_first if collect_vectors else None,
         "matched_count": matched_count if collect_vectors else None,

@@ -283,18 +283,50 @@ def test_forest_solver_isolated_and_tiny_components():
     assert check_ef1(a, g).holds
 
 
+def peel(g, n):
+    """Forest peeling on g, checked: EF1, no monochromatic edge and an EF1
+    snapshot after every step.  Returns the sorted bundles and the trace."""
+    a, trace = solve_forest_ef1_so(g, n)
+    assert not monochromatic_edges(a, g)
+    assert check_ef1(a, g).holds
+    for _, bundles in trace.snapshots:
+        assert check_ef1(Allocation.of(bundles), g).holds
+    return a.to_lists(), trace
+
+
+def test_forest_solver_case_three():
+    """The smallest input known to reach case 3 of forest peeling: n = 3 on
+    two trees of 13 vertices.  Single trees up to m = 8 never reach it."""
+    g = Graph.from_edges(
+        13,
+        [(5, 1), (5, 7), (1, 12), (1, 6), (12, 4), (0, 2), (2, 11), (0, 3), (2, 9), (2, 10), (2, 8)],
+    )
+    bundles, trace = peel(g, 3)
+    assert trace.case_history == ["1", "1", "1", "2", "3"]
+    assert bundles == [[1, 4, 7, 10], [0, 5, 8, 9, 11], [2, 3, 6, 12]]
+
+
+def test_forest_solver_case_two_compensates():
+    """Case 2 hands vertex 2 to the second-poorest bundle, then its first
+    unallocated child, 3, to the poorest one until EF1 holds again."""
+    g = Graph.from_edges(
+        14,
+        [(0, 1), (0, 2), (1, 5), (1, 9), (1, 10), (1, 12), (1, 13)]
+        + [(2, 3), (2, 4), (3, 6), (3, 11), (4, 7), (7, 8)],
+    )
+    bundles, trace = peel(g, 3)
+    assert trace.case_history == ["1", "1", "2", "1", "1", "1", "1"]
+    assert trace.snapshots[2] == ("2", [[0, 3, 12], [2, 5, 9, 10, 13], [1]])
+    assert bundles == [[0, 3, 4, 12], [2, 5, 8, 9, 10, 11, 13], [1, 6, 7]]
+
+
 def test_forest_solver_random_sweep_with_snapshots():
     rng = SplitMix64(54)
     for _ in range(40):
         n = 2 + rng.below(4)
         trees = 1 + rng.below(3)
         m = max(n, 2 * trees) + rng.below(12)
-        g = gen_random_forest(m, trees, rng.next_u64()).graph
-        a, trace = solve_forest_ef1_so(g, n)
-        assert not monochromatic_edges(a, g)
-        assert check_ef1(a, g).holds
-        for _, bundles in trace.snapshots:
-            assert check_ef1(Allocation.of(bundles), g).holds
+        peel(gen_random_forest(m, trees, rng.next_u64()).graph, n)
 
 
 # -- equitable partitioning and dispatch -------------------------------------

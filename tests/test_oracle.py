@@ -147,13 +147,18 @@ def test_pareto_rejects_dominated():
 
 
 def test_find_all_matches_count_and_filters():
-    g = gen_path(4).graph
-    for preds in ({"ef1"}, {"ef1", "ts"}, {"ef1", "so"}):
-        q = query(*preds)
-        found = oracle.oracle_find_all(g, 2, q)
-        assert len(found) == oracle.oracle_count(g, 2, q)
-        for a in found:
-            assert check_ef1(a, g).holds
+    """oracle_find_all lists, in enumeration order, exactly the allocations
+    whose checkers all hold, and as many as oracle_count counts."""
+    for g, n in ((gen_path(4).graph, 2), (gen_fig3(3).graph, 3)):
+        for preds in ({"ef1"}, {"ef1", "ts"}, {"ef1", "so"}, {"po"}, {"nonempty", "wts"}):
+            q = query(*preds)
+            found = oracle.oracle_find_all(g, n, q)
+            assert len(found) == oracle.oracle_count(g, n, q)
+            assert found == [
+                a
+                for a in oracle.enumerate_allocations(g, n)
+                if all(oracle.PREDICATES[p].check(a, g, q).holds for p in preds)
+            ], (n, preds)
 
 
 def test_leximin_maximizes_sorted_vector():
@@ -206,9 +211,10 @@ def test_threads_other_than_one_are_refused():
         oracle.oracle_leximin(gen_path(3).graph, 2, threads=0)
 
 
-def test_every_entry_point_but_find_all_is_one_kernel_scan(monkeypatch):
+def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     """One kernel call per query, canonical unless a partial allocation fixes
-    vertices other than the vertex-0 pin."""
+    vertices other than the vertex-0 pin; oracle_find_all makes one labelled
+    call, after the canonical collect scan of an SO or PO filter."""
     calls = []
 
     def counting(*args):
@@ -232,9 +238,16 @@ def test_every_entry_point_but_find_all_is_one_kernel_scan(monkeypatch):
         calls.clear()
         run()
         assert calls == [True]
-    calls.clear()
-    assert oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3)
-    assert calls == [False]
+    for run, expected in (
+        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3), [False]),
+        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts")), [False]),
+        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [False]),
+        (lambda: oracle.oracle_find_all(g, 3, query("so")), [True, False]),
+        (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [True, False]),
+    ):
+        calls.clear()
+        assert run()
+        assert calls == expected
 
 
 @pytest.mark.parametrize("kernel", ["python", "compiled"])
@@ -324,19 +337,18 @@ def parity_cases():
 
 def test_kernel_parity_compiled_vs_python(compiled_scan):
     """Both kernels return identical result dictionaries for each mask bit and
-    their union, on every parity case, labelled from index 0 and from a third
-    of the way, and canonical with the case's fixed vertices freed, in every
-    scan mode."""
+    their union, on every parity case, labelled and canonical with the case's
+    fixed vertices freed, with and without the list of matches, in every scan
+    mode."""
     masks = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
     for case, (g, n, fixed) in enumerate(parity_cases()):
-        states = n ** sum(f < 0 for f in fixed)
-        scans = ((fixed, 0, False), (fixed, states // 3, False), ([-1] * len(fixed), 0, True))
+        scans = ((fixed, False), ([-1] * len(fixed), True))
         for mask in masks:
             for first_only, collect in itertools.product((False, True), repeat=2):
                 args = oracle._scan_args(g, n, mask, Fraction(1, 2), first_only, collect)
-                for free, start, canonical in scans:
-                    call = args(free, start, canonical)
-                    assert compiled_scan(*call) == scan_python(*call), (case, mask, start, canonical)
+                for (free, canonical), list_matches in itertools.product(scans, (False, True)):
+                    call = args(free, canonical, list_matches)
+                    assert compiled_scan(*call) == scan_python(*call), (case, mask, call[9:13])
 
 
 def test_canonical_scan_visits_one_labelling_per_partition():
@@ -344,25 +356,20 @@ def test_canonical_scan_visits_one_labelling_per_partition():
     partition into at most n blocks, and its count of every state is n**m."""
     g = gen_path(5).graph
     for n, partitions in ((1, 1), (2, 16), (3, 41), (5, 52), (7, 52)):
-        result = scan_python(*oracle._scan_args(g, n, 0, Fraction(1), False, False)([-1] * 5, 0, True))
+        result = scan_python(*oracle._scan_args(g, n, 0, Fraction(1), False, False)([-1] * 5, True))
         assert (result["states"], result["matched"]) == (partitions, n**5)
 
 
-def test_kernels_reject_bad_start_and_sizes(compiled_scan):
-    """Both kernels refuse a negative start, one at or beyond n**free, and a
-    canonical scan that starts elsewhere than 0 or fixes a vertex; the
-    compiled one refuses a short ``fixed`` list instead of reading past it.
-    A labelled scan runs from its start to the end of the range."""
+def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
+    """Both kernels refuse a canonical scan that fixes a vertex; the compiled
+    one refuses a short ``fixed`` list instead of reading past it.  A labelled
+    scan visits the whole range."""
     g = gen_random_graph(4, 0.5, 5).graph
     args = oracle._scan_args(g, 3, EF1, Fraction(1), False, False)
     for kernel in (compiled_scan, scan_python):
-        for start in (-1, 3**4, 3**4 + 7):
-            with pytest.raises(ValueError, match="start outside the enumeration range"):
-                kernel(*args([-1] * 4, start))
-        for fixed, start in (([-1] * 4, 1), ([-1] * 4, -1), ([0, -1, -1, -1], 0)):
-            with pytest.raises(ValueError, match="canonical scan starts at 0"):
-                kernel(*args(fixed, start, True))
-        assert kernel(*args([-1] * 4, 5))["states"] == 3**4 - 5
+        with pytest.raises(ValueError, match="canonical scan fixes no vertex"):
+            kernel(*args([0, -1, -1, -1], True))
+        assert kernel(*args([-1] * 4))["states"] == 3**4
         assert kernel(*args([0, 1, 2, 0]))["states"] == 1
     with pytest.raises(ValueError, match="fixed"):
         compiled_scan(*args([-1] * 3))
