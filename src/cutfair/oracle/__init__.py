@@ -3,8 +3,11 @@
 Ground truth for existence questions, Pareto optimality, leximin, max-cut,
 and EF1-completability.  The hot loop lives in a kernel (compiled when the
 extension is available, pure Python otherwise); this module owns caps,
-predicate wiring, witness decoding, and the Pareto/SO/leximin logic built on
-top of the kernel's sorted-value-vector summaries.
+predicate wiring, witness decoding, and the global predicates.  The kernel
+keeps the welfare as it walks, so SO, the maximum welfare and the maximum cut
+come from its welfare optimum (``top_welfare`` and the ``best_*`` fields of
+the matching states) with no table; PO, the Pareto check and leximin are
+built on the kernel's sorted-value-vector tables.
 
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
@@ -22,8 +25,9 @@ counts divided by n; every restricted growth string starts with bundle 0, so
 its indices are those of the pinned enumeration.  Any other fixed vertex
 (completability) breaks the symmetry, and that query is one labelled scan.
 ``oracle_find_all`` lists every labelled match, so it is one labelled scan
-too (after the canonical one of an SO or PO filter).  Indices, counts and the
-state cap are all in labelled terms.
+too (after the canonical one of a PO filter, which ends the query when it
+keeps nothing).  Indices, counts and the state cap are all in labelled
+terms.
 """
 
 from __future__ import annotations
@@ -56,11 +60,6 @@ def _dominates(x, y) -> bool:
     return all(a >= b for a, b in zip(x, y)) and any(a > b for a, b in zip(x, y))
 
 
-def _welfare_optimal(vectors) -> set[tuple[int, ...]]:
-    best = max(map(sum, vectors))
-    return {v for v in vectors if sum(v) == best}
-
-
 def _undominated(vectors) -> set[tuple[int, ...]]:
     """The vectors no other one dominates, in one sweep by descending sum: a
     dominator has the larger sum, so it is seen first, and a dominated
@@ -74,13 +73,14 @@ def _undominated(vectors) -> set[tuple[int, ...]]:
 
 class _Predicate(NamedTuple):
     """A kernel ``bit`` decides the predicate state by state; without one,
-    ``keep`` picks from the ascending value vectors of every allocation in the
-    query's range those a match may have.  ``check`` is the exact checker for
-    one allocation, which needs every vertex assigned if ``complete``."""
+    ``keep(vectors, top)`` picks from the ascending value vectors of every
+    allocation in the query's range, whose largest welfare is top, those a
+    match may have.  ``check`` is the exact checker for one allocation, which
+    needs every vertex assigned if ``complete``."""
 
     check: Callable[[Allocation, Graph, "OracleQuery"], FairnessReport]
     bit: int = 0
-    keep: Optional[Callable[[dict], set]] = None
+    keep: Optional[Callable[[dict, int], set]] = None
     complete: bool = False
 
 
@@ -93,12 +93,12 @@ PREDICATES = {
     "wts": _Predicate(lambda a, g, q: check_wts(a, g), WTS, complete=True),
     "so": _Predicate(
         lambda a, g, q: check_so(a, g, max_states=q.max_states),
-        keep=_welfare_optimal,
+        keep=lambda vectors, top: {v for v in vectors if sum(v) == top},
         complete=True,
     ),
     "po": _Predicate(
         lambda a, g, q: FairnessReport("PO", oracle_pareto(a, g, a.n, max_states=q.max_states)),
-        keep=_undominated,
+        keep=lambda vectors, top: _undominated(vectors),
         complete=True,
     ),
     "nonempty": _Predicate(lambda a, g, q: FairnessReport("non-empty", a.all_nonempty()), NONEMPTY),
@@ -205,6 +205,7 @@ def _run(g, n, fixed, mask, alpha=Fraction(1), first_only=False, collect=False):
     result = scan(*args([-1] * m, canonical=True))
     if pinned:  # vertex 0 is in bundle 0 in one labelling of every n
         result["matched"] //= n
+        result["best_count"] //= n
         if collect:
             result["matched_count"] = {key: c // n for key, c in result["matched_count"].items()}
     return result
@@ -216,40 +217,63 @@ def _unpack(key: int, n: int, shift: int) -> tuple[int, ...]:
     return tuple([(key >> s) & mask for s in range(shift * (n - 1), -1, -shift)])
 
 
-def _collect(g, n, fixed, tables, mask=0, alpha=Fraction(1)) -> list[dict]:
-    """The named vector tables of a collect-mode scan, keyed by ascending value tuples."""
-    result = _run(g, n, fixed, mask, alpha, collect=True)
+def _tables(result, g, n, names) -> list[dict]:
+    """The named vector tables of a collect-mode scan result, keyed by
+    ascending value tuples."""
     shift = _shift(g)
-    return [{_unpack(key, n, shift): v for key, v in result[name].items()} for name in tables]
+    return [{_unpack(key, n, shift): v for key, v in result[name].items()} for name in names]
 
 
 def _value_vectors(g, n, fixed, max_states) -> dict[tuple[int, ...], int]:
     """{ascending value vector: least index} over every allocation that keeps
     the fixed vertices in place."""
     _check_cap(n, fixed, max_states)
-    return _collect(g, n, fixed, ["all_vectors"])[0]
+    return _tables(_run(g, n, fixed, 0, collect=True), g, n, ["all_vectors"])[0]
 
 
 def _prepare(g, n, query: OracleQuery):
-    """The kernel mask, the fixed vertices and the global filters of a query."""
+    """The kernel mask, the fixed vertices and the table filters of a query.
+    Only PO needs the value vector of every allocation; with it every global
+    predicate filters the tables of one collect scan, and without it there
+    are no table filters."""
     entries = [PREDICATES[name] for name in query.predicates]
     mask = sum(p.bit for p in entries)  # distinct bits
     fixed = [-1] * g.num_vertices
     if query.symmetry and g.num_vertices > 0 and n > 0:
         fixed[0] = 0
     _check_cap(n, fixed, query.max_states)
-    return mask, fixed, [p.keep for p in entries if p.keep is not None]
+    tables = "po" in query.predicates
+    return mask, fixed, [p.keep for p in entries if tables and p.keep is not None]
 
 
 def _qualifying(g, n, fixed, mask, query, filters):
     """The least index and the count of each matched vector, and the matched
     vectors that pass every global filter."""
+    result = _run(g, n, fixed, mask, query.alpha, collect=True)
     tables = ["all_vectors", "matched_first", "matched_count"]
-    vectors, first, count = _collect(g, n, fixed, tables, mask, query.alpha)
+    vectors, first, count = _tables(result, g, n, tables)
     keys = set(first)
     for keep in filters:
-        keys &= keep(vectors)
+        keys &= keep(vectors, result["top_welfare"])
     return first, count, keys
+
+
+def _answer(g, n, query: OracleQuery, first_only: bool):
+    """The fixed vertices of a query, its least matching index (-1 if none)
+    and its number of matches, exact unless first_only.  SO without PO reads
+    the welfare optimum of the matches off one scan: they are SO when it is
+    the top welfare of every allocation in range."""
+    mask, fixed, filters = _prepare(g, n, query)
+    if filters:
+        first, count, keys = _qualifying(g, n, fixed, mask, query, filters)
+        return fixed, min((first[k] for k in keys), default=-1), sum(count[k] for k in keys)
+    if "so" in query.predicates:
+        result = _run(g, n, fixed, mask, query.alpha)
+        if result["best_welfare"] < result["top_welfare"]:
+            return fixed, -1, 0
+        return fixed, result["best_index"], result["best_count"]
+    result = _run(g, n, fixed, mask, query.alpha, first_only=first_only)
+    return fixed, result["first_index"], result["matched"]
 
 
 def enumerate_allocations(
@@ -267,13 +291,7 @@ def enumerate_allocations(
 
 def oracle_exists(g: Graph, n: int, query: OracleQuery) -> Optional[Allocation]:
     """A witness satisfying every predicate in the query, or None if none exists."""
-    mask, fixed, filters = _prepare(g, n, query)
-    if filters:
-        first, _, keys = _qualifying(g, n, fixed, mask, query, filters)
-        index = min((first[k] for k in keys), default=-1)
-    else:
-        result = _run(g, n, fixed, mask, query.alpha, first_only=True)
-        index = result["first_index"]
+    fixed, index, _ = _answer(g, n, query, first_only=True)
     return _decode(g, n, fixed, index) if index >= 0 else None
 
 
@@ -282,28 +300,39 @@ def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
     vertex 0 is pinned to bundle 0, so this is the pinned sub-count (the
     number of allocations divided by n); the pin leaves witnesses unchanged
     and makes no query cheaper, since enumeration is canonical anyway."""
-    mask, fixed, filters = _prepare(g, n, query)
-    if not filters:
-        return _run(g, n, fixed, mask, query.alpha)["matched"]
-    _, count, keys = _qualifying(g, n, fixed, mask, query, filters)
-    return sum(count[k] for k in keys)
+    return _answer(g, n, query, first_only=False)[2]
 
 
 def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     """All matching allocations in labelled enumeration order (desk-scale
-    only): one labelled scan that lists every match."""
+    only): one labelled scan that lists every match.  With PO the canonical
+    collect scan comes first and ends the query when no vector qualifies;
+    SO without PO keeps the matches at the listing scan's top welfare, and
+    decodes none when the best match falls short of it."""
     mask, fixed, filters = _prepare(g, n, query)
-    keys = _qualifying(g, n, fixed, mask, query, filters)[2] if filters else None
+    keys = None
+    if filters:
+        keys = _qualifying(g, n, fixed, mask, query, filters)[2]
+        if not keys:
+            return []
     args = _scan_args(g, n, mask, query.alpha, False, False)
-    found = (_decode(g, n, fixed, i) for i in scan(*args(fixed, list_matches=True))["matches"])
-    return [a for a in found if keys is None or tuple(sorted(bundle_values(a, g))) in keys]
+    result = scan(*args(fixed, list_matches=True))
+    so = keys is None and "so" in query.predicates
+    if so and result["best_welfare"] < result["top_welfare"]:
+        return []  # no match is welfare-optimal
+    found = [_decode(g, n, fixed, i) for i in result["matches"]]
+    if keys is not None:
+        return [a for a in found if tuple(sorted(bundle_values(a, g))) in keys]
+    if so:
+        return [a for a in found if sum(bundle_values(a, g)) == result["top_welfare"]]
+    return found
 
 
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:
     """Exact maximum utilitarian welfare over all complete n-partitions."""
-    cap = max_states if max_states is not None else DEFAULT_MAX_STATES
-    vectors = _value_vectors(g, n, [-1] * g.num_vertices, cap)
-    return sum(next(iter(_welfare_optimal(vectors))))
+    fixed = [-1] * g.num_vertices
+    _check_cap(n, fixed, max_states if max_states is not None else DEFAULT_MAX_STATES)
+    return _run(g, n, fixed, 0)["top_welfare"]
 
 
 def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -327,13 +356,14 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
 
 
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
-    """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry)."""
+    """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry):
+    the first state of the scan to reach its top welfare, twice the cut."""
     fixed = [-1] * g.num_vertices
     if g.num_vertices > 0:
         fixed[0] = 0
-    vectors = _value_vectors(g, 2, fixed, max_states)
-    best = min(_welfare_optimal(vectors), key=vectors.get)
-    return _decode(g, 2, fixed, vectors[best]), sum(best) // 2
+    _check_cap(2, fixed, max_states)
+    result = _run(g, 2, fixed, 0)
+    return _decode(g, 2, fixed, result["best_index"]), result["best_welfare"] // 2
 
 
 def oracle_completable_ef1(

@@ -4,10 +4,17 @@
  * order with incremental cut-value maintenance, evaluating the fairness
  * predicates of require_mask on each state.  In canonical mode it visits only
  * the restricted growth strings, one per bundle partition, and weights each
- * match by the number of labellings of its partition.  The argument lengths
- * are checked; their contents (vertex ids, bundle ids, degrees) are trusted,
- * as the oracle builds them.  The oracle refuses a scan whose n**free reaches
- * 2**63, so every index, count and weight fits a long long.
+ * match by the number of labellings of its partition.  It keeps the welfare
+ * (the sum of the bundle values, twice the number of cut edges) as it moves
+ * vertices: moving v from bundle d to nd adds 2 * (cnt[v][d] - cnt[v][nd]).
+ * So it returns top_welfare (the largest welfare visited) and, over the
+ * matching states, best_welfare, best_index (the first state to reach it) and
+ * best_count (their weighted count) with no table.  Unlike the Python kernel's
+ * bitmasks, cnt[v][b] counts v's neighbours in bundle b: with fixed vertices a
+ * scan may have more than 64 vertices.  The argument lengths are checked;
+ * their contents (vertex ids, bundle ids, degrees) are trusted, as the oracle
+ * builds them.  The oracle refuses a scan whose n**free reaches 2**63, so
+ * every index, count, weight and welfare fits a long long.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -154,8 +161,9 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     }
 
     int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok;
-    long long r, gain, key, vmin, vmax, tmp, weight = 1;
+    long long r, gain, key, vmin, vmax, tmp, weight = 1, welfare = 0;
     long long states = 0, matched = 0, first_index = -1;
+    long long top_welfare = -1, best_welfare = -1, best_index = -1, best_count = 0;
 
     for (i = 0; i < m; i++)
         if (assign[i] < 0)
@@ -183,10 +191,13 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         b = assign[v];
         values[b] += degrees[v] - cnt[v * n + b];
         sizes[b] += 1;
+        welfare += degrees[v] - cnt[v * n + b];
     }
 
     for (;;) {
         states += 1;
+        if (welfare > top_welfare)
+            top_welfare = welfare;
         ok = 1;
         if (require_mask & NONEMPTY) {
             for (b = 0; b < n; b++) {
@@ -271,6 +282,13 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             for (j = 0, weight = 1; canonical && j < n && sizes[j] > 0; j++)
                 weight *= n - j;
             matched += weight;
+            if (welfare > best_welfare) {
+                best_welfare = welfare;
+                best_index = labelled_index(digits, f, n);
+                best_count = weight;
+            } else if (welfare == best_welfare) {
+                best_count += weight;
+            }
             if (list_matches) {
                 PyObject *idx = PyLong_FromLongLong(labelled_index(digits, f, n));
                 if (idx == NULL || PyList_Append(matches, idx) < 0) {
@@ -310,6 +328,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             v = freev[k];
             t = top[k];
             nd = d < t ? d + 1 : 0;
+            welfare += 2 * (cnt[v * n + d] - cnt[v * n + nd]);
             values[d] += 2 * cnt[v * n + d] - degrees[v];
             sizes[d] -= 1;
             for (p = indptr[v]; p < indptr[v + 1]; p++) {
@@ -334,8 +353,10 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             break;
     }
 
-    result = Py_BuildValue("{s:L,s:L,s:L,s:O,s:O,s:O,s:O}", "states", states, "matched",
-                           matched, "first_index", first_index,
+    result = Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O}", "states", states,
+                           "matched", matched, "first_index", first_index,
+                           "top_welfare", top_welfare, "best_welfare", best_welfare,
+                           "best_index", best_index, "best_count", best_count,
                            "matches", list_matches ? matches : Py_None,
                            "all_vectors", collect_vectors ? all_vectors : Py_None,
                            "matched_first", collect_vectors ? matched_first : Py_None,

@@ -8,6 +8,24 @@ largest digit before it, so each bundle partition is visited once, by its
 lex-least labelling, and a match counts for every labelling of its
 partition.  Semantically identical to the hand-written C kernel in _scan.c;
 the compiled one is preferred at import time when available.
+
+Vertex sets are int bitmasks: ``nbr[v]`` is v's neighbourhood and
+``member[b]`` bundle b, so v has ``(nbr[v] & member[b]).bit_count()``
+neighbours in bundle b, and a move costs two popcounts instead of an update
+per neighbour.  Welfare, the sum of the bundle values, is twice the number of
+cut edges; moving v from bundle d to nd changes it by
+``2 * (|N(v) & B_d| - |N(v) & B_nd|)``.
+
+EF1 asks each bundle richer than the poorest to hold a vertex whose removal
+takes its value down to the poorest value vmin, and alpha-EF1 down to
+alpha_den * vmin // alpha_num, which is at least vmin as alpha <= 1; so the
+kernel walks the members of each such bundle until it finds one.  TS and wTS
+need only the number c of a vertex's d neighbours that share its bundle.
+Moving it changes its bundle's value by r = 2c - d and bundle j's by
+d - 2 |N(v) & B_j|; when r >= 0 the other bundles hold at most d/2 of its
+neighbours, so every such gain is >= 0, and > 0 when r > 0.  So with n >= 2,
+wTS fails exactly when some vertex has c > d/2, and TS also when some
+c = d/2 > 0 and n >= 3 (with n = 2 the one other bundle then gains 0).
 """
 
 from __future__ import annotations
@@ -20,8 +38,6 @@ EF1 = 4
 ALPHA_EF1 = 8
 TS = 16
 WTS = 32
-
-BIG = 1 << 60
 
 
 def _index(digits, n):
@@ -55,6 +71,10 @@ def scan(
       states          -- number of states visited
       matched         -- number of labelled states matching require_mask
       first_index     -- least matching index, or -1
+      top_welfare     -- largest welfare over the visited states
+      best_welfare    -- largest welfare over the matching states, or -1
+      best_index      -- least matching index at best_welfare, or -1
+      best_count      -- number of labelled matching states at best_welfare
       matches         -- index of every matching state visited, in scan order
                          (list_matches only)
       all_vectors     -- {packed sorted value vector: least index} (collect only)
@@ -72,19 +92,24 @@ def scan(
     # a canonical state with e empty bundles stands for n!/e! labellings
     weights = [perm(n, n - e) for e in range(n + 1)]
 
-    cnt = [[0] * n for _ in range(num_vertices)]
+    nbr = [0] * num_vertices
     for v in range(num_vertices):
-        row = cnt[v]
         for p in range(indptr[v], indptr[v + 1]):
-            row[assign[indices[p]]] += 1
+            nbr[v] |= 1 << indices[p]
+    member = [0] * n
+    for v, b in enumerate(assign):
+        member[b] |= 1 << v
     values = [0] * n
-    sizes = [0] * n
-    for v in range(num_vertices):
-        b = assign[v]
-        values[b] += degrees[v] - cnt[v][b]
-        sizes[b] += 1
-
-    adj = [indices[indptr[v] : indptr[v + 1]] for v in range(num_vertices)]
+    for v, b in enumerate(assign):
+        values[b] += degrees[v] - (nbr[v] & member[b]).bit_count()
+    welfare = sum(values)
+    # the least c at which each vertex breaks TS or wTS
+    if n == 1:
+        crowded = [d + 1 for d in degrees]
+    elif require_mask & TS and n > 2:
+        crowded = [max(1, (d + 1) // 2) for d in degrees]
+    else:
+        crowded = [d // 2 + 1 for d in degrees]
 
     matches = [] if list_matches else None
     all_vectors: dict = {}
@@ -93,60 +118,50 @@ def scan(
     states = 0
     matched = 0
     first_index = -1
+    top_welfare = best_welfare = best_index = -1
+    best_count = 0
 
     while True:
         states += 1
+        if welfare > top_welfare:
+            top_welfare = welfare
         ok = True
-        if require_mask & NONEMPTY:
-            ok = min(sizes) > 0
-        if ok and require_mask & EF:
-            ok = min(values) == max(values)
-        minrem = None
-        if ok and require_mask & (EF1 | ALPHA_EF1):
-            minrem = [BIG] * n
-            for v in range(num_vertices):
-                b = assign[v]
-                r = 2 * cnt[v][b] - degrees[v]
-                if r < minrem[b]:
-                    minrem[b] = r
-            vmin = min(values)
-            if require_mask & EF1:
+        if require_mask:
+            if require_mask & NONEMPTY:
+                ok = 0 not in member
+            if ok and require_mask & EF:
+                ok = min(values) == max(values)
+            if ok and require_mask & (EF1 | ALPHA_EF1):
+                vmin = min(values)
+                cap = vmin if require_mask & EF1 else alpha_den * vmin // alpha_num
                 for b in range(n):
-                    if values[b] > vmin and values[b] + minrem[b] > vmin:
-                        ok = False
-                        break
-            if ok and require_mask & ALPHA_EF1:
-                for b in range(n):
-                    if values[b] > vmin and alpha_num * (values[b] + minrem[b]) > alpha_den * vmin:
-                        ok = False
-                        break
-        if ok and require_mask & (TS | WTS):
-            for v in range(num_vertices):
-                b = assign[v]
-                r = 2 * cnt[v][b] - degrees[v]
-                if r < 0:
-                    continue
-                row = cnt[v]
-                deg = degrees[v]
-                if require_mask & TS:
-                    for j in range(n):
-                        if j == b:
-                            continue
-                        gain = deg - 2 * row[j]
-                        if gain >= 0 and (r > 0 or gain > 0):
+                    if values[b] > vmin:  # some vertex of b must take it down to cap
+                        need = values[b] - cap
+                        mb = rest = member[b]
+                        while rest:
+                            low = rest & -rest
+                            v = low.bit_length() - 1
+                            if degrees[v] - 2 * (nbr[v] & mb).bit_count() >= need:
+                                break
+                            rest ^= low
+                        else:
                             ok = False
                             break
-                elif r > 0:
-                    for j in range(n):
-                        if j != b and deg - 2 * row[j] > 0:
-                            ok = False
-                            break
-                if not ok:
-                    break
+            if ok and require_mask & (TS | WTS):
+                for nv, b, t in zip(nbr, assign, crowded):
+                    if (nv & member[b]).bit_count() >= t:
+                        ok = False
+                        break
 
         if ok:
-            weight = weights[sizes.count(0)] if canonical else 1
+            weight = weights[member.count(0)] if canonical else 1
             matched += weight
+            if welfare >= best_welfare:
+                if welfare > best_welfare:
+                    best_welfare = welfare
+                    best_index = _index(digits, n)
+                    best_count = 0
+                best_count += weight
             if list_matches:
                 matches.append(_index(digits, n))
             if first_index < 0:
@@ -173,13 +188,15 @@ def scan(
             t = top[k]
             nd = d + 1 if d < t else 0
             # incremental move of v from bundle d to nd
-            values[d] += 2 * cnt[v][d] - degrees[v]
-            sizes[d] -= 1
-            for u in adj[v]:
-                cnt[u][d] -= 1
-                cnt[u][nd] += 1
-            values[nd] += degrees[v] - 2 * cnt[v][nd]
-            sizes[nd] += 1
+            nv = nbr[v]
+            deg = degrees[v]
+            in_d = (nv & member[d]).bit_count()
+            in_nd = (nv & member[nd]).bit_count()
+            values[d] += 2 * in_d - deg
+            values[nd] += deg - 2 * in_nd
+            welfare += 2 * (in_d - in_nd)
+            member[d] ^= 1 << v
+            member[nd] |= 1 << v
             assign[v] = nd
             digits[k] = nd
             if nd:
@@ -194,6 +211,10 @@ def scan(
         "states": states,
         "matched": matched,
         "first_index": first_index,
+        "top_welfare": top_welfare,
+        "best_welfare": best_welfare,
+        "best_index": best_index,
+        "best_count": best_count,
         "matches": matches,
         "all_vectors": all_vectors if collect_vectors else None,
         "matched_first": matched_first if collect_vectors else None,

@@ -213,41 +213,48 @@ def test_threads_other_than_one_are_refused():
 
 def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     """One kernel call per query, canonical unless a partial allocation fixes
-    vertices other than the vertex-0 pin; oracle_find_all makes one labelled
-    call, after the canonical collect scan of an SO or PO filter."""
+    vertices other than the vertex-0 pin, and collecting value-vector tables
+    only for PO, the Pareto check and leximin; oracle_find_all makes one
+    labelled call, after the canonical collect scan of a PO filter, and none
+    when that filter keeps no vector."""
     calls = []
 
     def counting(*args):
-        calls.append(args[12])
+        calls.append((args[12], args[10]))  # canonical, collect_vectors
         return scan_python(*args)
 
     monkeypatch.setattr(oracle, "scan", counting)
     g = gen_fig3(3).graph
     witness = oracle.oracle_exists(g, 3, query("ef1", "wts"))
-    queries = (
-        lambda: oracle.oracle_exists(g, 3, query("ef1")),
-        lambda: oracle.oracle_exists(g, 3, query("ef1", "so", symmetry=True)),
-        lambda: oracle.oracle_count(g, 3, query("ef1", "ts")),
-        lambda: oracle.oracle_count(g, 3, query("ef1", "po", symmetry=True)),
-        lambda: oracle.max_welfare(g, 3),
-        lambda: oracle.oracle_pareto(witness, g, 3),
-        lambda: oracle.oracle_leximin(g, 3),
-        lambda: oracle.oracle_max_cut(g),
-    )
-    for run in queries:
+    canonical, collect, labelled = (True, False), (True, True), (False, False)
+    for run, expected in (
+        (lambda: oracle.oracle_exists(g, 3, query("ef1")), [canonical]),
+        (lambda: oracle.oracle_exists(g, 3, query("ef1", "so", symmetry=True)), [canonical]),
+        (lambda: oracle.oracle_exists(g, 3, query("ef1", "so", "po")), [collect]),
+        (lambda: oracle.oracle_count(g, 3, query("ef1", "ts")), [canonical]),
+        (lambda: oracle.oracle_count(g, 3, query("so")), [canonical]),
+        (lambda: oracle.oracle_count(g, 3, query("ef1", "po", symmetry=True)), [collect]),
+        (lambda: oracle.max_welfare(g, 3), [canonical]),
+        (lambda: oracle.oracle_pareto(witness, g, 3), [collect]),
+        (lambda: oracle.oracle_leximin(g, 3), [collect]),
+        (lambda: oracle.oracle_max_cut(g), [canonical]),
+    ):
         calls.clear()
         run()
-        assert calls == [True]
+        assert calls == expected
     for run, expected in (
-        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3), [False]),
-        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts")), [False]),
-        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [False]),
-        (lambda: oracle.oracle_find_all(g, 3, query("so")), [True, False]),
-        (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [True, False]),
+        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3), [labelled]),
+        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts")), [labelled]),
+        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [labelled]),
+        (lambda: oracle.oracle_find_all(g, 3, query("so")), [labelled]),
+        (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [collect, labelled]),
     ):
         calls.clear()
         assert run()
         assert calls == expected
+    calls.clear()
+    assert oracle.oracle_find_all(g, 3, query("ef1", "ts", "po")) == []
+    assert calls == [collect]
 
 
 @pytest.mark.parametrize("kernel", ["python", "compiled"])
@@ -304,8 +311,55 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
     shift = oracle._shift(g)
     tables = ["all_vectors", "matched_first", "matched_count"]
     expected = [{oracle._unpack(key, n, shift): v for key, v in ref[t].items()} for t in tables]
-    assert oracle._collect(g, n, fixed, tables, mask, alpha) == expected
+    assert oracle._tables(oracle._run(g, n, fixed, mask, alpha, collect=True), g, n, tables) == expected
     assert oracle._value_vectors(g, n, fixed, q.max_states) == expected[0]
+
+
+@st.composite
+def welfare_queries(draw):
+    """A graph with 0-6 vertices, 1-4 bundles, any set of the six kernel
+    predicates and alpha."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=6))
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    preds = draw(st.sets(st.sampled_from(KERNEL_PREDICATES)))
+    alpha = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)]))
+    return Graph.from_edges(m, edges), n, preds, alpha
+
+
+@settings(deadline=None, max_examples=100)
+@given(welfare_queries())
+def test_welfare_fields_equal_brute_force(case):
+    """top_welfare, best_welfare, best_index and best_count of labelled,
+    canonical and vertex-0-pinned scans equal the maximum welfare, the maximum
+    welfare of a match, the first match reaching it and the number of matches
+    at it, over the allocations of enumerate_allocations that the exact
+    checkers accept.  The pinned states are the first n**(m - 1)."""
+    g, n, preds, alpha = case
+    q = query(*preds, alpha=alpha)
+    mask = sum(oracle.PREDICATES[p].bit for p in preds)
+    m = g.num_vertices
+    allocations = list(oracle.enumerate_allocations(g, n))
+    welfare = [sum(bundle_values(a, g)) for a in allocations]
+    ok = [all(oracle.PREDICATES[p].check(a, g, q).holds for p in preds) for a in allocations]
+    args = oracle._scan_args(g, n, mask, alpha, False, False)
+    pinned = [0] + [-1] * (m - 1) if m else []
+    for result, states in (
+        (scan_python(*args([-1] * m)), n**m),
+        (scan_python(*args([-1] * m, True)), n**m),
+        (scan_python(*args(pinned)), n ** len(pinned[1:])),
+        (oracle._run(g, n, pinned, mask, alpha), n ** len(pinned[1:])),
+    ):
+        hits = [i for i in range(states) if ok[i]]
+        best = max((welfare[i] for i in hits), default=-1)
+        at_best = [i for i in hits if welfare[i] == best]
+        assert (
+            result["top_welfare"],
+            result["best_welfare"],
+            result["best_index"],
+            result["best_count"],
+        ) == (max(welfare[:states]), best, min(at_best, default=-1), len(at_best))
 
 
 def parity_cases():
