@@ -72,15 +72,15 @@ def _undominated(vectors) -> set[tuple[int, ...]]:
 
 
 class _Predicate(NamedTuple):
-    """A kernel ``bit`` decides the predicate state by state; without one,
-    ``keep(vectors, top)`` picks from the ascending value vectors of every
-    allocation in the query's range, whose largest welfare is top, those a
-    match may have.  ``check`` is the exact checker for one allocation, which
+    """A kernel ``bit`` decides the predicate state by state; ``keep`` picks
+    from the ascending value vectors of every allocation in the query's range
+    those a match may have.  SO has neither: the kernel's welfare optimum
+    decides it.  ``check`` is the exact checker for one allocation, which
     needs every vertex assigned if ``complete``."""
 
     check: Callable[[Allocation, Graph, "OracleQuery"], FairnessReport]
     bit: int = 0
-    keep: Optional[Callable[[dict, int], set]] = None
+    keep: Optional[Callable[[dict], set]] = None
     complete: bool = False
 
 
@@ -91,14 +91,10 @@ PREDICATES = {
     "alpha_ef1": _Predicate(lambda a, g, q: check_alpha_ef1(a, g, q.alpha), ALPHA_EF1),
     "ts": _Predicate(lambda a, g, q: check_ts(a, g), TS, complete=True),
     "wts": _Predicate(lambda a, g, q: check_wts(a, g), WTS, complete=True),
-    "so": _Predicate(
-        lambda a, g, q: check_so(a, g, max_states=q.max_states),
-        keep=lambda vectors, top: {v for v in vectors if sum(v) == top},
-        complete=True,
-    ),
+    "so": _Predicate(lambda a, g, q: check_so(a, g, max_states=q.max_states), complete=True),
     "po": _Predicate(
         lambda a, g, q: FairnessReport("PO", oracle_pareto(a, g, a.n, max_states=q.max_states)),
-        keep=lambda vectors, top: _undominated(vectors),
+        keep=_undominated,
         complete=True,
     ),
     "nonempty": _Predicate(lambda a, g, q: FairnessReport("non-empty", a.all_nonempty()), NONEMPTY),
@@ -233,17 +229,18 @@ def _value_vectors(g, n, fixed, max_states) -> dict[tuple[int, ...], int]:
 
 def _prepare(g, n, query: OracleQuery):
     """The kernel mask, the fixed vertices and the table filters of a query.
-    Only PO needs the value vector of every allocation; with it every global
-    predicate filters the tables of one collect scan, and without it there
-    are no table filters."""
+    Only PO needs the value vector of every allocation, and not with SO:
+    every SO vector is undominated, as a dominator has the larger sum, so
+    SO+PO is SO."""
     entries = [PREDICATES[name] for name in query.predicates]
     mask = sum(p.bit for p in entries)  # distinct bits
     fixed = [-1] * g.num_vertices
     if query.symmetry and g.num_vertices > 0 and n > 0:
         fixed[0] = 0
     _check_cap(n, fixed, query.max_states)
-    tables = "po" in query.predicates
-    return mask, fixed, [p.keep for p in entries if tables and p.keep is not None]
+    if "so" in query.predicates:
+        return mask, fixed, []
+    return mask, fixed, [p.keep for p in entries if p.keep is not None]
 
 
 def _qualifying(g, n, fixed, mask, query, filters):
@@ -254,15 +251,15 @@ def _qualifying(g, n, fixed, mask, query, filters):
     vectors, first, count = _tables(result, g, n, tables)
     keys = set(first)
     for keep in filters:
-        keys &= keep(vectors, result["top_welfare"])
+        keys &= keep(vectors)
     return first, count, keys
 
 
 def _answer(g, n, query: OracleQuery, first_only: bool):
     """The fixed vertices of a query, its least matching index (-1 if none)
-    and its number of matches, exact unless first_only.  SO without PO reads
-    the welfare optimum of the matches off one scan: they are SO when it is
-    the top welfare of every allocation in range."""
+    and its number of matches, exact unless first_only.  SO reads the
+    welfare optimum of the matches off one scan: they are SO when it is the
+    top welfare of every allocation in range."""
     mask, fixed, filters = _prepare(g, n, query)
     if filters:
         first, count, keys = _qualifying(g, n, fixed, mask, query, filters)
@@ -307,8 +304,7 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     """All matching allocations in labelled enumeration order (desk-scale
     only): one labelled scan that lists every match.  With PO the canonical
     collect scan comes first and ends the query when no vector qualifies;
-    SO without PO keeps the matches at the listing scan's top welfare, and
-    decodes none when the best match falls short of it."""
+    SO keeps the matches at the listing scan's top welfare."""
     mask, fixed, filters = _prepare(g, n, query)
     keys = None
     if filters:
@@ -317,13 +313,10 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
             return []
     args = _scan_args(g, n, mask, query.alpha, False, False)
     result = scan(*args(fixed, list_matches=True))
-    so = keys is None and "so" in query.predicates
-    if so and result["best_welfare"] < result["top_welfare"]:
-        return []  # no match is welfare-optimal
     found = [_decode(g, n, fixed, i) for i in result["matches"]]
     if keys is not None:
         return [a for a in found if tuple(sorted(bundle_values(a, g))) in keys]
-    if so:
+    if "so" in query.predicates:
         return [a for a in found if sum(bundle_values(a, g)) == result["top_welfare"]]
     return found
 

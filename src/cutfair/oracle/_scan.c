@@ -9,7 +9,9 @@
  * vertices: moving v from bundle d to nd adds 2 * (cnt[v][d] - cnt[v][nd]).
  * So it returns top_welfare (the largest welfare visited) and, over the
  * matching states, best_welfare, best_index (the first state to reach it) and
- * best_count (their weighted count) with no table.  Unlike the Python kernel's
+ * best_count (their weighted count) with no table.  TS and wTS reduce to a
+ * per-vertex threshold on the neighbours a vertex has in its own bundle, the
+ * crowded array (see _scan_py for the argument).  Unlike the Python kernel's
  * bitmasks, cnt[v][b] counts v's neighbours in bundle b: with fixed vertices a
  * scan may have more than 64 vertices.  The argument lengths are checked;
  * their contents (vertex ids, bundle ids, degrees) are trusted, as the oracle
@@ -130,14 +132,15 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
 
     PyObject *result = NULL, *matches = NULL, *all_vectors = NULL, *matched_first = NULL,
              *matched_count = NULL;
-    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)6 * m + 1 + (size_t)num_arcs));
+    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)7 * m + 1 + (size_t)num_arcs));
     long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)m * n + (size_t)4 * n));
     if (ibuf == NULL || lbuf == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     int *indptr = ibuf, *indices = indptr + m + 1, *degrees = indices + num_arcs,
-        *assign = degrees + m, *freev = assign + m, *digits = freev + m, *top = digits + m;
+        *assign = degrees + m, *freev = assign + m, *digits = freev + m, *top = digits + m,
+        *crowded = top + m;
     long long *cnt = lbuf, *values = cnt + (size_t)m * n, *sizes = values + n,
               *minrem = sizes + n, *sortbuf = minrem + n;
 
@@ -161,7 +164,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     }
 
     int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok;
-    long long r, gain, key, vmin, vmax, tmp, weight = 1, welfare = 0;
+    long long r, key, vmin, vmax, tmp, weight = 1, welfare = 0;
     long long states = 0, matched = 0, first_index = -1;
     long long top_welfare = -1, best_welfare = -1, best_index = -1, best_count = 0;
 
@@ -192,6 +195,16 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         values[b] += degrees[v] - cnt[v * n + b];
         sizes[b] += 1;
         welfare += degrees[v] - cnt[v * n + b];
+    }
+    /* the least own-bundle neighbour count at which v breaks TS or wTS */
+    for (v = 0; v < m; v++) {
+        deg = degrees[v];
+        if (n == 1)
+            crowded[v] = deg + 1;
+        else if ((require_mask & TS) && n > 2)
+            crowded[v] = deg > 0 ? (deg + 1) / 2 : 1;
+        else
+            crowded[v] = deg / 2 + 1;
     }
 
     for (;;) {
@@ -249,29 +262,10 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             }
         }
         if (ok && (require_mask & (TS | WTS))) {
-            for (v = 0; v < m && ok; v++) {
-                b = assign[v];
-                deg = degrees[v];
-                r = 2 * cnt[v * n + b] - deg;
-                if (r < 0)
-                    continue;
-                if (require_mask & TS) {
-                    for (j = 0; j < n; j++) {
-                        if (j == b)
-                            continue;
-                        gain = deg - 2 * cnt[v * n + j];
-                        if (gain >= 0 && (r > 0 || gain > 0)) {
-                            ok = 0;
-                            break;
-                        }
-                    }
-                } else if (r > 0) {
-                    for (j = 0; j < n; j++) {
-                        if (j != b && deg - 2 * cnt[v * n + j] > 0) {
-                            ok = 0;
-                            break;
-                        }
-                    }
+            for (v = 0; v < m; v++) {
+                if (cnt[v * n + assign[v]] >= crowded[v]) {
+                    ok = 0;
+                    break;
                 }
             }
         }

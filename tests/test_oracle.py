@@ -214,9 +214,9 @@ def test_threads_other_than_one_are_refused():
 def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     """One kernel call per query, canonical unless a partial allocation fixes
     vertices other than the vertex-0 pin, and collecting value-vector tables
-    only for PO, the Pareto check and leximin; oracle_find_all makes one
-    labelled call, after the canonical collect scan of a PO filter, and none
-    when that filter keeps no vector."""
+    only for PO without SO, the Pareto check and leximin; oracle_find_all
+    makes one labelled call, after the canonical collect scan of a PO filter,
+    and none when that filter keeps no vector."""
     calls = []
 
     def counting(*args):
@@ -230,7 +230,7 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     for run, expected in (
         (lambda: oracle.oracle_exists(g, 3, query("ef1")), [canonical]),
         (lambda: oracle.oracle_exists(g, 3, query("ef1", "so", symmetry=True)), [canonical]),
-        (lambda: oracle.oracle_exists(g, 3, query("ef1", "so", "po")), [collect]),
+        (lambda: oracle.oracle_exists(g, 3, query("ef1", "so", "po")), [canonical]),
         (lambda: oracle.oracle_count(g, 3, query("ef1", "ts")), [canonical]),
         (lambda: oracle.oracle_count(g, 3, query("so")), [canonical]),
         (lambda: oracle.oracle_count(g, 3, query("ef1", "po", symmetry=True)), [collect]),
@@ -247,6 +247,7 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
         (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts")), [labelled]),
         (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [labelled]),
         (lambda: oracle.oracle_find_all(g, 3, query("so")), [labelled]),
+        (lambda: oracle.oracle_find_all(g, 3, query("so", "po")), [labelled]),
         (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [collect, labelled]),
     ):
         calls.clear()
