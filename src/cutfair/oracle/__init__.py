@@ -22,17 +22,23 @@ and the lex-least labelled index of any relabelling-invariant set is itself
 canonical, so witnesses and least indices are the labelled ones.  The
 vertex-0 pin of ``symmetry`` and ``oracle_max_cut`` runs the same scan with
 counts divided by n; every restricted growth string starts with bundle 0, so
-its indices are those of the pinned enumeration.  Any other fixed vertex
-(completability) breaks the symmetry, and that query is one labelled scan.
-``oracle_find_all`` lists every labelled match, so it is one labelled scan
-too (after the canonical one of a PO filter, which ends the query when it
-keeps nothing).  Indices, counts and the state cap are all in labelled
-terms.
+its indices are those of the pinned enumeration.  A vertex fixed by a
+partial allocation (completability), even vertex 0 alone, breaks the
+symmetry, and that query is one labelled scan.  ``oracle_find_all`` lists
+every labelled match, so it is one labelled scan too (after the canonical
+one of a PO filter, which ends the query when it keeps nothing).  Indices,
+counts and the state cap are all in labelled terms.
+
+Every query is one call of ``_scan``, which holds the refusals: more
+labelled states than the cap, n**free at or above 2**63 (the kernels'
+64-bit indices), and, for PO, the Pareto check and leximin alone, a sorted
+value vector that does not pack into 64 bits (n times the bit length of the
+edge count above 62).  n must be at least 1: both kernels raise ValueError
+otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -72,15 +78,13 @@ def _undominated(vectors) -> set[tuple[int, ...]]:
 
 
 class _Predicate(NamedTuple):
-    """A kernel ``bit`` decides the predicate state by state; ``keep`` picks
-    from the ascending value vectors of every allocation in the query's range
-    those a match may have.  SO has neither: the kernel's welfare optimum
-    decides it.  ``check`` is the exact checker for one allocation, which
-    needs every vertex assigned if ``complete``."""
+    """A kernel ``bit`` decides the predicate state by state.  SO and PO have
+    none: the kernel's welfare optimum decides SO, and the undominated value
+    vectors of a collect scan decide PO.  ``check`` is the exact checker for
+    one allocation, which needs every vertex assigned if ``complete``."""
 
     check: Callable[[Allocation, Graph, "OracleQuery"], FairnessReport]
     bit: int = 0
-    keep: Optional[Callable[[dict], set]] = None
     complete: bool = False
 
 
@@ -94,7 +98,6 @@ PREDICATES = {
     "so": _Predicate(lambda a, g, q: check_so(a, g, max_states=q.max_states), complete=True),
     "po": _Predicate(
         lambda a, g, q: FairnessReport("PO", oracle_pareto(a, g, a.n, max_states=q.max_states)),
-        keep=_undominated,
         complete=True,
     ),
     "nonempty": _Predicate(lambda a, g, q: FairnessReport("non-empty", a.all_nonempty()), NONEMPTY),
@@ -131,27 +134,11 @@ def _require_one_thread(threads: int) -> None:
         raise ValueError(f"threads must be 1, not {threads}: an oracle query is one kernel scan")
 
 
-def _csr(g: Graph):
-    indptr = [0]
-    indices = []
-    for v in range(g.num_vertices):
-        indices.extend(g.adjacency[v])
-        indptr.append(len(indices))
-    degrees = [len(a) for a in g.adjacency]
-    return indptr, indices, degrees
-
-
 def _shift(g: Graph) -> int:
     return max(1, g.num_edges).bit_length()
 
 
-def _num_states(n: int, fixed) -> int:
-    f = sum(1 for b in fixed if b < 0)
-    return n**f
-
-
-def _check_cap(n: int, fixed, max_states: int) -> None:
-    states = _num_states(n, fixed)
+def _check_cap(states: int, max_states: int) -> None:
     if states > max_states:
         raise CapExceededError(f"{states} states exceed the cap of {max_states}")
 
@@ -169,108 +156,94 @@ def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
     return Allocation.of(bundles)
 
 
-def _scan_args(g, n, mask, alpha, first_only, collect):
-    """The kernel arguments of a scan on g, as a function of its fixed
-    vertices, whether it is canonical and whether it lists its matches."""
-    indptr, indices, degrees = _csr(g)
-    shift = _shift(g)
-    if n * shift > 62:
-        raise CapExceededError("value vector does not pack into 64 bits")
-
-    def args(fixed, canonical=False, list_matches=False):
-        states = _num_states(n, fixed)
-        if states >= 1 << 63:
-            raise CapExceededError(f"{states} states overflow the kernel's 64-bit indices")
-        return (
-            g.num_vertices, n, indptr, indices, degrees, list(fixed),
-            mask, alpha.numerator, alpha.denominator,
-            first_only, collect, list_matches, canonical, shift,
-        )
-
-    return args
+def _kernel_args(
+    g, n, fixed, mask=0, alpha=1, first_only=False, collect=False, list_matches=False, canonical=False
+):
+    """The positional arguments of a kernel scan on g."""
+    indptr = [0]
+    indices = []
+    for nbrs in g.adjacency:
+        indices.extend(nbrs)
+        indptr.append(len(indices))
+    degrees = [len(nbrs) for nbrs in g.adjacency]
+    return (
+        g.num_vertices, n, indptr, indices, degrees, list(fixed),
+        mask, alpha.numerator, alpha.denominator,
+        first_only, collect, list_matches, canonical, _shift(g),
+    )
 
 
-def _run(g, n, fixed, mask, alpha=Fraction(1), first_only=False, collect=False):
-    """The kernel result of one scan over the allocations that keep the fixed
-    vertices in place, in labelled indices and counts."""
-    args = _scan_args(g, n, mask, alpha, first_only, collect)
+def _scan(
+    g, n, max_states, mask=0, fixed=None, pin=False, alpha=1,
+    first_only=False, collect=(), list_matches=False,
+):
+    """One kernel scan over the allocations that keep the fixed vertices in
+    place, and vertex 0 in bundle 0 if pin: the fixed vertices and the
+    result, in labelled indices and counts, with each table named in collect
+    keyed by ascending value tuples.  The scan is canonical unless it lists
+    its matches or fixes a vertex other than the pinned one.  The cap counts
+    the labelled states in range; only a scan that collects tables packs a
+    value vector into 64 bits."""
     m = g.num_vertices
-    pinned = m > 0 and fixed[0] == 0
-    if any(b >= 0 for b in fixed[1 if pinned else 0 :]):
-        return scan(*args(fixed))
-    result = scan(*args([-1] * m, canonical=True))
-    if pinned:  # vertex 0 is in bundle 0 in one labelling of every n
+    canonical = not list_matches and (fixed is None or max(fixed, default=-1) < 0)
+    fixed = [-1] * m if fixed is None else list(fixed)
+    pinned = pin and m > 0
+    if pinned:
+        fixed[0] = 0
+    _check_cap(n ** fixed.count(-1), max_states)
+    shift = _shift(g)
+    if collect and n * shift > 62:
+        raise CapExceededError("value vector does not pack into 64 bits")
+    scanned = [-1] * m if canonical else fixed
+    states = n ** scanned.count(-1)
+    if states >= 1 << 63:
+        raise CapExceededError(f"{states} states overflow the kernel's 64-bit indices")
+    result = scan(*_kernel_args(g, n, scanned, mask, alpha, first_only, bool(collect), list_matches, canonical))
+    if pinned and canonical:  # vertex 0 is in bundle 0 in one labelling of every n
         result["matched"] //= n
         result["best_count"] //= n
         if collect:
             result["matched_count"] = {key: c // n for key, c in result["matched_count"].items()}
-    return result
+    bits = (1 << shift) - 1
+    offsets = range(shift * (n - 1), -1, -shift)
+    for name in collect:
+        result[name] = {tuple([(key >> s) & bits for s in offsets]): v for key, v in result[name].items()}
+    return fixed, result
 
 
-def _unpack(key: int, n: int, shift: int) -> tuple[int, ...]:
-    """The ascending value vector the kernel packed into key."""
-    mask = (1 << shift) - 1
-    return tuple([(key >> s) & mask for s in range(shift * (n - 1), -1, -shift)])
-
-
-def _tables(result, g, n, names) -> list[dict]:
-    """The named vector tables of a collect-mode scan result, keyed by
-    ascending value tuples."""
-    shift = _shift(g)
-    return [{_unpack(key, n, shift): v for key, v in result[name].items()} for name in names]
-
-
-def _value_vectors(g, n, fixed, max_states) -> dict[tuple[int, ...], int]:
-    """{ascending value vector: least index} over every allocation that keeps
-    the fixed vertices in place."""
-    _check_cap(n, fixed, max_states)
-    return _tables(_run(g, n, fixed, 0, collect=True), g, n, ["all_vectors"])[0]
-
-
-def _prepare(g, n, query: OracleQuery):
-    """The kernel mask, the fixed vertices and the table filters of a query.
-    Only PO needs the value vector of every allocation, and not with SO:
-    every SO vector is undominated, as a dominator has the larger sum, so
-    SO+PO is SO."""
-    entries = [PREDICATES[name] for name in query.predicates]
-    mask = sum(p.bit for p in entries)  # distinct bits
-    fixed = [-1] * g.num_vertices
-    if query.symmetry and g.num_vertices > 0 and n > 0:
-        fixed[0] = 0
-    _check_cap(n, fixed, query.max_states)
-    if "so" in query.predicates:
-        return mask, fixed, []
-    return mask, fixed, [p.keep for p in entries if p.keep is not None]
-
-
-def _qualifying(g, n, fixed, mask, query, filters):
-    """The least index and the count of each matched vector, and the matched
-    vectors that pass every global filter."""
-    result = _run(g, n, fixed, mask, query.alpha, collect=True)
-    tables = ["all_vectors", "matched_first", "matched_count"]
-    vectors, first, count = _tables(result, g, n, tables)
-    keys = set(first)
-    for keep in filters:
-        keys &= keep(vectors)
-    return first, count, keys
+def _po_scan(g, n, query: OracleQuery, mask: int):
+    """The fixed vertices of a PO query, the least index and the count of
+    each matched ascending value vector, and the matched vectors that no
+    allocation in range dominates."""
+    fixed, result = _scan(
+        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha,
+        collect=("all_vectors", "matched_first", "matched_count"),
+    )
+    first = result["matched_first"]
+    return fixed, first, result["matched_count"], set(first) & _undominated(result["all_vectors"])
 
 
 def _answer(g, n, query: OracleQuery, first_only: bool):
     """The fixed vertices of a query, its least matching index (-1 if none)
     and its number of matches, exact unless first_only.  SO reads the
     welfare optimum of the matches off one scan: they are SO when it is the
-    top welfare of every allocation in range."""
-    mask, fixed, filters = _prepare(g, n, query)
-    if filters:
-        first, count, keys = _qualifying(g, n, fixed, mask, query, filters)
+    top welfare of every allocation in range.  Only PO needs the value
+    vector of every allocation, and not with SO: every SO vector is
+    undominated, as a dominator has the larger sum, so SO+PO is SO."""
+    mask = sum(PREDICATES[name].bit for name in query.predicates)
+    so = "so" in query.predicates
+    if "po" in query.predicates and not so:
+        fixed, first, count, keys = _po_scan(g, n, query, mask)
         return fixed, min((first[k] for k in keys), default=-1), sum(count[k] for k in keys)
-    if "so" in query.predicates:
-        result = _run(g, n, fixed, mask, query.alpha)
-        if result["best_welfare"] < result["top_welfare"]:
-            return fixed, -1, 0
-        return fixed, result["best_index"], result["best_count"]
-    result = _run(g, n, fixed, mask, query.alpha, first_only=first_only)
-    return fixed, result["first_index"], result["matched"]
+    fixed, result = _scan(
+        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha,
+        first_only=first_only and not so,
+    )
+    if not so:
+        return fixed, result["first_index"], result["matched"]
+    if result["best_welfare"] < result["top_welfare"]:
+        return fixed, -1, 0
+    return fixed, result["best_index"], result["best_count"]
 
 
 def enumerate_allocations(
@@ -278,12 +251,10 @@ def enumerate_allocations(
 ) -> Iterator[Allocation]:
     """Every complete allocation exactly once, in lexicographic order of the
     assignment function."""
-    _check_cap(n, [-1] * g.num_vertices, max_states)
-    for assign in itertools.product(range(n), repeat=g.num_vertices):
-        bundles: list[set[int]] = [set() for _ in range(n)]
-        for v, b in enumerate(assign):
-            bundles[b].add(v)
-        yield Allocation.of(bundles)
+    fixed = [-1] * g.num_vertices
+    _check_cap(n ** len(fixed), max_states)
+    for index in range(n ** len(fixed)):
+        yield _decode(g, n, fixed, index)
 
 
 def oracle_exists(g: Graph, n: int, query: OracleQuery) -> Optional[Allocation]:
@@ -305,27 +276,28 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     only): one labelled scan that lists every match.  With PO the canonical
     collect scan comes first and ends the query when no vector qualifies;
     SO keeps the matches at the listing scan's top welfare."""
-    mask, fixed, filters = _prepare(g, n, query)
+    mask = sum(PREDICATES[name].bit for name in query.predicates)
+    so = "so" in query.predicates
     keys = None
-    if filters:
-        keys = _qualifying(g, n, fixed, mask, query, filters)[2]
+    if "po" in query.predicates and not so:
+        keys = _po_scan(g, n, query, mask)[3]
         if not keys:
             return []
-    args = _scan_args(g, n, mask, query.alpha, False, False)
-    result = scan(*args(fixed, list_matches=True))
+    fixed, result = _scan(
+        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, list_matches=True
+    )
     found = [_decode(g, n, fixed, i) for i in result["matches"]]
     if keys is not None:
         return [a for a in found if tuple(sorted(bundle_values(a, g))) in keys]
-    if "so" in query.predicates:
+    if so:
         return [a for a in found if sum(bundle_values(a, g)) == result["top_welfare"]]
     return found
 
 
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:
     """Exact maximum utilitarian welfare over all complete n-partitions."""
-    fixed = [-1] * g.num_vertices
-    _check_cap(n, fixed, max_states if max_states is not None else DEFAULT_MAX_STATES)
-    return _run(g, n, fixed, 0)["top_welfare"]
+    max_states = max_states if max_states is not None else DEFAULT_MAX_STATES
+    return _scan(g, n, max_states)[1]["top_welfare"]
 
 
 def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -335,7 +307,7 @@ def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX
     if not a.is_complete(g):
         raise ValueError("Pareto check requires a complete allocation")
     mine = tuple(sorted(bundle_values(a, g)))
-    vectors = _value_vectors(g, n, [-1] * g.num_vertices, max_states)
+    vectors = _scan(g, n, max_states, collect=("all_vectors",))[1]["all_vectors"]
     return not any(_dominates(v, mine) for v in vectors)
 
 
@@ -343,19 +315,15 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
     """Allocation whose sorted value vector is lexicographically maximal; first
     in enumeration order on ties.  ``threads`` must be 1."""
     _require_one_thread(threads)
-    fixed = [-1] * g.num_vertices
-    vectors = _value_vectors(g, n, fixed, max_states)
+    fixed, result = _scan(g, n, max_states, collect=("all_vectors",))
+    vectors = result["all_vectors"]
     return _decode(g, n, fixed, vectors[max(vectors)])
 
 
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
     """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry):
     the first state of the scan to reach its top welfare, twice the cut."""
-    fixed = [-1] * g.num_vertices
-    if g.num_vertices > 0:
-        fixed[0] = 0
-    _check_cap(2, fixed, max_states)
-    result = _run(g, 2, fixed, 0)
+    fixed, result = _scan(g, 2, max_states, pin=True)
     return _decode(g, 2, fixed, result["best_index"]), result["best_welfare"] // 2
 
 
@@ -371,9 +339,7 @@ def oracle_completable_ef1(
     for i, bundle in enumerate(partial.bundles):
         for o in bundle:
             fixed[o] = i
-    _check_cap(n, fixed, max_states)
-    result = _run(g, n, fixed, EF1, first_only=True)
-    return result["first_index"] >= 0
+    return _scan(g, n, max_states, EF1, fixed, first_only=True)[1]["first_index"] >= 0
 
 
 __all__ = [

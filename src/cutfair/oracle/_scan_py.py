@@ -81,6 +81,8 @@ def scan(
       matched_first   -- same, restricted to matching states (collect only)
       matched_count   -- {packed vector: labelled matching-state count} (collect only)
     """
+    if num_vertices < 0 or n < 1:
+        raise ValueError("num_vertices must be >= 0 and n >= 1")
     free = [v for v in range(num_vertices) if fixed[v] < 0]
     f = len(free)
     if canonical and f < num_vertices:

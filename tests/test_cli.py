@@ -128,6 +128,15 @@ def test_oracle_cap_override(capsys, monkeypatch):
     assert "exceed the cap" in err
 
 
+def test_oracle_packs_value_vectors_only_for_po(capsys):
+    code, out, _ = run(capsys, "oracle", "--label", "complete:4", "-n", "21", "--pred", "ef1")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "witness"
+    code, _, err = run(capsys, "oracle", "--label", "complete:4", "-n", "21", "--pred", "ef1,po")
+    assert code == 2
+    assert "64 bits" in err
+
+
 def test_gen_round_trip(capsys, tmp_path):
     target = tmp_path / "inst.txt"
     code, _, _ = run(capsys, "gen", "--label", "fig3:d=5", "--out", str(target))

@@ -12,6 +12,7 @@ from cutfair.allocation import (
     check_alpha_ef1,
     check_ef,
     check_ef1,
+    check_so,
     check_ts,
     check_wts,
     social_welfare,
@@ -20,6 +21,7 @@ from cutfair.graph import Graph
 from cutfair.instances import (
     SplitMix64,
     gen_appendix_a,
+    gen_complete,
     gen_complete_bipartite,
     gen_cycle,
     gen_fig3,
@@ -161,6 +163,18 @@ def test_find_all_matches_count_and_filters():
             ], (n, preds)
 
 
+def test_find_all_with_symmetry_lists_the_pinned_matches():
+    """With the vertex-0 pin, oracle_find_all under a PO or an SO filter
+    lists the unpinned matches that have vertex 0 in bundle 0, in the same
+    order, and as many as the pinned oracle_count."""
+    for g, n in ((gen_path(4).graph, 2), (gen_fig3(3).graph, 3)):
+        for preds in ({"po"}, {"wts", "po"}, {"so"}, {"nonempty", "so"}):
+            pinned = oracle.oracle_find_all(g, n, query(*preds, symmetry=True))
+            found = oracle.oracle_find_all(g, n, query(*preds))
+            assert pinned == [a for a in found if 0 in a.bundles[0]], (n, preds)
+            assert len(pinned) == oracle.oracle_count(g, n, query(*preds, symmetry=True)) > 0
+
+
 def test_leximin_maximizes_sorted_vector():
     g = gen_cycle(6).graph
     best = oracle.oracle_leximin(g, 3)
@@ -213,7 +227,7 @@ def test_threads_other_than_one_are_refused():
 
 def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     """One kernel call per query, canonical unless a partial allocation fixes
-    vertices other than the vertex-0 pin, and collecting value-vector tables
+    a vertex (vertex 0 alone included), and collecting value-vector tables
     only for PO without SO, the Pareto check and leximin; oracle_find_all
     makes one labelled call, after the canonical collect scan of a PO filter,
     and none when that filter keeps no vector."""
@@ -244,6 +258,7 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
         assert calls == expected
     for run, expected in (
         (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3), [labelled]),
+        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, set(), set()]), g, 3), [labelled]),
         (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts")), [labelled]),
         (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [labelled]),
         (lambda: oracle.oracle_find_all(g, 3, query("so")), [labelled]),
@@ -278,6 +293,17 @@ def test_overflowing_queries_are_refused_before_any_kernel_call(kernel, request,
     assert calls == []
 
 
+def test_only_table_scans_need_packable_value_vectors():
+    """On K4 with 21 bundles a sorted value vector needs 63 bits: queries
+    that build no table of vectors answer, and PO, which builds one, is
+    refused."""
+    g = gen_complete(4).graph
+    assert oracle.oracle_exists(g, 21, query("ef1")) is not None
+    assert check_so(Allocation.of([{0}, {1}, {2}, {3}] + [set()] * 17), g).holds is True
+    with pytest.raises(CapExceededError, match="64 bits"):
+        oracle.oracle_exists(g, 21, query("ef1", "po"))
+
+
 KERNEL_PREDICATES = sorted(name for name, p in oracle.PREDICATES.items() if p.bit)
 LABELLED_LIMIT = 4096  # largest n^m the equivalence test scans label by label
 
@@ -303,17 +329,25 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
     vertex-0-pinned ones with symmetry)."""
     g, n, preds, alpha, symmetry = case
     q = query(*preds, alpha=alpha, symmetry=symmetry)
-    mask, fixed, _ = oracle._prepare(g, n, q)
-    ref = scan_python(*oracle._scan_args(g, n, mask, alpha, False, True)(fixed))
+    m = g.num_vertices
+    mask = sum(oracle.PREDICATES[p].bit for p in preds)
+    fixed = [0] + [-1] * (m - 1) if symmetry and m else [-1] * m
+    ref = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, collect=True))
     assert oracle.oracle_count(g, n, q) == ref["matched"]
     witness = oracle.oracle_exists(g, n, q)
     index = ref["first_index"]
     assert witness == (oracle._decode(g, n, fixed, index) if index >= 0 else None)
     shift = oracle._shift(g)
-    tables = ["all_vectors", "matched_first", "matched_count"]
-    expected = [{oracle._unpack(key, n, shift): v for key, v in ref[t].items()} for t in tables]
-    assert oracle._tables(oracle._run(g, n, fixed, mask, alpha, collect=True), g, n, tables) == expected
-    assert oracle._value_vectors(g, n, fixed, q.max_states) == expected[0]
+
+    def unpack(key):
+        return tuple((key >> s) & ((1 << shift) - 1) for s in range(shift * (n - 1), -1, -shift))
+
+    tables = ("all_vectors", "matched_first", "matched_count")
+    expected = [{unpack(key): v for key, v in ref[t].items()} for t in tables]
+    scanned, result = oracle._scan(g, n, q.max_states, mask, pin=symmetry, alpha=alpha, collect=tables)
+    assert (scanned, [result[t] for t in tables]) == (fixed, expected)
+    vectors = oracle._scan(g, n, q.max_states, pin=symmetry, collect=("all_vectors",))[1]["all_vectors"]
+    assert vectors == expected[0]
 
 
 @st.composite
@@ -344,13 +378,12 @@ def test_welfare_fields_equal_brute_force(case):
     allocations = list(oracle.enumerate_allocations(g, n))
     welfare = [sum(bundle_values(a, g)) for a in allocations]
     ok = [all(oracle.PREDICATES[p].check(a, g, q).holds for p in preds) for a in allocations]
-    args = oracle._scan_args(g, n, mask, alpha, False, False)
     pinned = [0] + [-1] * (m - 1) if m else []
     for result, states in (
-        (scan_python(*args([-1] * m)), n**m),
-        (scan_python(*args([-1] * m, True)), n**m),
-        (scan_python(*args(pinned)), n ** len(pinned[1:])),
-        (oracle._run(g, n, pinned, mask, alpha), n ** len(pinned[1:])),
+        (scan_python(*oracle._kernel_args(g, n, [-1] * m, mask, alpha)), n**m),
+        (scan_python(*oracle._kernel_args(g, n, [-1] * m, mask, alpha, canonical=True)), n**m),
+        (scan_python(*oracle._kernel_args(g, n, pinned, mask, alpha)), n ** len(pinned[1:])),
+        (oracle._scan(g, n, q.max_states, mask, pin=True, alpha=alpha)[1], n ** len(pinned[1:])),
     ):
         hits = [i for i in range(states) if ok[i]]
         best = max((welfare[i] for i in hits), default=-1)
@@ -400,9 +433,10 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
         scans = ((fixed, False), ([-1] * len(fixed), True))
         for mask in masks:
             for first_only, collect in itertools.product((False, True), repeat=2):
-                args = oracle._scan_args(g, n, mask, Fraction(1, 2), first_only, collect)
                 for (free, canonical), list_matches in itertools.product(scans, (False, True)):
-                    call = args(free, canonical, list_matches)
+                    call = oracle._kernel_args(
+                        g, n, free, mask, Fraction(1, 2), first_only, collect, list_matches, canonical
+                    )
                     assert compiled_scan(*call) == scan_python(*call), (case, mask, call[9:13])
 
 
@@ -411,21 +445,29 @@ def test_canonical_scan_visits_one_labelling_per_partition():
     partition into at most n blocks, and its count of every state is n**m."""
     g = gen_path(5).graph
     for n, partitions in ((1, 1), (2, 16), (3, 41), (5, 52), (7, 52)):
-        result = scan_python(*oracle._scan_args(g, n, 0, Fraction(1), False, False)([-1] * 5, True))
+        result = scan_python(*oracle._kernel_args(g, n, [-1] * 5, canonical=True))
         assert (result["states"], result["matched"]) == (partitions, n**5)
 
 
 def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
-    """Both kernels refuse a canonical scan that fixes a vertex; the compiled
-    one refuses a short ``fixed`` list instead of reading past it.  A labelled
-    scan visits the whole range."""
+    """Both kernels refuse a canonical scan that fixes a vertex and a scan
+    into no bundle, so an oracle query with n = 0 raises ValueError; the
+    compiled one refuses a short ``fixed`` list instead of reading past it.  A
+    labelled scan visits the whole range."""
     g = gen_random_graph(4, 0.5, 5).graph
-    args = oracle._scan_args(g, 3, EF1, Fraction(1), False, False)
+
+    def args(fixed, canonical=False, n=3):
+        return oracle._kernel_args(g, n, fixed, EF1, canonical=canonical)
+
     for kernel in (compiled_scan, scan_python):
         with pytest.raises(ValueError, match="canonical scan fixes no vertex"):
             kernel(*args([0, -1, -1, -1], True))
+        with pytest.raises(ValueError, match="n >= 1"):
+            kernel(*args([-1] * 4, n=0))
         assert kernel(*args([-1] * 4))["states"] == 3**4
         assert kernel(*args([0, 1, 2, 0]))["states"] == 1
+    with pytest.raises(ValueError, match="n >= 1"):
+        oracle.oracle_exists(gen_path(3).graph, 0, query("ef1"))
     with pytest.raises(ValueError, match="fixed"):
         compiled_scan(*args([-1] * 3))
 
