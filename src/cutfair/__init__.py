@@ -36,7 +36,7 @@ from .algorithms import (
     ts_subroutine,
     wts_subroutine,
 )
-from .graph import Graph, GraphError, RootedForest
+from .graph import Graph, GraphError
 from .instances import Instance, ParseError, SplitMix64, from_label, read_instance, write_instance
 from .valuation import BundleStats, cut_value
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .allocation import Allocation, Potential, potential_from_values
-from .graph import Graph, RootedForest
+from .graph import Graph
 from .valuation import BundleStats
 
 
@@ -331,8 +331,6 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
 
 def _wts_pass(stats: BundleStats, order: list[int], trace: SolveTrace):
     """Drain strict chores; each move strictly improves the potential."""
-    if len(order) < 2:
-        return
     budget = max(1, 2 * stats.graph.num_edges * len(order))
     moves = 0
     while True:
@@ -345,7 +343,7 @@ def _wts_pass(stats: BundleStats, order: list[int], trace: SolveTrace):
             raise SolverInvariantError(
                 f"item {o} is a strict chore in two bundles at once"
             )
-        phi_before = potential_from_values([stats.bundle_value[x] for x in order])
+        phi_before = trace.potential_history[-1]
         stats.apply_move(o, b, receiver)
         moves += 1
         if moves > budget:
@@ -436,89 +434,79 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
 
 
 def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
-    if not g.is_forest():
+    core, keep, iso = _split_isolated(g)
+    components = core.connected_components()
+    if core.num_edges != core.num_vertices - len(components):
         raise ValueError("this solver needs an acyclic graph")
     if n < 2:
         raise ValueError("need n >= 2")
     if g.num_vertices < n:
         raise ValueError("need at least as many vertices as bundles")
-    core, keep, iso = _split_isolated(g)
     trace = SolveTrace(guarantee="EF1+SO+TS")
     if core.num_vertices == 0:
         return Allocation.of(_reattach([set() for _ in range(n)], keep, iso, n)), trace
+    adj = core.adjacency
     if n == 2:
-        rf = RootedForest.build(core)
-        color = [0] * core.num_vertices
-        for r in rf.roots:
-            stack = [(r, 0)]
+        color = [None] * core.num_vertices
+        for comp in components:  # depth parity from the tree's least vertex
+            r = min(comp)
+            color[r] = 0
+            stack = [r]
             while stack:
-                v, c = stack.pop()
-                color[v] = c
-                for u in rf.children[v]:
-                    stack.append((u, 1 - c))
+                v = stack.pop()
+                for u in adj[v]:
+                    if color[u] is None:
+                        color[u] = 1 - color[v]
+                        stack.append(u)
         bundles = [{v for v in range(core.num_vertices) if color[v] == c} for c in (0, 1)]
         return Allocation.of(_reattach(bundles, keep, iso, 2)), trace
 
-    roots = [  # a tree of three or more vertices is rooted at its least inner vertex
-        min(v for v in comp if len(core.adjacency[v]) >= 2) if len(comp) >= 3 else min(comp)
-        for comp in core.connected_components()
-    ]
-    rf = RootedForest.build(core, roots)
     stats = BundleStats(core, n)
     deg = stats.degree
     order = list(range(n))
-    frontier = set(rf.roots)
+    # A vertex is placed only as a frontier root or as a child of a placed
+    # vertex, so its parent is placed first and its unplaced neighbours are
+    # its children.  The frontier maps each root to its parent's bundle
+    # (None for a tree root), which never changes once the parent is placed.
+    frontier = {  # a tree of three or more vertices is rooted at its least inner vertex
+        (min(v for v in comp if deg[v] >= 2) if len(comp) >= 3 else min(comp)): None
+        for comp in components
+    }
     budget = max(1, 4 * core.num_vertices)
 
     def feasible_roots(b):
         """Frontier roots whose parent is not in bundle b, in no fixed order."""
-        return [
-            r
-            for r in frontier
-            if rf.parent[r] is None or stats.assignment[rf.parent[r]] != b
-        ]
+        return [r for r, blocker in frontier.items() if blocker != b]
 
     def best_root(candidates):
         return min(candidates, key=lambda r: (-deg[r], r))
 
     def allocate(v, b):
         stats.apply_move(v, None, b)
-        frontier.discard(v)
-        frontier.update(rf.children[v])
+        del frontier[v]
+        for c in adj[v]:
+            if stats.assignment[c] is None:
+                frontier[c] = b
 
     def leaf_children(o_t):
-        return [
-            c
-            for c in rf.children[o_t]
-            if stats.assignment[c] is None and deg[c] == 1
-        ]
+        return [c for c in adj[o_t] if stats.assignment[c] is None and deg[c] == 1]
 
     def compensate(o_t, a1, bound):
         """Hand o_t's unallocated children to a1, first child first, until
         a1's value reaches bound()."""
-        rest = (c for c in rf.children[o_t] if stats.assignment[c] is None)
+        rest = (c for c in adj[o_t] if stats.assignment[c] is None)
         while stats.bundle_value[a1] < bound():
             c = next(rest, None)
             if c is None:
                 raise SolverInvariantError("ran out of children to compensate")
             allocate(c, a1)
 
-    def distribute_leaf_children(o_t, positions):
-        while True:
-            ls = leaf_children(o_t)
-            if not ls:
-                return
-            vmin = min(stats.bundle_value[order[p]] for p in positions)
-            tied = [p for p in positions if stats.bundle_value[order[p]] == vmin]
-            j = tied[0]
-            if len(tied) >= 2:
-                for cand in tied:
-                    if any(
-                        feasible_roots(order[k]) for k in tied if k != cand
-                    ):
-                        j = cand
-                        break
-            allocate(ls[0], order[j])
+    def distribute_leaf_children(o_t, bundles):
+        """Hand each leaf child of o_t to the poorest of bundles, the first
+        one on ties.  No tie needs keeping a bundle free for a frontier root:
+        the leaf itself is a frontier root open to every bundle but o_t's."""
+        for leaf in leaf_children(o_t):  # placing a leaf changes no other leaf
+            allocate(leaf, min(bundles, key=stats.bundle_value.__getitem__))
 
     while frontier:
         trace.iterations += 1
@@ -533,7 +521,7 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         if f1:
             o_t = min(f1)
             allocate(o_t, a1)
-            distribute_leaf_children(o_t, list(range(1, n)))
+            distribute_leaf_children(o_t, order[1:])
             tag = "1"
         else:
             best2 = stats.min_removal_value(a2)
@@ -546,7 +534,7 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             ):
                 allocate(o_t, a2)
                 h2 = stats.min_removal_value(a2)[0]
-                distribute_leaf_children(o_t, [0] + list(range(2, n)))
+                distribute_leaf_children(o_t, [a1] + order[2:])
                 compensate(o_t, a1, lambda: stats.bundle_value[a2] + stats.marginal_remove(a2, h2))
                 tag = "2"
             else:

@@ -8,7 +8,7 @@ adjacency lists, with strict validation (no self-loops, no duplicate edges).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -83,44 +83,4 @@ class Graph:
     def is_forest(self) -> bool:
         """True iff acyclic: a simple graph is a forest iff |E| = |V| - #components."""
         return self.num_edges == self.num_vertices - len(self.connected_components())
-
-
-@dataclass
-class RootedForest:
-    """Parent/children structure over a forest, one root per component,
-    children in breadth-first order from each root."""
-
-    parent: list[Optional[int]]
-    children: list[list[int]]
-    roots: list[int]
-
-    @staticmethod
-    def build(g: Graph, roots: Optional[Sequence[int]] = None) -> "RootedForest":
-        comps = g.connected_components()
-        if g.num_edges != g.num_vertices - len(comps):
-            raise GraphError("rooting needs an acyclic graph")
-        if roots is None:
-            chosen = [min(c) for c in comps]
-        else:
-            chosen = list(roots)
-            if len(chosen) != len(comps):
-                raise GraphError(f"expected {len(comps)} roots, got {len(chosen)}")
-            covered = set(chosen)
-            for c in comps:
-                if len(covered & c) != 1:
-                    raise GraphError("exactly one root per component is required")
-        parent: list[Optional[int]] = [None] * g.num_vertices
-        children: list[list[int]] = [[] for _ in range(g.num_vertices)]
-        seen = [False] * g.num_vertices
-        for r in chosen:
-            seen[r] = True
-            queue = [r]
-            for v in queue:  # grows while it is walked: breadth-first order
-                for u in g.adjacency[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        parent[u] = v
-                        children[v].append(u)
-                        queue.append(u)
-        return RootedForest(parent=parent, children=children, roots=sorted(chosen))
 

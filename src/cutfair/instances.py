@@ -218,6 +218,8 @@ def read_instance(path) -> Instance:
                     m, num_edges, n = int(parts[2]), int(parts[3]), int(parts[4])
                 except ValueError:
                     raise ParseError(path, lineno, "non-integer header field") from None
+                if n < 1:
+                    raise ParseError(path, lineno, f"agent count {n} is below 1")
             elif parts[0] == "e":
                 if m is None:
                     raise ParseError(path, lineno, "edge before header")
@@ -273,4 +275,6 @@ def read_allocation(path) -> Allocation:
         isinstance(b, list) and all(type(o) is int for o in b) for b in bundles
     ):
         raise ParseError(path, 0, "'bundles' must be a list of lists of vertex ids")
+    if "n" in doc and doc["n"] != len(bundles):
+        raise ParseError(path, 0, f"'n' is {doc['n']!r} but there are {len(bundles)} bundles")
     return Allocation.of(bundles)

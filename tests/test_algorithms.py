@@ -272,6 +272,34 @@ def test_forest_solver_validation():
         solve_forest_ef1_so(gen_cycle(4).graph, 2)
     with pytest.raises(ValueError, match="n >= 2"):
         solve_forest_ef1_so(gen_path(4).graph, 1)
+    # acyclicity is checked before the bundle count and the vertex count
+    for n in (1, 5):
+        with pytest.raises(ValueError, match="acyclic"):
+            solve_forest_ef1_so(gen_cycle(4).graph, n)
+
+
+def test_forest_solver_all_isolated_is_round_robin():
+    a, trace = solve_forest_ef1_so(Graph.from_edges(7, []), 3)
+    assert a.to_lists() == [[0, 3, 6], [1, 4], [2, 5]]
+    assert trace.iterations == 0
+    assert trace.case_history == trace.potential_history == []
+    assert trace.welfare_history == trace.snapshots == []
+
+
+def test_forest_solver_finds_the_components_once(monkeypatch):
+    calls = []
+    components = Graph.connected_components
+
+    def counting(self):
+        calls.append(self)
+        return components(self)
+
+    monkeypatch.setattr(Graph, "connected_components", counting)
+    g = with_isolated(gen_fig1().graph, 2)
+    for n in (2, 3, 4):
+        calls.clear()
+        solve_forest_ef1_so(g, n)
+        assert len(calls) == 1, n
 
 
 def test_forest_solver_isolated_and_tiny_components():

@@ -224,6 +224,21 @@ def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
 
 
+def test_malformed_agent_counts_exit_2(capsys, tmp_path):
+    inst_path = tmp_path / "inst.txt"
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"n": 3, "bundles": [[0, 1], [2]]}))
+    for agents in (0, -1):
+        inst_path.write_text(f"p fairdiv 3 2 {agents}\ne 1 2\ne 2 3\n")
+        for argv in (("solve",), ("oracle",), ("oracle", "--count")):
+            code, out, err = run(capsys, *argv, "--file", str(inst_path))
+            assert code == 2, (agents, argv)
+            assert out == "" and "agent count" in err, (agents, argv)
+    code, out, err = run(capsys, "check", "--label", "path:3", "--alloc", str(alloc_path))
+    assert code == 2
+    assert out == "" and "2 bundles" in err
+
+
 def test_bad_max_states_environment_is_an_input_error(capsys, monkeypatch):
     monkeypatch.setenv("FAIRDIV_MAX_STATES", "abc")
     code, out, err = run(capsys, "oracle", "--label", "fig3:d=3")

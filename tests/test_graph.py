@@ -1,6 +1,6 @@
 import pytest
 
-from cutfair.graph import Graph, GraphError, RootedForest
+from cutfair.graph import Graph, GraphError
 
 
 def test_from_edges_basic():
@@ -51,34 +51,3 @@ def test_is_forest():
     assert not cycle.is_forest()
     assert two_trees.is_forest()
     assert Graph.from_edges(3, []).is_forest()
-
-
-def test_rooted_forest_default_roots():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    rf = RootedForest.build(g)
-    assert rf.roots == [0, 3]
-    assert rf.parent == [None, 0, 1, None, 3]
-    assert rf.children[0] == [1]
-    assert rf.children[1] == [2]
-    assert rf.children[3] == [4]
-
-
-def test_rooted_forest_custom_roots():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    rf = RootedForest.build(g, roots=[1])
-    assert rf.parent == [1, None, 1]
-    assert sorted(rf.children[1]) == [0, 2]
-
-
-def test_rooted_forest_rejects_bad_roots():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(GraphError, match="expected 2 roots"):
-        RootedForest.build(g, roots=[0])
-    with pytest.raises(GraphError, match="one root per component"):
-        RootedForest.build(g, roots=[0, 1])
-
-
-def test_rooted_forest_rejects_cycles():
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(GraphError, match="acyclic"):
-        RootedForest.build(g)

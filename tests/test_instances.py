@@ -169,13 +169,18 @@ def test_instance_io_round_trip(tmp_path):
         ("p fairdiv 2 1 2\nq 1 2\n", "unknown line type"),
         ("c only a comment\n", "missing 'p fairdiv' header"),
         ("p fairdiv 2 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
+        ("c agents\np fairdiv 3 2 0\ne 1 2\ne 2 3\n", ":2: agent count 0 is below 1"),
+        ("p fairdiv 3 2 -1\ne 1 2\ne 2 3\n", ":1: agent count -1 is below 1"),
+        ('{"n": 3, "bundles": [[0, 1], [2]]}', "'n' is 3 but there are 2 bundles"),
+        ('{"n": "2", "bundles": [[0, 1], [2]]}', "'n' is '2' but there are 2 bundles"),
     ],
 )
 def test_instance_parse_errors(tmp_path, body, message):
     path = tmp_path / "bad.txt"
     path.write_text(body)
+    read = read_allocation if body.startswith("{") else read_instance
     with pytest.raises(ParseError, match=message):
-        read_instance(path)
+        read(path)
 
 
 def test_instance_comments_ignored(tmp_path):
