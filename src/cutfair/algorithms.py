@@ -433,11 +433,25 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
 # forests: EF1 + SO by rooting and peeling
 
 
-def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
+def _forest_parts(g: Graph):
+    """g's core (its non-isolated vertices), the maps back to g and the
+    core's connected components, or None if g has a cycle."""
     core, keep, iso = _split_isolated(g)
     components = core.connected_components()
     if core.num_edges != core.num_vertices - len(components):
+        return None
+    return core, keep, iso, components
+
+
+def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
+    parts = _forest_parts(g)
+    if parts is None:
         raise ValueError("this solver needs an acyclic graph")
+    return _peel_forest(g, n, *parts)
+
+
+def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
+    """solve_forest_ef1_so on the parts of the forest g."""
     if n < 2:
         raise ValueError("need n >= 2")
     if g.num_vertices < n:
@@ -606,15 +620,17 @@ def dispatch_solve(g: Graph, n: int, goal) -> tuple[Allocation, SolveTrace]:
     if goal in (SolveGoal.EF1_SO_FOREST, SolveGoal.EQUITABLE) and n < 2:
         raise GoalInfeasibleError("that guarantee needs n >= 2")
     if goal is SolveGoal.EF1_SO_FOREST:
-        if not g.is_forest():
+        parts = _forest_parts(g)
+        if parts is None:
             raise GoalInfeasibleError("the SO-by-construction solver needs a forest")
-        return solve_forest_ef1_so(g, n)
+        return _peel_forest(g, n, *parts)
     if goal is SolveGoal.EQUITABLE:
         return equitable_cut(g, n)
     if n == 2:
         return greedy_two_agents(g)
-    if g.is_forest() and n >= 2:
-        return solve_forest_ef1_so(g, n)
+    parts = _forest_parts(g) if n >= 2 else None
+    if parts is not None:
+        return _peel_forest(g, n, *parts)
     if n >= 4:
         return solve_ef1_ts_n4(g, n)
     if goal is SolveGoal.EF1_TS and n == 3:

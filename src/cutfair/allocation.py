@@ -191,7 +191,8 @@ def check_so(a: Allocation, g: Graph, max_states: Optional[int] = None) -> Fairn
     """
     _require_complete(a, g, "SO")
     sw = social_welfare(a, g)
-    if sw == 2 * g.num_edges:
+    top = 2 * g.num_edges
+    if sw == top:
         return FairnessReport("SO", True)
     if g.is_forest() and a.n >= 2:
         owner = {}
@@ -199,7 +200,7 @@ def check_so(a: Allocation, g: Graph, max_states: Optional[int] = None) -> Fairn
             for o in b:
                 owner[o] = i
         violations = [
-            {"i": owner[u], "j": owner[v], "item": [u, v], "values": [sw, 2 * g.num_edges]}
+            {"i": owner[u], "j": owner[v], "item": [u, v], "values": [sw, top]}
             for (u, v) in g.edges
             if owner[u] == owner[v]
         ]

@@ -1,8 +1,9 @@
 """Simple undirected graphs over dense 0-indexed vertices.
 
 All valuations in this package are derived from graph cuts, so the graph
-representation is deliberately minimal: an immutable edge list plus sorted
-adjacency lists, with strict validation (no self-loops, no duplicate edges).
+representation is deliberately minimal: sorted adjacency lists and the edge
+count, with strict validation (no self-loops, no duplicate edges); the edge
+list is derived from the adjacency on request.
 """
 
 from __future__ import annotations
@@ -18,37 +19,31 @@ class GraphError(ValueError):
 @dataclass(frozen=True)
 class Graph:
     num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
+    adjacency: tuple[tuple[int, ...], ...]
+    num_edges: int = field(compare=False)  # counted once, by from_edges
 
     @staticmethod
     def from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
-        seen = set()
-        norm = []
-        adj: list[list[int]] = [[] for _ in range(num_vertices)]
+        adj: list[set[int]] = [set() for _ in range(num_vertices)]
+        num_edges = 0
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise GraphError(f"edge ({u}, {v}) out of range for {num_vertices} vertices")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if v in adj[u]:
                 raise GraphError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            norm.append(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        return Graph(
-            num_vertices=num_vertices,
-            edges=tuple(sorted(norm)),
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        )
+            adj[u].add(v)
+            adj[v].add(u)
+            num_edges += 1
+        return Graph(num_vertices, tuple(tuple(sorted(nbrs)) for nbrs in adj), num_edges)
 
     @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (u, v) with u < v, in lexicographic order."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
 
     def degree(self, o: int) -> int:
         if not 0 <= o < self.num_vertices:

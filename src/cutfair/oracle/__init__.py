@@ -9,6 +9,16 @@ come from its welfare optimum (``top_welfare`` and the ``best_*`` fields of
 the matching states) with no table; PO, the Pareto check and leximin are
 built on the kernel's sorted-value-vector tables.
 
+A scan with TS or wTS skips every completion of a prefix whose closed
+vertices already break them (see ``_scan_py``), so the SO scans,
+``max_welfare`` and ``oracle_max_cut`` add the TS bit to their mask.  A
+vertex that breaks TS has fewer neighbours in some other bundle than in its
+own, and moving it there strictly raises the welfare: every welfare maximum
+is TS, and with n = 2, where the kernel's TS is wTS, a locally maximal cut.
+So the TS bit drops no allocation at the top welfare, and the kernel still
+returns that welfare as ``top_welfare``.  The table scans are not pruned, as
+their ``all_vectors`` holds every allocation's vector.
+
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
 identities carry no information.
@@ -223,6 +233,13 @@ def _po_scan(g, n, query: OracleQuery, mask: int):
     return fixed, first, result["matched_count"], set(first) & _undominated(result["all_vectors"])
 
 
+def _mask(query: OracleQuery) -> int:
+    """The kernel mask of a query: its predicates' bits, and TS with SO, as
+    every allocation at the top welfare is TS."""
+    mask = sum(PREDICATES[name].bit for name in query.predicates)
+    return mask | TS if "so" in query.predicates else mask
+
+
 def _answer(g, n, query: OracleQuery, first_only: bool):
     """The fixed vertices of a query, its least matching index (-1 if none)
     and its number of matches, exact unless first_only.  SO reads the
@@ -230,7 +247,7 @@ def _answer(g, n, query: OracleQuery, first_only: bool):
     top welfare of every allocation in range.  Only PO needs the value
     vector of every allocation, and not with SO: every SO vector is
     undominated, as a dominator has the larger sum, so SO+PO is SO."""
-    mask = sum(PREDICATES[name].bit for name in query.predicates)
+    mask = _mask(query)
     so = "so" in query.predicates
     if "po" in query.predicates and not so:
         fixed, first, count, keys = _po_scan(g, n, query, mask)
@@ -276,7 +293,7 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     only): one labelled scan that lists every match.  With PO the canonical
     collect scan comes first and ends the query when no vector qualifies;
     SO keeps the matches at the listing scan's top welfare."""
-    mask = sum(PREDICATES[name].bit for name in query.predicates)
+    mask = _mask(query)
     so = "so" in query.predicates
     keys = None
     if "po" in query.predicates and not so:
@@ -297,7 +314,7 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:
     """Exact maximum utilitarian welfare over all complete n-partitions."""
     max_states = max_states if max_states is not None else DEFAULT_MAX_STATES
-    return _scan(g, n, max_states)[1]["top_welfare"]
+    return _scan(g, n, max_states, TS)[1]["top_welfare"]
 
 
 def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -323,7 +340,7 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
     """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry):
     the first state of the scan to reach its top welfare, twice the cut."""
-    fixed, result = _scan(g, 2, max_states, pin=True)
+    fixed, result = _scan(g, 2, max_states, TS, pin=True)
     return _decode(g, 2, fixed, result["best_index"]), result["best_welfare"] // 2
 
 

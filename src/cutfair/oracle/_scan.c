@@ -11,12 +11,27 @@
  * matching states, best_welfare, best_index (the first state to reach it) and
  * best_count (their weighted count) with no table.  TS and wTS reduce to a
  * per-vertex threshold on the neighbours a vertex has in its own bundle, the
- * crowded array (see _scan_py for the argument).  Unlike the Python kernel's
- * bitmasks, cnt[v][b] counts v's neighbours in bundle b: with fixed vertices a
- * scan may have more than 64 vertices.  The argument lengths are checked;
- * their contents (vertex ids, bundle ids, degrees) are trusted, as the oracle
- * builds them.  The oracle refuses a scan whose n**free reaches 2**63, so
- * every index, count, weight and welfare fits a long long.
+ * crowded array (see _scan_py for the argument).
+ *
+ * That count is final at the vertex's closing position, the largest
+ * free-vertex position among itself and its neighbours.  A scan whose mask has
+ * TS or WTS and that collects no vector tables tests TS/wTS first, walking the
+ * vertices in closing order (the order array), and at the first failing
+ * vertex, with closing position j, skips every completion of digits 0 to j:
+ * the digits after j reset to 0 and digit j advances through the normal
+ * carry.  Only failing states are skipped, so every field but states is
+ * unchanged, except top_welfare, which stays the largest welfare over the
+ * visited states.  That is still the global maximum when the scan is not
+ * first_only and fixes no vertex other than a vertex-0 pin, as every welfare
+ * maximum is TS and wTS.  A collect scan is not pruned: all_vectors holds
+ * every state's vector.  With n = 1 no vertex fails.
+ *
+ * Unlike the Python kernel's bitmasks, cnt[v][b] counts v's neighbours in
+ * bundle b: with fixed vertices a scan may have more than 64 vertices.  The
+ * argument lengths are checked; their contents (vertex ids, bundle ids,
+ * degrees) are trusted, as the oracle builds them.  The oracle refuses a scan
+ * whose n**free reaches 2**63, so every index, count, weight and welfare fits
+ * a long long.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -132,7 +147,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
 
     PyObject *result = NULL, *matches = NULL, *all_vectors = NULL, *matched_first = NULL,
              *matched_count = NULL;
-    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)7 * m + 1 + (size_t)num_arcs));
+    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)10 * m + 1 + (size_t)num_arcs));
     long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)m * n + (size_t)4 * n));
     if (ibuf == NULL || lbuf == NULL) {
         PyErr_NoMemory();
@@ -140,7 +155,8 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     }
     int *indptr = ibuf, *indices = indptr + m + 1, *degrees = indices + num_arcs,
         *assign = degrees + m, *freev = assign + m, *digits = freev + m, *top = digits + m,
-        *crowded = top + m;
+        *crowded = top + m, *position = crowded + m, *closing = position + m,
+        *order = closing + m;
     long long *cnt = lbuf, *values = cnt + (size_t)m * n, *sizes = values + n,
               *minrem = sizes + n, *sortbuf = minrem + n;
 
@@ -163,7 +179,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             goto done;
     }
 
-    int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok;
+    int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok, last, crowdable = 0;
     long long r, key, vmin, vmax, tmp, weight = 1, welfare = 0;
     long long states = 0, matched = 0, first_index = -1;
     long long top_welfare = -1, best_welfare = -1, best_index = -1, best_count = 0;
@@ -206,13 +222,41 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         else
             crowded[v] = deg / 2 + 1;
     }
+    /* each vertex's closing position, and the vertices that can break TS or
+     * wTS in closing order */
+    for (v = 0; v < m; v++)
+        position[v] = -1;
+    for (k = 0; k < f; k++)
+        position[freev[k]] = k;
+    for (v = 0; v < m; v++) {
+        closing[v] = position[v];
+        for (p = indptr[v]; p < indptr[v + 1]; p++)
+            if (position[indices[p]] > closing[v])
+                closing[v] = position[indices[p]];
+    }
+    for (j = -1; j < f; j++)
+        for (v = 0; v < m; v++)
+            if (closing[v] == j && crowded[v] <= degrees[v])
+                order[crowdable++] = v;
 
     for (;;) {
         states += 1;
         if (welfare > top_welfare)
             top_welfare = welfare;
         ok = 1;
-        if (require_mask & NONEMPTY) {
+        last = f - 1; /* the step advances digit last; the digits after it reset to 0 */
+        if (require_mask & (TS | WTS)) {
+            for (i = 0; i < crowdable; i++) {
+                v = order[i];
+                if (cnt[v * n + assign[v]] >= crowded[v]) {
+                    ok = 0;
+                    if (!collect_vectors) /* every completion of digits 0..closing[v] fails */
+                        last = closing[v];
+                    break;
+                }
+            }
+        }
+        if (ok && (require_mask & NONEMPTY)) {
             for (b = 0; b < n; b++) {
                 if (sizes[b] == 0) {
                     ok = 0;
@@ -258,14 +302,6 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                         ok = 0;
                         break;
                     }
-                }
-            }
-        }
-        if (ok && (require_mask & (TS | WTS))) {
-            for (v = 0; v < m; v++) {
-                if (cnt[v * n + assign[v]] >= crowded[v]) {
-                    ok = 0;
-                    break;
                 }
             }
         }
@@ -321,7 +357,9 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             d = digits[k];
             v = freev[k];
             t = top[k];
-            nd = d < t ? d + 1 : 0;
+            nd = d < t && k <= last ? d + 1 : 0;
+            if (nd == d) /* a digit that stays at 0 */
+                continue;
             welfare += 2 * (cnt[v * n + d] - cnt[v * n + nd]);
             values[d] += 2 * cnt[v * n + d] - degrees[v];
             sizes[d] -= 1;

@@ -26,6 +26,23 @@ d - 2 |N(v) & B_j|; when r >= 0 the other bundles hold at most d/2 of its
 neighbours, so every such gain is >= 0, and > 0 when r > 0.  So with n >= 2,
 wTS fails exactly when some vertex has c > d/2, and TS also when some
 c = d/2 > 0 and n >= 3 (with n = 2 the one other bundle then gains 0).
+
+That count is final once the vertex and its neighbours are placed: at the
+vertex's closing position, the largest free-vertex position among itself and
+its neighbours (-1 when all of them are fixed).  So a scan whose mask has TS
+or WTS, and that collects no vector tables, tests TS/wTS first, walking the
+vertices in closing order, and at the first failing vertex, with closing
+position j, skips every completion of digits 0 to j: the digits after j reset
+to 0 and digit j advances through the normal carry (with n = 1 no vertex
+fails).  Only failing states are skipped, so every field but ``states`` is
+unchanged, except ``top_welfare``, which stays the largest welfare over the
+visited states.  A vertex that breaks TS or wTS has fewer neighbours in some
+other bundle than in its own, and moving it there strictly raises the
+welfare, so every welfare maximum is TS and wTS; hence a scan that is not
+``first_only`` and fixes no vertex, or only vertex 0 (any allocation has a
+relabelling with vertex 0 in bundle 0), still visits a global maximum and
+returns it.  A collect scan is not pruned: its ``all_vectors`` holds every
+state's vector.
 """
 
 from __future__ import annotations
@@ -112,6 +129,20 @@ def scan(
         crowded = [max(1, (d + 1) // 2) for d in degrees]
     else:
         crowded = [d // 2 + 1 for d in degrees]
+    # each vertex's closing position, and the vertices that can break TS or
+    # wTS in closing order
+    position = [-1] * num_vertices
+    for k, v in enumerate(free):
+        position[v] = k
+    closing = [
+        max([position[v]] + [position[u] for u in indices[indptr[v] : indptr[v + 1]]])
+        for v in range(num_vertices)
+    ]
+    crowdable = [
+        (nbr[v], v, crowded[v], closing[v])
+        for v in sorted(range(num_vertices), key=closing.__getitem__)
+        if crowded[v] <= degrees[v]
+    ]
 
     matches = [] if list_matches else None
     all_vectors: dict = {}
@@ -128,8 +159,16 @@ def scan(
         if welfare > top_welfare:
             top_welfare = welfare
         ok = True
+        last = f - 1  # the step advances digit last; the digits after it reset to 0
         if require_mask:
-            if require_mask & NONEMPTY:
+            if require_mask & (TS | WTS):
+                for nv, v, t, j in crowdable:
+                    if (nv & member[assign[v]]).bit_count() >= t:
+                        ok = False
+                        if not collect_vectors:  # every completion of digits 0..j fails
+                            last = j
+                        break
+            if ok and require_mask & NONEMPTY:
                 ok = 0 not in member
             if ok and require_mask & EF:
                 ok = min(values) == max(values)
@@ -149,11 +188,6 @@ def scan(
                         else:
                             ok = False
                             break
-            if ok and require_mask & (TS | WTS):
-                for nv, b, t in zip(nbr, assign, crowded):
-                    if (nv & member[b]).bit_count() >= t:
-                        ok = False
-                        break
 
         if ok:
             weight = weights[member.count(0)] if canonical else 1
@@ -188,7 +222,10 @@ def scan(
             d = digits[k]
             v = free[k]
             t = top[k]
-            nd = d + 1 if d < t else 0
+            nd = d + 1 if d < t and k <= last else 0
+            if nd == d:  # a digit that stays at 0
+                k -= 1
+                continue
             # incremental move of v from bundle d to nd
             nv = nbr[v]
             deg = degrees[v]

@@ -300,6 +300,11 @@ def test_forest_solver_finds_the_components_once(monkeypatch):
         calls.clear()
         solve_forest_ef1_so(g, n)
         assert len(calls) == 1, n
+    # dispatch_solve routes fig1, a forest, to the same solver
+    for n, goal in ((3, SolveGoal.EF1_SO_FOREST), (3, SolveGoal.EF1_WTS), (4, SolveGoal.EF1_TS)):
+        calls.clear()
+        _, trace = dispatch_solve(gen_fig1().graph, n, goal)
+        assert (trace.guarantee, len(calls)) == ("EF1+SO+TS", 1), goal
 
 
 def test_forest_solver_isolated_and_tiny_components():

@@ -9,6 +9,9 @@ def test_from_edges_basic():
     assert g.num_edges == 3
     assert g.edges == ((0, 1), (0, 3), (1, 2))
     assert g.adjacency == ((1, 3), (0, 2), (1,), (0,))
+    # equal graphs have equal adjacency, whatever the order of their edges
+    assert g == Graph.from_edges(4, [(0, 3), (1, 0), (1, 2)])
+    assert g != Graph.from_edges(4, [(0, 1), (2, 1)])
 
 
 def test_from_edges_rejects_self_loop():

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -394,6 +395,121 @@ def test_welfare_fields_equal_brute_force(case):
             result["best_index"],
             result["best_count"],
         ) == (max(welfare[:states]), best, min(at_best, default=-1), len(at_best))
+
+
+PRUNED_LIMIT = 1024  # largest n**free the pruning test checks state by state
+
+
+@st.composite
+def pruned_scans(draw):
+    """A kernel scan whose mask has TS or WTS, maybe with other bits, on a
+    graph with 0-6 vertices and 1-4 bundles: canonical, labelled,
+    vertex-0-pinned or with random fixed vertices, with or without
+    first_only and the list of matches."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=max(k for k in range(7) if n**k <= PRUNED_LIMIT)))
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    mask = draw(st.sampled_from([TS, WTS, TS | WTS]))
+    mask |= sum(draw(st.sets(st.sampled_from([NONEMPTY, EF, EF1, ALPHA_EF1]))))
+    alpha = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+    mode = draw(st.sampled_from(["canonical", "labelled", "pinned", "fixed"]))
+    fixed = [-1] * m
+    if mode == "pinned" and m:
+        fixed[0] = 0
+    if mode == "fixed":
+        fixed = draw(st.lists(st.integers(min_value=-1, max_value=n - 1), min_size=m, max_size=m))
+    first_only, list_matches = draw(st.booleans()), draw(st.booleans())
+    return Graph.from_edges(m, edges), n, fixed, mask, alpha, mode == "canonical", first_only, list_matches
+
+
+def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
+    """The fields of a scan from the exact checkers, state by state: every
+    labelled index in range, decoded, in order (in canonical mode only the
+    restricted growth strings, each matching one counting its labellings),
+    up to the first match if first_only.  Also the number of states."""
+    q = query(alpha=alpha)
+    checks = [p.check for p in oracle.PREDICATES.values() if p.bit & mask]
+    free = fixed.count(-1)
+    ref = {"matched": 0, "first_index": -1, "best_welfare": -1, "best_index": -1, "best_count": 0}
+    ref["matches"], ref["top_welfare"], states = [], -1, 0
+    for index in range(n**free):
+        digits = [index // n ** (free - 1 - k) % n for k in range(free)]
+        if canonical and any(d > max(digits[:k], default=-1) + 1 for k, d in enumerate(digits)):
+            continue
+        states += 1
+        a = oracle._decode(g, n, fixed, index)
+        welfare = sum(bundle_values(a, g))
+        ref["top_welfare"] = max(ref["top_welfare"], welfare)
+        if not all(check(a, g, q).holds for check in checks):
+            continue
+        weight = perm(n, len(set(digits))) if canonical else 1
+        ref["matched"] += weight
+        ref["matches"].append(index)
+        if ref["first_index"] < 0:
+            ref["first_index"] = index
+        if welfare > ref["best_welfare"]:
+            ref["best_welfare"], ref["best_index"], ref["best_count"] = welfare, index, 0
+        if welfare == ref["best_welfare"]:
+            ref["best_count"] += weight
+        if first_only:
+            break
+    return ref, states
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=pruned_scans())
+def test_pruned_scans_equal_brute_force(compiled_scan, case):
+    """Both kernels, which skip the completions of a prefix that breaks TS or
+    wTS, return the matches, counts, witnesses and welfare optimum of the
+    unpruned scan, and visit no more states.  top_welfare is compared where
+    it is defined: not first_only, and no vertex fixed but vertex 0."""
+    g, n, fixed, mask, alpha, canonical, first_only, list_matches = case
+    ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only)
+    fields = ["matched", "first_index", "best_welfare", "best_index", "best_count"]
+    if list_matches:
+        fields.append("matches")
+    if not first_only and max(fixed[1:], default=-1) < 0:
+        fields.append("top_welfare")
+    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, False, list_matches, canonical)
+    for kernel in (scan_python, compiled_scan):
+        result = kernel(*call)
+        assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}
+        assert result["states"] <= states
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"])
+def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
+    """The TS-pruned scans of ef1+ts on fig3 with d = 9 and n = 3, which no
+    allocation satisfies, and of one oracle_max_cut call visit these many
+    states, against every restricted growth string unpruned."""
+    scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
+    g = gen_fig3(9).graph
+    visited = [
+        scan(*oracle._kernel_args(g, 3, [-1] * 11, mask, canonical=True))["states"]
+        for mask in (EF1 | TS, EF1)
+    ]
+    assert visited == [531, 29_525]
+    g = gen_random_graph(16, 0.3, 5).graph
+    results = []
+    monkeypatch.setattr(oracle, "scan", lambda *args: results.append(scan(*args)) or results[-1])
+    oracle.oracle_max_cut(g)
+    full = scan(*oracle._kernel_args(g, 2, [-1] * 16, canonical=True))
+    assert [r["states"] for r in results] + [full["states"]] == [3_880, 32_768]
+
+
+def test_welfare_scans_add_the_ts_bit(monkeypatch):
+    """oracle_max_cut, max_welfare and the scans of SO queries add TS to
+    their mask, so that the kernel prunes them: every allocation at the top
+    welfare is TS."""
+    masks = []
+    monkeypatch.setattr(oracle, "scan", lambda *args: masks.append(args[6]) or scan_python(*args))
+    g = gen_fig3(3).graph
+    oracle.oracle_max_cut(g)
+    oracle.max_welfare(g, 3)
+    oracle.oracle_count(g, 3, query("ef1", "so"))
+    oracle.oracle_find_all(g, 3, query("so"))
+    assert masks == [TS, TS, EF1 | TS, TS]
 
 
 def parity_cases():
