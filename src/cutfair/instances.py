@@ -212,6 +212,8 @@ def read_instance(path) -> Instance:
             if not parts or parts[0] == "c":
                 continue
             if parts[0] == "p":
+                if m is not None:
+                    raise ParseError(path, lineno, "second 'p fairdiv' header")
                 if len(parts) != 5 or parts[1] != "fairdiv":
                     raise ParseError(path, lineno, "expected 'p fairdiv <m> <edges> <n>'")
                 try:
@@ -275,6 +277,9 @@ def read_allocation(path) -> Allocation:
         isinstance(b, list) and all(type(o) is int for o in b) for b in bundles
     ):
         raise ParseError(path, 0, "'bundles' must be a list of lists of vertex ids")
+    for i, b in enumerate(bundles):
+        if len(set(b)) < len(b):
+            raise ParseError(path, 0, f"bundle {i} lists a vertex twice")
     if "n" in doc and doc["n"] != len(bundles):
         raise ParseError(path, 0, f"'n' is {doc['n']!r} but there are {len(bundles)} bundles")
     return Allocation.of(bundles)

@@ -10,14 +10,19 @@ the matching states) with no table; PO, the Pareto check and leximin are
 built on the kernel's sorted-value-vector tables.
 
 A scan with TS or wTS skips every completion of a prefix whose closed
-vertices already break them (see ``_scan_py``), so the SO scans,
-``max_welfare`` and ``oracle_max_cut`` add the TS bit to their mask.  A
-vertex that breaks TS has fewer neighbours in some other bundle than in its
-own, and moving it there strictly raises the welfare: every welfare maximum
-is TS, and with n = 2, where the kernel's TS is wTS, a locally maximal cut.
-So the TS bit drops no allocation at the top welfare, and the kernel still
-returns that welfare as ``top_welfare``.  The table scans are not pruned, as
-their ``all_vectors`` holds every allocation's vector.
+vertices already break them (see ``_scan_py``), so every scan that reads the
+welfare optimum or value vectors carries the TS bit: the SO and PO scans,
+``max_welfare``, ``oracle_max_cut``, ``oracle_pareto`` and
+``oracle_leximin``.  A vertex that breaks TS has fewer neighbours in some
+other bundle than in its own, and moving it there raises that bundle's value
+without lowering its own, so the move is a Pareto improvement that strictly
+raises the welfare.  Every welfare maximum is TS (with n = 2, where the
+kernel's TS is wTS, a locally maximal cut), and so is every allocation whose
+value vector no other one dominates, the leximin ones included.  So the TS
+bit drops no allocation at the top welfare or with an undominated vector:
+the kernel still returns the top welfare as ``top_welfare``, and its
+``all_vectors``, which holds only the TS allocations' vectors, keeps every
+undominated vector at its least index.
 
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
@@ -234,10 +239,11 @@ def _po_scan(g, n, query: OracleQuery, mask: int):
 
 
 def _mask(query: OracleQuery) -> int:
-    """The kernel mask of a query: its predicates' bits, and TS with SO, as
-    every allocation at the top welfare is TS."""
+    """The kernel mask of a query: its predicates' bits, and TS with SO or
+    PO, as every allocation at the top welfare or with an undominated value
+    vector is TS."""
     mask = sum(PREDICATES[name].bit for name in query.predicates)
-    return mask | TS if "so" in query.predicates else mask
+    return mask | TS if query.predicates & {"so", "po"} else mask
 
 
 def _answer(g, n, query: OracleQuery, first_only: bool):
@@ -324,7 +330,7 @@ def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX
     if not a.is_complete(g):
         raise ValueError("Pareto check requires a complete allocation")
     mine = tuple(sorted(bundle_values(a, g)))
-    vectors = _scan(g, n, max_states, collect=("all_vectors",))[1]["all_vectors"]
+    vectors = _scan(g, n, max_states, TS, collect=("all_vectors",))[1]["all_vectors"]
     return not any(_dominates(v, mine) for v in vectors)
 
 
@@ -332,7 +338,7 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
     """Allocation whose sorted value vector is lexicographically maximal; first
     in enumeration order on ties.  ``threads`` must be 1."""
     _require_one_thread(threads)
-    fixed, result = _scan(g, n, max_states, collect=("all_vectors",))
+    fixed, result = _scan(g, n, max_states, TS, collect=("all_vectors",))
     vectors = result["all_vectors"]
     return _decode(g, n, fixed, vectors[max(vectors)])
 

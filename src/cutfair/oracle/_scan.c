@@ -15,16 +15,17 @@
  *
  * That count is final at the vertex's closing position, the largest
  * free-vertex position among itself and its neighbours.  A scan whose mask has
- * TS or WTS and that collects no vector tables tests TS/wTS first, walking the
- * vertices in closing order (the order array), and at the first failing
- * vertex, with closing position j, skips every completion of digits 0 to j:
- * the digits after j reset to 0 and digit j advances through the normal
- * carry.  Only failing states are skipped, so every field but states is
- * unchanged, except top_welfare, which stays the largest welfare over the
- * visited states.  That is still the global maximum when the scan is not
- * first_only and fixes no vertex other than a vertex-0 pin, as every welfare
- * maximum is TS and wTS.  A collect scan is not pruned: all_vectors holds
- * every state's vector.  With n = 1 no vertex fails.
+ * TS or WTS tests TS/wTS first, walking the vertices in closing order (the
+ * order array), and at the first failing vertex, with closing position j, goes
+ * straight to the step, which skips every completion of digits 0 to j: the
+ * digits after j reset to 0 and digit j advances through the normal carry.
+ * Only failing states are skipped, so every field but states is unchanged,
+ * except top_welfare, which stays the largest welfare over the visited states,
+ * and all_vectors, which holds the vectors of the states that pass the TS/wTS
+ * test.  As every welfare maximum and every undominated value vector is TS and
+ * wTS, top_welfare is still the global maximum when the scan is not first_only
+ * and fixes no vertex other than a vertex-0 pin, and all_vectors still holds
+ * every undominated vector.  With n = 1 no vertex fails.
  *
  * Unlike the Python kernel's bitmasks, cnt[v][b] counts v's neighbours in
  * bundle b: with fixed vertices a scan may have more than 64 vertices.  The
@@ -236,27 +237,23 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     }
     for (j = -1; j < f; j++)
         for (v = 0; v < m; v++)
-            if (closing[v] == j && crowded[v] <= degrees[v])
+            if (closing[v] == j && crowded[v] <= degrees[v] && (require_mask & (TS | WTS)))
                 order[crowdable++] = v;
 
     for (;;) {
         states += 1;
         if (welfare > top_welfare)
             top_welfare = welfare;
-        ok = 1;
         last = f - 1; /* the step advances digit last; the digits after it reset to 0 */
-        if (require_mask & (TS | WTS)) {
-            for (i = 0; i < crowdable; i++) {
-                v = order[i];
-                if (cnt[v * n + assign[v]] >= crowded[v]) {
-                    ok = 0;
-                    if (!collect_vectors) /* every completion of digits 0..closing[v] fails */
-                        last = closing[v];
-                    break;
-                }
+        for (i = 0; i < crowdable; i++) {
+            v = order[i];
+            if (cnt[v * n + assign[v]] >= crowded[v]) {
+                last = closing[v]; /* every completion of digits 0..last fails */
+                goto step;
             }
         }
-        if (ok && (require_mask & NONEMPTY)) {
+        ok = 1;
+        if (require_mask & NONEMPTY) {
             for (b = 0; b < n; b++) {
                 if (sizes[b] == 0) {
                     ok = 0;
@@ -327,11 +324,8 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                 }
                 Py_DECREF(idx);
             }
-            if (first_index < 0) {
+            if (first_index < 0)
                 first_index = labelled_index(digits, f, n);
-                if (first_only && !collect_vectors)
-                    break;
-            }
         }
         if (collect_vectors) {
             for (b = 0; b < n; b++)
@@ -349,10 +343,13 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                               ok, weight) < 0)
                 goto done;
         }
+        if (ok && first_only)
+            break;
 
         /* Step to the next index: increment the digits of the free vertices,
          * digit k up to top[k], moving each changed vertex from bundle d to
          * nd. */
+step:
         for (k = f - 1; k >= 0; k--) {
             d = digits[k];
             v = freev[k];

@@ -30,19 +30,22 @@ c = d/2 > 0 and n >= 3 (with n = 2 the one other bundle then gains 0).
 That count is final once the vertex and its neighbours are placed: at the
 vertex's closing position, the largest free-vertex position among itself and
 its neighbours (-1 when all of them are fixed).  So a scan whose mask has TS
-or WTS, and that collects no vector tables, tests TS/wTS first, walking the
-vertices in closing order, and at the first failing vertex, with closing
-position j, skips every completion of digits 0 to j: the digits after j reset
-to 0 and digit j advances through the normal carry (with n = 1 no vertex
-fails).  Only failing states are skipped, so every field but ``states`` is
-unchanged, except ``top_welfare``, which stays the largest welfare over the
-visited states.  A vertex that breaks TS or wTS has fewer neighbours in some
-other bundle than in its own, and moving it there strictly raises the
-welfare, so every welfare maximum is TS and wTS; hence a scan that is not
-``first_only`` and fixes no vertex, or only vertex 0 (any allocation has a
-relabelling with vertex 0 in bundle 0), still visits a global maximum and
-returns it.  A collect scan is not pruned: its ``all_vectors`` holds every
-state's vector.
+or WTS tests TS/wTS first, walking the vertices in closing order, and at the
+first failing vertex, with closing position j, skips every completion of
+digits 0 to j: the digits after j reset to 0 and digit j advances through the
+normal carry (with n = 1 no vertex fails).  The failing state itself goes
+straight to the step.  Only failing states are skipped, so every field but
+``states`` is unchanged, except ``top_welfare``, which stays the largest
+welfare over the visited states, and ``all_vectors``, which holds the vectors
+of the states that pass the TS/wTS test (every state's when the mask has
+neither bit).  A vertex that breaks TS or wTS has fewer neighbours in some
+other bundle than in its own, and moving it there raises that bundle's value
+without lowering its own: a Pareto improvement that strictly raises the
+welfare.  So every welfare maximum and every undominated value vector is TS
+and wTS; hence a scan that is not ``first_only`` and fixes no vertex, or only
+vertex 0 (any allocation has a relabelling with vertex 0 in bundle 0), still
+visits a global maximum and returns it, and its ``all_vectors`` still holds
+every undominated vector.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def scan(
       best_count      -- number of labelled matching states at best_welfare
       matches         -- index of every matching state visited, in scan order
                          (list_matches only)
-      all_vectors     -- {packed sorted value vector: least index} (collect only)
+      all_vectors     -- {packed sorted value vector: least index} over the visited
+                         states that pass the TS/WTS bits of require_mask (collect only)
       matched_first   -- same, restricted to matching states (collect only)
       matched_count   -- {packed vector: labelled matching-state count} (collect only)
     """
@@ -141,7 +145,7 @@ def scan(
     crowdable = [
         (nbr[v], v, crowded[v], closing[v])
         for v in sorted(range(num_vertices), key=closing.__getitem__)
-        if crowded[v] <= degrees[v]
+        if require_mask & (TS | WTS) and crowded[v] <= degrees[v]
     ]
 
     matches = [] if list_matches else None
@@ -158,36 +162,32 @@ def scan(
         states += 1
         if welfare > top_welfare:
             top_welfare = welfare
-        ok = True
-        last = f - 1  # the step advances digit last; the digits after it reset to 0
-        if require_mask:
-            if require_mask & (TS | WTS):
-                for nv, v, t, j in crowdable:
-                    if (nv & member[assign[v]]).bit_count() >= t:
-                        ok = False
-                        if not collect_vectors:  # every completion of digits 0..j fails
-                            last = j
-                        break
-            if ok and require_mask & NONEMPTY:
-                ok = 0 not in member
-            if ok and require_mask & EF:
-                ok = min(values) == max(values)
-            if ok and require_mask & (EF1 | ALPHA_EF1):
-                vmin = min(values)
-                cap = vmin if require_mask & EF1 else alpha_den * vmin // alpha_num
-                for b in range(n):
-                    if values[b] > vmin:  # some vertex of b must take it down to cap
-                        need = values[b] - cap
-                        mb = rest = member[b]
-                        while rest:
-                            low = rest & -rest
-                            v = low.bit_length() - 1
-                            if degrees[v] - 2 * (nbr[v] & mb).bit_count() >= need:
-                                break
-                            rest ^= low
-                        else:
-                            ok = False
+        last = f  # the step advances no digit after last
+        for nv, v, t, j in crowdable:
+            if (nv & member[assign[v]]).bit_count() >= t:
+                last = j  # every completion of digits 0..j fails: the digits after j reset to 0
+                break
+        ok = last == f  # a state that breaks TS or wTS goes straight to the step
+        if ok and require_mask & NONEMPTY:
+            ok = 0 not in member
+        if ok and require_mask & EF:
+            ok = min(values) == max(values)
+        if ok and require_mask & (EF1 | ALPHA_EF1):
+            vmin = min(values)
+            cap = vmin if require_mask & EF1 else alpha_den * vmin // alpha_num
+            for b in range(n):
+                if values[b] > vmin:  # some vertex of b must take it down to cap
+                    need = values[b] - cap
+                    mb = rest = member[b]
+                    while rest:
+                        low = rest & -rest
+                        v = low.bit_length() - 1
+                        if degrees[v] - 2 * (nbr[v] & mb).bit_count() >= need:
                             break
+                        rest ^= low
+                    else:
+                        ok = False
+                        break
 
         if ok:
             weight = weights[member.count(0)] if canonical else 1
@@ -202,9 +202,7 @@ def scan(
                 matches.append(_index(digits, n))
             if first_index < 0:
                 first_index = _index(digits, n)
-                if first_only and not collect_vectors:
-                    break
-        if collect_vectors:
+        if collect_vectors and last == f:
             key = 0
             for v in sorted(values):
                 key = (key << shift) | v
@@ -216,6 +214,8 @@ def scan(
                     matched_count[key] = weight
                 else:
                     matched_count[key] += weight
+        if ok and first_only:
+            break
 
         k = f - 1
         while k >= 0:

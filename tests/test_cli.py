@@ -198,9 +198,9 @@ def test_value_error_inside_a_solver_is_an_internal_error(capsys, monkeypatch):
 def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path):
     alloc_path = tmp_path / "alloc.json"
     write_allocation(Allocation.of([{0, 4}, {1}]), alloc_path)
-    # bundles whose entries are not integer vertex ids
+    # bundles whose entries are not integer vertex ids, or list one twice
     bad_paths = []
-    for k, bundles in enumerate(([["a"], [1]], [[0.5], [1]], [[True], [1]], "01", [0, 1])):
+    for k, bundles in enumerate(([["a"], [1]], [[0.5], [1]], [[True], [1]], "01", [0, 1], [[0, 0], [1]])):
         bad_paths.append(tmp_path / f"bad{k}.json")
         bad_paths[-1].write_text(json.dumps({"bundles": bundles}))
     unwritable = str(tmp_path / "missing" / "x.json")

@@ -171,6 +171,8 @@ def test_instance_io_round_trip(tmp_path):
         ("p fairdiv 2 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
         ("c agents\np fairdiv 3 2 0\ne 1 2\ne 2 3\n", ":2: agent count 0 is below 1"),
         ("p fairdiv 3 2 -1\ne 1 2\ne 2 3\n", ":1: agent count -1 is below 1"),
+        ("p fairdiv 3 1 2\ne 1 2\np fairdiv 4 1 3\n", ":3: second 'p fairdiv' header"),
+        ('{"bundles": [[0, 0], [1]]}', "bundle 0 lists a vertex twice"),
         ('{"n": 3, "bundles": [[0, 1], [2]]}', "'n' is 3 but there are 2 bundles"),
         ('{"n": "2", "bundles": [[0, 1], [2]]}', "'n' is '2' but there are 2 bundles"),
     ],

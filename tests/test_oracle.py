@@ -25,6 +25,7 @@ from cutfair.instances import (
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,
+    gen_fig1,
     gen_fig3,
     gen_path,
     gen_random_graph,
@@ -327,7 +328,8 @@ def labelled_queries(draw):
 def test_canonical_oracle_equals_one_labelled_scan(case):
     """Counts, witnesses and value-vector tables of the canonical enumeration
     equal those of one Python-kernel scan over every labelled state (the
-    vertex-0-pinned ones with symmetry)."""
+    vertex-0-pinned ones with symmetry).  all_vectors depends on the mask
+    only through its TS and WTS bits."""
     g, n, preds, alpha, symmetry = case
     q = query(*preds, alpha=alpha, symmetry=symmetry)
     m = g.num_vertices
@@ -347,8 +349,9 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
     expected = [{unpack(key): v for key, v in ref[t].items()} for t in tables]
     scanned, result = oracle._scan(g, n, q.max_states, mask, pin=symmetry, alpha=alpha, collect=tables)
     assert (scanned, [result[t] for t in tables]) == (fixed, expected)
-    vectors = oracle._scan(g, n, q.max_states, pin=symmetry, collect=("all_vectors",))[1]["all_vectors"]
-    assert vectors == expected[0]
+    stable = mask & (TS | WTS)
+    vectors = oracle._scan(g, n, q.max_states, stable, pin=symmetry, collect=("all_vectors",))[1]
+    assert vectors["all_vectors"] == expected[0]
 
 
 @st.composite
@@ -419,20 +422,26 @@ def pruned_scans(draw):
         fixed[0] = 0
     if mode == "fixed":
         fixed = draw(st.lists(st.integers(min_value=-1, max_value=n - 1), min_size=m, max_size=m))
-    first_only, list_matches = draw(st.booleans()), draw(st.booleans())
-    return Graph.from_edges(m, edges), n, fixed, mask, alpha, mode == "canonical", first_only, list_matches
+    first_only, list_matches, collect = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    canonical = mode == "canonical"
+    return Graph.from_edges(m, edges), n, fixed, mask, alpha, canonical, first_only, list_matches, collect
 
 
 def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
     """The fields of a scan from the exact checkers, state by state: every
     labelled index in range, decoded, in order (in canonical mode only the
     restricted growth strings, each matching one counting its labellings),
-    up to the first match if first_only.  Also the number of states."""
+    up to the first match if first_only.  The value-vector tables, packed as
+    the kernels pack them, hold the states that pass the mask's TS and WTS
+    bits (all_vectors) and the matching ones.  Also the number of states."""
     q = query(alpha=alpha)
     checks = [p.check for p in oracle.PREDICATES.values() if p.bit & mask]
+    stable = [p.check for p in oracle.PREDICATES.values() if p.bit & mask & (TS | WTS)]
     free = fixed.count(-1)
+    shift = oracle._shift(g)
     ref = {"matched": 0, "first_index": -1, "best_welfare": -1, "best_index": -1, "best_count": 0}
     ref["matches"], ref["top_welfare"], states = [], -1, 0
+    ref["all_vectors"], ref["matched_first"], ref["matched_count"] = {}, {}, {}
     for index in range(n**free):
         digits = [index // n ** (free - 1 - k) % n for k in range(free)]
         if canonical and any(d > max(digits[:k], default=-1) + 1 for k, d in enumerate(digits)):
@@ -441,9 +450,16 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
         a = oracle._decode(g, n, fixed, index)
         welfare = sum(bundle_values(a, g))
         ref["top_welfare"] = max(ref["top_welfare"], welfare)
+        key = 0
+        for value in sorted(bundle_values(a, g)):
+            key = key << shift | value
+        if all(check(a, g, q).holds for check in stable):
+            ref["all_vectors"].setdefault(key, index)
         if not all(check(a, g, q).holds for check in checks):
             continue
         weight = perm(n, len(set(digits))) if canonical else 1
+        ref["matched_first"].setdefault(key, index)
+        ref["matched_count"][key] = ref["matched_count"].get(key, 0) + weight
         ref["matched"] += weight
         ref["matches"].append(index)
         if ref["first_index"] < 0:
@@ -461,17 +477,20 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
 @given(case=pruned_scans())
 def test_pruned_scans_equal_brute_force(compiled_scan, case):
     """Both kernels, which skip the completions of a prefix that breaks TS or
-    wTS, return the matches, counts, witnesses and welfare optimum of the
-    unpruned scan, and visit no more states.  top_welfare is compared where
-    it is defined: not first_only, and no vertex fixed but vertex 0."""
-    g, n, fixed, mask, alpha, canonical, first_only, list_matches = case
+    wTS, return the matches, counts, witnesses, welfare optimum and
+    value-vector tables of the unpruned scan, and visit no more states.
+    top_welfare is compared where it is defined: not first_only, and no
+    vertex fixed but vertex 0."""
+    g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect = case
     ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only)
     fields = ["matched", "first_index", "best_welfare", "best_index", "best_count"]
     if list_matches:
         fields.append("matches")
+    if collect:
+        fields += ["all_vectors", "matched_first", "matched_count"]
     if not first_only and max(fixed[1:], default=-1) < 0:
         fields.append("top_welfare")
-    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, False, list_matches, canonical)
+    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, collect, list_matches, canonical)
     for kernel in (scan_python, compiled_scan):
         result = kernel(*call)
         assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}
@@ -481,8 +500,10 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
 @pytest.mark.parametrize("kernel", ["python", "compiled"])
 def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     """The TS-pruned scans of ef1+ts on fig3 with d = 9 and n = 3, which no
-    allocation satisfies, and of one oracle_max_cut call visit these many
-    states, against every restricted growth string unpruned."""
+    allocation satisfies, of one oracle_max_cut call, and of the collect
+    scans of the criterion-10 Pareto check (fig1, n = 7) and of an ef1+po
+    count visit these many states, against every restricted growth string
+    unpruned."""
     scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
     g = gen_fig3(9).graph
     visited = [
@@ -490,18 +511,26 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
         for mask in (EF1 | TS, EF1)
     ]
     assert visited == [531, 29_525]
-    g = gen_random_graph(16, 0.3, 5).graph
+    cases = [
+        (gen_random_graph(16, 0.3, 5).graph, 2),
+        (gen_fig1().graph, 7),
+        (gen_random_graph(10, 0.4, 3).graph, 3),
+    ]
     results = []
     monkeypatch.setattr(oracle, "scan", lambda *args: results.append(scan(*args)) or results[-1])
-    oracle.oracle_max_cut(g)
-    full = scan(*oracle._kernel_args(g, 2, [-1] * 16, canonical=True))
-    assert [r["states"] for r in results] + [full["states"]] == [3_880, 32_768]
+    oracle.oracle_max_cut(cases[0][0])
+    oracle.oracle_pareto(Allocation.of([{0, 4}, {1}, {2}, {3}, {5}, {6}, {7}]), *cases[1])
+    oracle.oracle_count(*cases[2], query("ef1", "po"))
+    full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, canonical=True)) for g, n in cases]
+    assert [r["states"] for r in results] == [3_880, 1_425, 3_222]
+    assert [r["states"] for r in full] == [32_768, 4_139, 9_842]
 
 
 def test_welfare_scans_add_the_ts_bit(monkeypatch):
-    """oracle_max_cut, max_welfare and the scans of SO queries add TS to
-    their mask, so that the kernel prunes them: every allocation at the top
-    welfare is TS."""
+    """oracle_max_cut, max_welfare, the scans of SO and PO queries, the
+    Pareto check and leximin add TS to their mask, so that the kernel prunes
+    them: every allocation at the top welfare or with an undominated value
+    vector is TS."""
     masks = []
     monkeypatch.setattr(oracle, "scan", lambda *args: masks.append(args[6]) or scan_python(*args))
     g = gen_fig3(3).graph
@@ -509,7 +538,9 @@ def test_welfare_scans_add_the_ts_bit(monkeypatch):
     oracle.max_welfare(g, 3)
     oracle.oracle_count(g, 3, query("ef1", "so"))
     oracle.oracle_find_all(g, 3, query("so"))
-    assert masks == [TS, TS, EF1 | TS, TS]
+    oracle.oracle_count(g, 3, query("ef1", "po"))
+    oracle.oracle_pareto(oracle.oracle_leximin(g, 3), g, 3)
+    assert masks == [TS, TS, EF1 | TS, TS, EF1 | TS, TS, TS]
 
 
 def parity_cases():
