@@ -3,7 +3,9 @@
 Every solver runs on a fixed set of seeded inputs, and the solver corpus
 records what it returned: the bundles, ``iterations``, ``case_counts()``, the
 potential and welfare histories, the guarantee string and a sha256 of
-``repr(trace.snapshots)``.  The oracle corpus records the witnesses and
+``repr(trace.snapshots + trace.bundle_snapshots())``: the general solvers'
+(tag, potential) pairs or forest peeling's (tag, bundles) pairs, as one
+of the two is always empty.  The oracle corpus records the witnesses and
 counts of every predicate pair (symmetry off and on), ``oracle_find_all``,
 ``max_welfare``, ``oracle_leximin``, ``oracle_max_cut``, ``oracle_pareto``
 and ``oracle_completable_ef1`` on the oracle instances of repro criteria 1,
@@ -72,7 +74,9 @@ def record(graph: Graph, case: dict) -> dict:
         "potential_history": [list(p) for p in trace.potential_history],
         "welfare_history": list(trace.welfare_history),
         "guarantee": trace.guarantee,
-        "snapshots_sha256": hashlib.sha256(repr(trace.snapshots).encode()).hexdigest(),
+        "snapshots_sha256": hashlib.sha256(
+            repr(trace.snapshots + trace.bundle_snapshots()).encode()
+        ).hexdigest(),
     }
 
 

@@ -53,15 +53,47 @@ class SolveGoal(enum.Enum):
 
 @dataclass
 class SolveTrace:
+    """What a solve did.
+
+    - ``iterations``: the steps (moves or loop iterations) the solver took.
+    - ``case_history``: the case tag of each step, for the solvers with cases.
+    - ``potential_history`` and ``welfare_history``: the potential and the
+      welfare of every recorded state, in order.
+    - ``guarantee``: the properties the returned allocation is proved to have.
+    - ``snapshots``: the general solvers' ``(tag, potential)`` pairs, one per
+      case step; empty for forest peeling.
+    - ``placements`` and ``peel_steps``: forest peeling's log.  Each placed
+      vertex appears once in ``placements`` as ``(vertex, bundle)``; each
+      iteration appends ``(tag, bundle order, number placed so far)`` to
+      ``peel_steps``.  ``bundle_snapshots()`` rebuilds the bundles from them.
+    """
+
     iterations: int = 0
     case_history: list[str] = field(default_factory=list)
     potential_history: list[Potential] = field(default_factory=list)
     welfare_history: list[int] = field(default_factory=list)
     guarantee: str = ""
     snapshots: list = field(default_factory=list)
+    placements: list[tuple[int, int]] = field(default_factory=list)
+    peel_steps: list[tuple[str, tuple[int, ...], int]] = field(default_factory=list)
 
     def case_counts(self) -> dict[str, int]:
         return dict(Counter(self.case_history))
+
+    def bundle_snapshots(self) -> list[tuple[str, list[list[int]]]]:
+        """Forest peeling's ``(tag, bundles)`` after each iteration, the
+        bundles sorted and listed in that iteration's order.  Peeling only
+        places vertices, so the bundles after an iteration are the
+        placements made so far, grouped by bundle."""
+        members: dict[int, list[int]] = {}
+        out = []
+        done = 0
+        for tag, order, placed in self.peel_steps:
+            for v, b in self.placements[done:placed]:
+                members.setdefault(b, []).append(v)
+            done = placed
+            out.append((tag, [sorted(members.get(b, ())) for b in order]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +527,11 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
     def best_root(candidates):
         return min(candidates, key=lambda r: (-deg[r], r))
 
+    placements = trace.placements
+
     def allocate(v, b):
         stats.apply_move(v, None, b)
+        placements.append((keep[v], b))
         del frontier[v]
         for c in adj[v]:
             if stats.assignment[c] is None:
@@ -584,9 +619,7 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
                 ))
                 tag = "3"
         trace.case_history.append(tag)
-        trace.snapshots.append(
-            (tag, [[keep[o] for o in sorted(stats.members[b])] for b in order])
-        )
+        trace.peel_steps.append((tag, tuple(order), len(placements)))
 
     _step(stats, order, trace)
     if any(x is None for x in stats.assignment):

@@ -43,12 +43,18 @@ class UsageError(ValueError):
 def _max_states(args) -> int:
     """--max-states, else FAIRDIV_MAX_STATES, else the oracle's default cap."""
     if args.max_states is not None:
-        return args.max_states
-    env = os.environ.get("FAIRDIV_MAX_STATES")
-    try:
-        return int(env) if env else oracle.DEFAULT_MAX_STATES
-    except ValueError:
-        raise UsageError(f"FAIRDIV_MAX_STATES must be an integer, got {env!r}") from None
+        source, cap = "--max-states", args.max_states
+    else:
+        env = os.environ.get("FAIRDIV_MAX_STATES")
+        if not env:
+            return oracle.DEFAULT_MAX_STATES
+        try:
+            source, cap = "FAIRDIV_MAX_STATES", int(env)
+        except ValueError:
+            raise UsageError(f"FAIRDIV_MAX_STATES must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise UsageError(f"{source} must not be negative, got {cap}")
+    return cap
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:

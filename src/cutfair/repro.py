@@ -239,7 +239,7 @@ def criterion_5(ctx: ReproContext) -> CriterionResult:
         g = gen_random_forest(m, trees, rng.next_u64()).graph
         a, trace = solve_forest_ef1_so(g, n)
         ok = not monochromatic_edges(a, g) and check_ef1(a, g).holds
-        for _, bundles in trace.snapshots:
+        for _, bundles in trace.bundle_snapshots():
             if not check_ef1(Allocation.of(bundles), g).holds:
                 ok = False
         if not ok:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cutfair import algorithms
@@ -283,7 +285,7 @@ def test_forest_solver_all_isolated_is_round_robin():
     assert a.to_lists() == [[0, 3, 6], [1, 4], [2, 5]]
     assert trace.iterations == 0
     assert trace.case_history == trace.potential_history == []
-    assert trace.welfare_history == trace.snapshots == []
+    assert trace.welfare_history == trace.snapshots == trace.bundle_snapshots() == []
 
 
 def test_forest_solver_finds_the_components_once(monkeypatch):
@@ -322,7 +324,7 @@ def peel(g, n):
     a, trace = solve_forest_ef1_so(g, n)
     assert not monochromatic_edges(a, g)
     assert check_ef1(a, g).holds
-    for _, bundles in trace.snapshots:
+    for _, bundles in trace.bundle_snapshots():
         assert check_ef1(Allocation.of(bundles), g).holds
     return a.to_lists(), trace
 
@@ -349,7 +351,7 @@ def test_forest_solver_case_two_compensates():
     )
     bundles, trace = peel(g, 3)
     assert trace.case_history == ["1", "1", "2", "1", "1", "1", "1"]
-    assert trace.snapshots[2] == ("2", [[0, 3, 12], [2, 5, 9, 10, 13], [1]])
+    assert trace.bundle_snapshots()[2] == ("2", [[0, 3, 12], [2, 5, 9, 10, 13], [1]])
     assert bundles == [[0, 3, 4, 12], [2, 5, 8, 9, 10, 11, 13], [1, 6, 7]]
 
 
@@ -360,6 +362,51 @@ def test_forest_solver_random_sweep_with_snapshots():
         trees = 1 + rng.below(3)
         m = max(n, 2 * trees) + rng.below(12)
         peel(gen_random_forest(m, trees, rng.next_u64()).graph, n)
+
+
+def test_forest_bundle_snapshots_rebuild_the_peeling():
+    """bundle_snapshots() rebuilds each step from the placement log, which
+    is right only because peeling never moves a placed vertex: every bundle
+    contains the same bundle of the previous step, and the last step's
+    bundles are the returned ones without the isolated vertices."""
+    rng = SplitMix64(56)
+    for _ in range(60):
+        n = 3 + rng.below(4)
+        trees = 2 + rng.below(3)
+        m = max(n, 2 * trees) + rng.below(40)
+        g = with_isolated(gen_random_forest(m, trees, rng.next_u64()).graph, rng.below(3))
+        a, trace = solve_forest_ef1_so(g, n)
+        snaps = trace.bundle_snapshots()
+        assert [tag for tag, _ in snaps] == trace.case_history
+        before = [[] for _ in range(n)]
+        for (_, order, _), (_, bundles) in zip(trace.peel_steps, snaps):
+            now = [None] * n
+            for b, bundle in zip(order, bundles):
+                now[b] = bundle
+            assert all(set(before[b]) <= set(now[b]) for b in range(n))
+            before = now
+        # the solver's last re-sort by value is stable
+        last = snaps[-1][1]
+        values = bundle_values(Allocation.of(last), g)
+        isolated = {v for v in range(g.num_vertices) if not g.adjacency[v]}
+        assert [last[pos] for pos in sorted(range(n), key=values.__getitem__)] == [
+            [v for v in bundle if v not in isolated] for bundle in a.to_lists()
+        ]
+
+
+def test_forest_trace_grows_linearly():
+    """The trace keeps each placement once and O(n) per iteration, not a
+    copy of every bundle at every iteration (about a million entries here)."""
+
+    def entries(x):
+        return sum(map(entries, x)) if isinstance(x, (list, tuple)) else 1
+
+    g = gen_random_forest(2000, 4, 11).graph
+    n = 4
+    _, trace = solve_forest_ef1_so(g, n)
+    assert trace.iterations == 985
+    stored = sum(entries(getattr(trace, f.name)) for f in dataclasses.fields(trace))
+    assert stored <= 3 * (g.num_vertices + n * trace.iterations)
 
 
 # -- equitable partitioning and dispatch -------------------------------------

@@ -249,3 +249,15 @@ def test_bad_max_states_environment_is_an_input_error(capsys, monkeypatch):
     # an explicit --max-states does not read the environment
     code, out, _ = run(capsys, "oracle", "--label", "fig3:d=3", "--max-states", "1000")
     assert code == 0
+
+
+def test_negative_max_states_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = run(capsys, "oracle", "--label", "cycle:6", "-n", "3", "--max-states", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "--max-states" in err and "exceed the cap" not in err
+    monkeypatch.setenv("FAIRDIV_MAX_STATES", "-5")
+    code, out, err = run(capsys, "oracle", "--label", "cycle:6", "-n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "FAIRDIV_MAX_STATES" in err and "exceed the cap" not in err
