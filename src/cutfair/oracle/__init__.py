@@ -24,6 +24,15 @@ the kernel still returns the top welfare as ``top_welfare``, and its
 ``all_vectors``, which holds only the TS allocations' vectors, keeps every
 undominated vector at its least index.
 
+The scans that read only the top welfare, those of SO, ``max_welfare`` and
+``oracle_max_cut``, also carry the kernel's SO bit, which prunes by a cut
+bound every prefix that no completion lifts to the top welfare seen so far
+(see ``_scan_py``).  Its test is strict, so ``top_welfare`` stays exact, and
+so do ``best_welfare``, ``best_index``, ``best_count`` and the listed
+matches at the top welfare; ``matched`` and ``first_index`` are undefined
+with SO, so an SO scan is never ``first_only`` and collects no table.
+``oracle_find_all`` with SO keeps only the matches at the top welfare.
+
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
 identities carry no information.
@@ -71,7 +80,7 @@ from ..allocation import (
     check_wts,
 )
 from ..graph import Graph
-from ._kernel import ALPHA_EF1, EF, EF1, KERNEL_NAME, NONEMPTY, TS, WTS, scan
+from ._kernel import ALPHA_EF1, EF, EF1, KERNEL_NAME, NONEMPTY, SO, TS, WTS, scan
 
 DEFAULT_MAX_STATES = 20_000_000
 
@@ -158,17 +167,26 @@ def _check_cap(states: int, max_states: int) -> None:
         raise CapExceededError(f"{states} states exceed the cap of {max_states}")
 
 
+def _decoder(g: Graph, n: int, fixed) -> Callable[[int], Allocation]:
+    """The allocation of each labelled index of a scan with these fixed
+    vertices, the last free vertex the least significant digit."""
+    free = [v for v in reversed(range(g.num_vertices)) if fixed[v] < 0]
+
+    def decode(index: int) -> Allocation:
+        assign = list(fixed)
+        for v in free:
+            assign[v] = index % n
+            index //= n
+        bundles: list[set[int]] = [set() for _ in range(n)]
+        for v, b in enumerate(assign):
+            bundles[b].add(v)
+        return Allocation(tuple(map(frozenset, bundles)))  # disjoint by construction
+
+    return decode
+
+
 def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
-    free = [v for v in range(g.num_vertices) if fixed[v] < 0]
-    assign = list(fixed)
-    rem = index
-    for v in reversed(free):
-        assign[v] = rem % n
-        rem //= n
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    for v, b in enumerate(assign):
-        bundles[b].add(v)
-    return Allocation.of(bundles)
+    return _decoder(g, n, fixed)(index)
 
 
 def _kernel_args(
@@ -241,9 +259,11 @@ def _po_scan(g, n, query: OracleQuery, mask: int):
 def _mask(query: OracleQuery) -> int:
     """The kernel mask of a query: its predicates' bits, and TS with SO or
     PO, as every allocation at the top welfare or with an undominated value
-    vector is TS."""
+    vector is TS; and the SO bit with SO, whose scans read only the top."""
     mask = sum(PREDICATES[name].bit for name in query.predicates)
-    return mask | TS if query.predicates & {"so", "po"} else mask
+    if "so" in query.predicates:
+        return mask | TS | SO
+    return mask | TS if "po" in query.predicates else mask
 
 
 def _answer(g, n, query: OracleQuery, first_only: bool):
@@ -276,8 +296,9 @@ def enumerate_allocations(
     assignment function."""
     fixed = [-1] * g.num_vertices
     _check_cap(n ** len(fixed), max_states)
+    decode = _decoder(g, n, fixed)
     for index in range(n ** len(fixed)):
-        yield _decode(g, n, fixed, index)
+        yield decode(index)
 
 
 def oracle_exists(g: Graph, n: int, query: OracleQuery) -> Optional[Allocation]:
@@ -309,7 +330,8 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     fixed, result = _scan(
         g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, list_matches=True
     )
-    found = [_decode(g, n, fixed, i) for i in result["matches"]]
+    decode = _decoder(g, n, fixed)
+    found = [decode(i) for i in result["matches"]]
     if keys is not None:
         return [a for a in found if tuple(sorted(bundle_values(a, g))) in keys]
     if so:
@@ -320,7 +342,7 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:
     """Exact maximum utilitarian welfare over all complete n-partitions."""
     max_states = max_states if max_states is not None else DEFAULT_MAX_STATES
-    return _scan(g, n, max_states, TS)[1]["top_welfare"]
+    return _scan(g, n, max_states, TS | SO)[1]["top_welfare"]
 
 
 def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -346,7 +368,7 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
     """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry):
     the first state of the scan to reach its top welfare, twice the cut."""
-    fixed, result = _scan(g, 2, max_states, TS, pin=True)
+    fixed, result = _scan(g, 2, max_states, TS | SO, pin=True)
     return _decode(g, 2, fixed, result["best_index"]), result["best_welfare"] // 2
 
 

@@ -25,7 +25,26 @@
  * test.  As every welfare maximum and every undominated value vector is TS and
  * wTS, top_welfare is still the global maximum when the scan is not first_only
  * and fixes no vertex other than a vertex-0 pin, and all_vectors still holds
- * every undominated vector.  With n = 1 no vertex fails.
+ * every undominated vector.  With n = 1 no vertex fails.  A visited state
+ * re-tests only order[tails[changed]:], the vertices that close at or after
+ * the lowest digit moved since the last visited state; the others kept their
+ * counts, and they passed.
+ *
+ * The mask bit SO says that the caller reads only top_welfare, and the best_*
+ * fields and the listed matches at the top welfare, and the scan is pruned by
+ * the cut bound of _scan_py: ub[p] is twice the cut edges among the placed
+ * vertices (the fixed ones and digits 0..p-1), plus the edges among the
+ * unplaced ones, plus, for each unplaced u, its placed neighbours outside its
+ * fewest bundle.  pcnt holds those per-bundle counts for the first `placed`
+ * free vertices: placing a free vertex adds it to its later neighbours' counts,
+ * and a step that moves digit k takes the vertices at k and after out again.
+ * At the first p >= k with ub[p + 1] < top_welfare the scan advances digit p
+ * without visiting the state, at the same positions as _scan_py, so both visit
+ * the same states.  The test is strict, so every state at the top welfare is
+ * visited: top_welfare is as without SO, and best_welfare, best_index,
+ * best_count and the listed matches are exact at the top welfare.  With SO,
+ * matched, first_index and the tables are undefined, and a first_only or
+ * collect_vectors scan is refused with ValueError.
  *
  * Unlike the Python kernel's bitmasks, cnt[v][b] counts v's neighbours in
  * bundle b: with fixed vertices a scan may have more than 64 vertices.  The
@@ -38,7 +57,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-enum { NONEMPTY = 1, EF = 2, EF1 = 4, ALPHA_EF1 = 8, TS = 16, WTS = 32 };
+enum { NONEMPTY = 1, EF = 2, EF1 = 4, ALPHA_EF1 = 8, TS = 16, WTS = 32, SO = 64 };
 
 #define BIG (1LL << 60)
 
@@ -142,14 +161,18 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
         return NULL;
     }
+    if ((require_mask & SO) && (first_only || collect_vectors)) {
+        PyErr_SetString(PyExc_ValueError, "an SO scan is neither first_only nor collect_vectors");
+        return NULL;
+    }
     Py_ssize_t num_arcs = PySequence_Size(indices_obj);
     if (num_arcs < 0)
         return NULL;
 
     PyObject *result = NULL, *matches = NULL, *all_vectors = NULL, *matched_first = NULL,
              *matched_count = NULL;
-    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)10 * m + 1 + (size_t)num_arcs));
-    long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)m * n + (size_t)4 * n));
+    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)12 * m + 2 + (size_t)num_arcs));
+    long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)2 * m * n + (size_t)4 * n + m + 1));
     if (ibuf == NULL || lbuf == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -157,9 +180,10 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     int *indptr = ibuf, *indices = indptr + m + 1, *degrees = indices + num_arcs,
         *assign = degrees + m, *freev = assign + m, *digits = freev + m, *top = digits + m,
         *crowded = top + m, *position = crowded + m, *closing = position + m,
-        *order = closing + m;
+        *order = closing + m, *tails = order + m, *placedin = tails + m + 1;
     long long *cnt = lbuf, *values = cnt + (size_t)m * n, *sizes = values + n,
-              *minrem = sizes + n, *sortbuf = minrem + n;
+              *minrem = sizes + n, *sortbuf = minrem + n, *pcnt = sortbuf + n,
+              *ub = pcnt + (size_t)m * n;
 
     if (read_ints(indptr_obj, (Py_ssize_t)m + 1, indptr, "indptr") < 0)
         goto done;
@@ -180,7 +204,8 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             goto done;
     }
 
-    int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok, last, crowdable = 0;
+    int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok, last, crowdable = 0, changed, placed = 0;
+    int bound = (require_mask & SO) != 0;
     long long r, key, vmin, vmax, tmp, weight = 1, welfare = 0;
     long long states = 0, matched = 0, first_index = -1;
     long long top_welfare = -1, best_welfare = -1, best_index = -1, best_count = 0;
@@ -235,17 +260,85 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             if (position[indices[p]] > closing[v])
                 closing[v] = position[indices[p]];
     }
-    for (j = -1; j < f; j++)
+    for (j = -1; j < f; j++) {
+        if (j >= 0)
+            tails[j] = crowdable; /* order[tails[j]:] close at j or later */
         for (v = 0; v < m; v++)
             if (closing[v] == j && crowded[v] <= degrees[v] && (require_mask & (TS | WTS)))
                 order[crowdable++] = v;
+    }
+    tails[f] = 0; /* the first state tests every vertex */
 
+    if (bound) {
+        /* pcnt[u * n + b] counts u's neighbours in bundle b among the fixed
+         * vertices and the first `placed` free ones, each free vertex at its
+         * later neighbours only; placedin[k] is the bundle free vertex k was
+         * counted in.  ub[0] is the bound with only the fixed vertices placed. */
+        for (i = 0; i < m * n; i++)
+            pcnt[i] = 0;
+        for (v = 0; v < m; v++)
+            if (position[v] < 0)
+                for (p = indptr[v]; p < indptr[v + 1]; p++)
+                    pcnt[indices[p] * n + assign[v]] += 1;
+        r = 0;
+        for (v = 0; v < m; v++) {
+            r += degrees[v];
+            if (position[v] < 0) {
+                r -= pcnt[v * n + assign[v]];
+            } else {
+                for (b = 1, tmp = pcnt[v * n]; b < n; b++)
+                    if (pcnt[v * n + b] < tmp)
+                        tmp = pcnt[v * n + b];
+                r -= 2 * tmp;
+            }
+        }
+        ub[0] = r;
+    }
+
+    k = 0;       /* the lowest digit the last step moved: ub[k + 1..] are stale */
+    changed = f; /* the lowest digit moved since the last visited state */
     for (;;) {
+        last = f - 1; /* the step advances digit last; the digits after it reset to 0 */
+        if (bound) {
+            for (; placed > k; placed--) {
+                v = freev[placed - 1];
+                for (p = indptr[v]; p < indptr[v + 1]; p++)
+                    if (position[indices[p]] >= placed)
+                        pcnt[indices[p] * n + placedin[placed - 1]] -= 1;
+            }
+            for (; placed < f - 1; placed++) {
+                v = freev[placed];
+                b = digits[placed];
+                for (d = 1, tmp = pcnt[v * n]; d < n; d++)
+                    if (pcnt[v * n + d] < tmp)
+                        tmp = pcnt[v * n + d];
+                r = tmp - pcnt[v * n + b];
+                for (p = indptr[v]; p < indptr[v + 1]; p++) {
+                    u = indices[p];
+                    if (position[u] <= placed)
+                        continue;
+                    for (d = 0; d < n; d++) /* is b the one bundle where u has fewest? */
+                        if (d != b && pcnt[u * n + d] <= pcnt[u * n + b])
+                            break;
+                    r -= d == n;
+                    pcnt[u * n + b] += 1;
+                }
+                placedin[placed] = b;
+                ub[placed + 1] = ub[placed] + 2 * r;
+                if (ub[placed + 1] < top_welfare) {
+                    last = placed++; /* every completion of digits 0..last is below the top */
+                    goto step;
+                }
+            }
+            if (welfare < top_welfare)
+                goto step;
+        }
         states += 1;
         if (welfare > top_welfare)
             top_welfare = welfare;
-        last = f - 1; /* the step advances digit last; the digits after it reset to 0 */
-        for (i = 0; i < crowdable; i++) {
+        i = tails[changed];
+        changed = f;
+        for (; i < crowdable; i++) {
             v = order[i];
             if (cnt[v * n + assign[v]] >= crowded[v]) {
                 last = closing[v]; /* every completion of digits 0..last fails */
@@ -380,6 +473,8 @@ step:
         }
         if (k < 0) /* carried out of the top digit: past index n**f - 1 */
             break;
+        if (k < changed)
+            changed = k;
     }
 
     result = Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O}", "states", states,

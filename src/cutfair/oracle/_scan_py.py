@@ -18,8 +18,12 @@ cut edges; moving v from bundle d to nd changes it by
 
 EF1 asks each bundle richer than the poorest to hold a vertex whose removal
 takes its value down to the poorest value vmin, and alpha-EF1 down to
-alpha_den * vmin // alpha_num, which is at least vmin as alpha <= 1; so the
-kernel walks the members of each such bundle until it finds one.  TS and wTS
+alpha_den * vmin // alpha_num, which is at least vmin as alpha <= 1.  So a
+bundle B passes when its best removal drop, the largest
+``degrees[v] - 2 * |N(v) & B|`` over its members v, is at least its value
+minus that target.  The drop depends only on B's member bitmask, and a scan
+keeps a dict from bitmask to drop; the dict is cleared when it reaches
+``DROP_CACHE_CAP`` = 2**14 entries, at most about 1.4 MB.  TS and wTS
 need only the number c of a vertex's d neighbours that share its bundle.
 Moving it changes its bundle's value by r = 2c - d and bundle j's by
 d - 2 |N(v) & B_j|; when r >= 0 the other bundles hold at most d/2 of its
@@ -45,7 +49,30 @@ welfare.  So every welfare maximum and every undominated value vector is TS
 and wTS; hence a scan that is not ``first_only`` and fixes no vertex, or only
 vertex 0 (any allocation has a relabelling with vertex 0 in bundle 0), still
 visits a global maximum and returns it, and its ``all_vectors`` still holds
-every undominated vector.
+every undominated vector.  A visited state re-tests only the vertices that
+close at or after the lowest digit moved since the last visited state: one
+that closes earlier kept its count, and it passed, for a failure would have
+sent the scan past it.
+
+The mask bit SO says that the caller reads only ``top_welfare``, and the
+``best_*`` fields and the listed matches at the top welfare, and the scan is
+pruned by a cut bound (branch and bound: Land and Doig, Econometrica 1960).
+Place digits 0 to p-1 and the fixed vertices, and let c_b(u) count the placed
+neighbours in bundle b of an unplaced vertex u.  A completion cuts at most the
+cut edges among the placed vertices, every edge among the unplaced ones and,
+of the edges from u to the placed ones, all but its fewest in one bundle,
+sum_b c_b(u) - min_b c_b(u).  Twice that sum is ``ub[p]``; it never rises with
+p, and ``ub[f]`` is the welfare.  Placing v = free[p] in bundle b changes it by
+2 * (min_b' c_b'(v) - c_b(v) - the number of v's later neighbours u for which b
+was the one fewest bundle), every count taken over the prefix.  After a step
+whose lowest moved digit is k, the scan recomputes ``ub[k + 1:]`` in order,
+and at the first p with ``ub[p + 1] < top_welfare`` it advances digit p
+through the normal carry without visiting the state.  The test is strict, so
+every state at the top welfare is visited: ``top_welfare`` is as without SO,
+and ``best_welfare``, ``best_index``, ``best_count`` and the listed matches
+are exact at the top welfare (``best_welfare`` is below it when no match
+reaches it).  With SO ``matched``, ``first_index`` and the tables are
+undefined, and a scan that is ``first_only`` or ``collect_vectors`` is refused.
 """
 
 from __future__ import annotations
@@ -58,6 +85,8 @@ EF1 = 4
 ALPHA_EF1 = 8
 TS = 16
 WTS = 32
+SO = 64
+DROP_CACHE_CAP = 1 << 14  # entries of a scan's EF1 drop cache, which is cleared when full
 
 
 def _index(digits, n):
@@ -97,6 +126,8 @@ def scan(
       best_count      -- number of labelled matching states at best_welfare
       matches         -- index of every matching state visited, in scan order
                          (list_matches only)
+    With SO in require_mask only top_welfare, and best_welfare, best_index,
+    best_count and the matches at the top welfare, are defined.
       all_vectors     -- {packed sorted value vector: least index} over the visited
                          states that pass the TS/WTS bits of require_mask (collect only)
       matched_first   -- same, restricted to matching states (collect only)
@@ -104,6 +135,8 @@ def scan(
     """
     if num_vertices < 0 or n < 1:
         raise ValueError("num_vertices must be >= 0 and n >= 1")
+    if require_mask & SO and (first_only or collect_vectors):
+        raise ValueError("an SO scan is neither first_only nor collect_vectors")
     free = [v for v in range(num_vertices) if fixed[v] < 0]
     f = len(free)
     if canonical and f < num_vertices:
@@ -148,74 +181,145 @@ def scan(
         if require_mask & (TS | WTS) and crowded[v] <= degrees[v]
     ]
 
+    # tails[k]: the crowdable entries that close at k or later, those a state
+    # re-tests when k is the lowest digit moved since the last visited state;
+    # tails[f]: every entry, for the first state
+    tails = []
+    i = 0
+    for k in range(f):
+        while i < len(crowdable) and crowdable[i][3] < k:
+            i += 1
+        tails.append(crowdable[i:])
+    tails.append(crowdable)
+
+    bound = require_mask & SO
+    if bound:
+        # counts[u][b]: u's neighbours in bundle b among the fixed vertices and
+        # the first ``placed`` free ones, each free vertex counted at its later
+        # neighbours only; rows[p] and laters[p]: the counts of free[p] and
+        # of its later neighbours; placedin[p]: the bundle free[p] was
+        # counted in.
+        counts = [[0] * n for _ in range(num_vertices)]
+        for v in range(num_vertices):
+            if fixed[v] >= 0:
+                for u in indices[indptr[v] : indptr[v + 1]]:
+                    counts[u][fixed[v]] += 1
+        uncut = sum(counts[v][fixed[v]] for v in range(num_vertices) if fixed[v] >= 0)
+        ub = [sum(degrees) - uncut - 2 * sum(min(counts[v]) for v in free)] + [0] * f
+        rows = [counts[v] for v in free]
+        laters = [
+            [counts[u] for u in indices[indptr[v] : indptr[v + 1]] if position[u] > p]
+            for p, v in enumerate(free)
+        ]
+        placedin = [0] * f
+        placed = 0
+
     matches = [] if list_matches else None
     all_vectors: dict = {}
     matched_first: dict = {}
     matched_count: dict = {}
+    drops: dict = {}  # bundle bitmask -> its best removal drop
     states = 0
     matched = 0
     first_index = -1
     top_welfare = best_welfare = best_index = -1
     best_count = 0
+    k = 0  # the lowest digit the last step moved: ub[k + 1:] are stale
+    changed = f  # the lowest digit moved since the last visited state
 
     while True:
-        states += 1
-        if welfare > top_welfare:
-            top_welfare = welfare
         last = f  # the step advances no digit after last
-        for nv, v, t, j in crowdable:
-            if (nv & member[assign[v]]).bit_count() >= t:
-                last = j  # every completion of digits 0..j fails: the digits after j reset to 0
-                break
-        ok = last == f  # a state that breaks TS or wTS goes straight to the step
-        if ok and require_mask & NONEMPTY:
-            ok = 0 not in member
-        if ok and require_mask & EF:
-            ok = min(values) == max(values)
-        if ok and require_mask & (EF1 | ALPHA_EF1):
-            vmin = min(values)
-            cap = vmin if require_mask & EF1 else alpha_den * vmin // alpha_num
-            for b in range(n):
-                if values[b] > vmin:  # some vertex of b must take it down to cap
-                    need = values[b] - cap
-                    mb = rest = member[b]
-                    while rest:
-                        low = rest & -rest
-                        v = low.bit_length() - 1
-                        if degrees[v] - 2 * (nbr[v] & mb).bit_count() >= need:
+        if bound:
+            while placed > k:
+                placed -= 1
+                b = placedin[placed]
+                for row in laters[placed]:
+                    row[b] -= 1
+            for p in range(k, f - 1):
+                b = digits[p]
+                own = rows[p]
+                delta = min(own) - own[b]
+                for row in laters[p]:
+                    c = row[b]
+                    if c == min(row) and row.count(c) == 1:  # b was u's one fewest bundle
+                        delta -= 1
+                    row[b] = c + 1
+                placedin[p] = b
+                placed = p + 1
+                ub[placed] = ub[p] + 2 * delta
+                if ub[placed] < top_welfare:
+                    last = p  # every completion of digits 0..p is below the top
+                    break
+            else:
+                if welfare < top_welfare:
+                    last = f - 1
+        if last == f:
+            states += 1
+            if welfare > top_welfare:
+                top_welfare = welfare
+            for nv, v, t, j in tails[changed]:
+                if (nv & member[assign[v]]).bit_count() >= t:
+                    last = j  # every completion of digits 0..j fails: the digits after j reset to 0
+                    break
+            changed = f
+            ok = last == f  # a state that breaks TS or wTS goes straight to the step
+            if ok and require_mask & NONEMPTY:
+                ok = 0 not in member
+            if ok and require_mask & EF:
+                ok = min(values) == max(values)
+            if ok and require_mask & (EF1 | ALPHA_EF1):
+                vmin = min(values)
+                cap = vmin if require_mask & EF1 else alpha_den * vmin // alpha_num
+                for b in range(n):
+                    if values[b] > vmin:  # some vertex of b must take it down to cap
+                        mb = member[b]
+                        drop = drops.get(mb)
+                        if drop is None:
+                            if len(drops) >= DROP_CACHE_CAP:
+                                drops.clear()
+                            low = mb & -mb
+                            v = low.bit_length() - 1
+                            drop = degrees[v] - 2 * (nbr[v] & mb).bit_count()
+                            rest = mb ^ low
+                            while rest:
+                                low = rest & -rest
+                                v = low.bit_length() - 1
+                                x = degrees[v] - 2 * (nbr[v] & mb).bit_count()
+                                if x > drop:
+                                    drop = x
+                                rest ^= low
+                            drops[mb] = drop
+                        if drop < values[b] - cap:
+                            ok = False
                             break
-                        rest ^= low
-                    else:
-                        ok = False
-                        break
 
-        if ok:
-            weight = weights[member.count(0)] if canonical else 1
-            matched += weight
-            if welfare >= best_welfare:
-                if welfare > best_welfare:
-                    best_welfare = welfare
-                    best_index = _index(digits, n)
-                    best_count = 0
-                best_count += weight
-            if list_matches:
-                matches.append(_index(digits, n))
-            if first_index < 0:
-                first_index = _index(digits, n)
-        if collect_vectors and last == f:
-            key = 0
-            for v in sorted(values):
-                key = (key << shift) | v
-            if key not in all_vectors:
-                all_vectors[key] = _index(digits, n)
             if ok:
-                if key not in matched_first:
-                    matched_first[key] = _index(digits, n)
-                    matched_count[key] = weight
-                else:
-                    matched_count[key] += weight
-        if ok and first_only:
-            break
+                weight = weights[member.count(0)] if canonical else 1
+                matched += weight
+                if welfare >= best_welfare:
+                    if welfare > best_welfare:
+                        best_welfare = welfare
+                        best_index = _index(digits, n)
+                        best_count = 0
+                    best_count += weight
+                if list_matches:
+                    matches.append(_index(digits, n))
+                if first_index < 0:
+                    first_index = _index(digits, n)
+            if collect_vectors and last == f:
+                key = 0
+                for v in sorted(values):
+                    key = (key << shift) | v
+                if key not in all_vectors:
+                    all_vectors[key] = _index(digits, n)
+                if ok:
+                    if key not in matched_first:
+                        matched_first[key] = _index(digits, n)
+                        matched_count[key] = weight
+                    else:
+                        matched_count[key] += weight
+            if ok and first_only:
+                break
 
         k = f - 1
         while k >= 0:
@@ -245,6 +349,8 @@ def scan(
             k -= 1
         if k < 0:  # carried out of the top digit
             break
+        if k < changed:
+            changed = k
 
     return {
         "states": states,

@@ -30,13 +30,14 @@ from cutfair.instances import (
     gen_path,
     gen_random_graph,
 )
-from cutfair.oracle import CapExceededError, OracleQuery
+from cutfair.oracle import CapExceededError, OracleQuery, _scan_py
 from cutfair.oracle._kernel import (
     ALPHA_EF1,
     EF,
     EF1,
     KERNEL_NAME,
     NONEMPTY,
+    SO,
     TS,
     WTS,
     scan_python,
@@ -404,17 +405,19 @@ PRUNED_LIMIT = 1024  # largest n**free the pruning test checks state by state
 
 
 @st.composite
-def pruned_scans(draw):
+def pruned_scans(draw, so=False):
     """A kernel scan whose mask has TS or WTS, maybe with other bits, on a
     graph with 0-6 vertices and 1-4 bundles: canonical, labelled,
     vertex-0-pinned or with random fixed vertices, with or without
-    first_only and the list of matches."""
+    first_only and the list of matches.  With so, the mask has SO and any
+    other bits, and the scan is neither first_only nor collects tables."""
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=0, max_value=max(k for k in range(7) if n**k <= PRUNED_LIMIT)))
     pairs = list(itertools.combinations(range(m), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    mask = draw(st.sampled_from([TS, WTS, TS | WTS]))
-    mask |= sum(draw(st.sets(st.sampled_from([NONEMPTY, EF, EF1, ALPHA_EF1]))))
+    mask = SO if so else draw(st.sampled_from([TS, WTS, TS | WTS]))
+    others = [NONEMPTY, EF, EF1, ALPHA_EF1] + ([TS, WTS] if so else [])
+    mask |= sum(draw(st.sets(st.sampled_from(others))))
     alpha = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
     mode = draw(st.sampled_from(["canonical", "labelled", "pinned", "fixed"]))
     fixed = [-1] * m
@@ -423,6 +426,8 @@ def pruned_scans(draw):
     if mode == "fixed":
         fixed = draw(st.lists(st.integers(min_value=-1, max_value=n - 1), min_size=m, max_size=m))
     first_only, list_matches, collect = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    if so:
+        first_only = collect = False
     canonical = mode == "canonical"
     return Graph.from_edges(m, edges), n, fixed, mask, alpha, canonical, first_only, list_matches, collect
 
@@ -497,13 +502,63 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
         assert result["states"] <= states
 
 
+@settings(deadline=None, max_examples=150)
+@given(case=pruned_scans(so=True))
+def test_so_scans_equal_brute_force(compiled_scan, case):
+    """Both kernels' SO scans, which also skip every completion of a prefix
+    whose cut bound is below the top welfare, visit the same states, and
+    return the unpruned scan's top welfare and, when a match reaches it, its
+    best_* fields and its matches at that welfare in the list.  They are
+    compared where top_welfare is defined: the mask has no TS or WTS bit, or
+    no vertex but vertex 0 is fixed."""
+    g, n, fixed, mask, alpha, canonical, _, list_matches, _ = case
+    ref, states = unpruned_reference(g, n, fixed, mask & ~SO, alpha, canonical, False)
+    call = oracle._kernel_args(g, n, fixed, mask, alpha, False, False, list_matches, canonical)
+    result = scan_python(*call)
+    assert compiled_scan(*call) == result
+    assert result["states"] <= states
+    if mask & (TS | WTS) and max(fixed[1:], default=-1) >= 0:
+        return
+    top = ref["top_welfare"]
+    assert result["top_welfare"] == top
+    best = ["best_welfare", "best_index", "best_count"]
+    if ref["best_welfare"] == top:
+        assert [result[k] for k in best] == [ref[k] for k in best]
+    else:
+        assert result["best_welfare"] < top
+    if list_matches:
+        decode = oracle._decoder(g, n, fixed)
+
+        def at_top(matches):
+            return [i for i in matches if sum(bundle_values(decode(i), g)) == top]
+
+        assert at_top(result["matches"]) == at_top(ref["matches"])
+
+
+def test_drop_cache_overflow_keeps_ef1_scans_exact(monkeypatch):
+    """With the Python kernel's EF1 drop cache capped at two bundles, so that
+    it is cleared over and over, EF1 and alpha-EF1 scans still return the
+    brute force's matches, counts and welfare optimum."""
+    monkeypatch.setattr(_scan_py, "DROP_CACHE_CAP", 2)
+    fields = ["matched", "first_index", "best_welfare", "best_index", "best_count", "matches"]
+    for g, n in ((gen_random_graph(7, 0.5, 3).graph, 3), (gen_random_graph(6, 0.7, 4).graph, 4)):
+        fixed = [-1] * g.num_vertices
+        for mask, alpha in ((EF1, Fraction(1)), (ALPHA_EF1, Fraction(1, 2)), (ALPHA_EF1, Fraction(2, 3))):
+            ref, _ = unpruned_reference(g, n, fixed, mask, alpha, False, False)
+            result = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, list_matches=True))
+            assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}, (n, mask, alpha)
+            assert ref["matched"] > 0
+
+
 @pytest.mark.parametrize("kernel", ["python", "compiled"])
 def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     """The TS-pruned scans of ef1+ts on fig3 with d = 9 and n = 3, which no
-    allocation satisfies, of one oracle_max_cut call, and of the collect
-    scans of the criterion-10 Pareto check (fig1, n = 7) and of an ef1+po
-    count visit these many states, against every restricted growth string
-    unpruned."""
+    allocation satisfies, of the collect scans of the criterion-10 Pareto
+    check (fig1, n = 7) and of an ef1+po count, and the TS- and
+    cut-bound-pruned scans of one oracle_max_cut call and of max_welfare on
+    G(12, 0.4) with n = 4 visit these many states, against every restricted
+    growth string unpruned and, for the max cut and max_welfare, against the
+    scan pruned by TS alone, which finds the same top welfare."""
     scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
     g = gen_fig3(9).graph
     visited = [
@@ -515,22 +570,31 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
         (gen_random_graph(16, 0.3, 5).graph, 2),
         (gen_fig1().graph, 7),
         (gen_random_graph(10, 0.4, 3).graph, 3),
+        (gen_random_graph(12, 0.4, 7).graph, 4),
     ]
     results = []
     monkeypatch.setattr(oracle, "scan", lambda *args: results.append(scan(*args)) or results[-1])
     oracle.oracle_max_cut(cases[0][0])
     oracle.oracle_pareto(Allocation.of([{0, 4}, {1}, {2}, {3}, {5}, {6}, {7}]), *cases[1])
     oracle.oracle_count(*cases[2], query("ef1", "po"))
-    full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, canonical=True)) for g, n in cases]
-    assert [r["states"] for r in results] == [3_880, 1_425, 3_222]
+    oracle.max_welfare(*cases[3])
+    full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, canonical=True)) for g, n in cases[:3]]
+    assert [r["states"] for r in results] == [59, 1_425, 3_222, 462]
     assert [r["states"] for r in full] == [32_768, 4_139, 9_842]
+    stable = [
+        scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, TS, canonical=True)) for g, n in cases[::3]
+    ]
+    assert [r["states"] for r in stable] == [3_880, 188_138]
+    assert [r["top_welfare"] for r in stable] == [r["top_welfare"] for r in results[::3]]
 
 
 def test_welfare_scans_add_the_ts_bit(monkeypatch):
     """oracle_max_cut, max_welfare, the scans of SO and PO queries, the
     Pareto check and leximin add TS to their mask, so that the kernel prunes
     them: every allocation at the top welfare or with an undominated value
-    vector is TS."""
+    vector is TS.  The scans that read only the top welfare, those of SO,
+    max_welfare and oracle_max_cut, add SO too, which prunes them by the cut
+    bound."""
     masks = []
     monkeypatch.setattr(oracle, "scan", lambda *args: masks.append(args[6]) or scan_python(*args))
     g = gen_fig3(3).graph
@@ -540,7 +604,7 @@ def test_welfare_scans_add_the_ts_bit(monkeypatch):
     oracle.oracle_find_all(g, 3, query("so"))
     oracle.oracle_count(g, 3, query("ef1", "po"))
     oracle.oracle_pareto(oracle.oracle_leximin(g, 3), g, 3)
-    assert masks == [TS, TS, EF1 | TS, TS, EF1 | TS, TS, TS]
+    assert masks == [TS | SO, TS | SO, EF1 | TS | SO, TS | SO, EF1 | TS, TS, TS]
 
 
 def parity_cases():
@@ -571,15 +635,17 @@ def parity_cases():
 
 
 def test_kernel_parity_compiled_vs_python(compiled_scan):
-    """Both kernels return identical result dictionaries for each mask bit and
-    their union, on every parity case, labelled and canonical with the case's
-    fixed vertices freed, with and without the list of matches, in every scan
-    mode."""
-    masks = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
+    """Both kernels return identical result dictionaries, states included, for
+    each mask bit and their union, with and without SO, on every parity case,
+    labelled and canonical with the case's fixed vertices freed, with and
+    without the list of matches, in every scan mode an SO scan allows."""
+    predicates = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
+    masks = predicates + [SO] + [mask | SO for mask in predicates]
     for case, (g, n, fixed) in enumerate(parity_cases()):
         scans = ((fixed, False), ([-1] * len(fixed), True))
         for mask in masks:
-            for first_only, collect in itertools.product((False, True), repeat=2):
+            modes = [(False, False)] if mask & SO else itertools.product((False, True), repeat=2)
+            for first_only, collect in modes:
                 for (free, canonical), list_matches in itertools.product(scans, (False, True)):
                     call = oracle._kernel_args(
                         g, n, free, mask, Fraction(1, 2), first_only, collect, list_matches, canonical
@@ -597,8 +663,9 @@ def test_canonical_scan_visits_one_labelling_per_partition():
 
 
 def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
-    """Both kernels refuse a canonical scan that fixes a vertex and a scan
-    into no bundle, so an oracle query with n = 0 raises ValueError; the
+    """Both kernels refuse a canonical scan that fixes a vertex, an SO scan
+    that is first_only or collects tables, and a scan into no bundle, so an
+    oracle query with n = 0 raises ValueError; the
     compiled one refuses a short ``fixed`` list instead of reading past it.  A
     labelled scan visits the whole range."""
     g = gen_random_graph(4, 0.5, 5).graph
@@ -609,6 +676,9 @@ def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
     for kernel in (compiled_scan, scan_python):
         with pytest.raises(ValueError, match="canonical scan fixes no vertex"):
             kernel(*args([0, -1, -1, -1], True))
+        for first_only, collect in ((True, False), (False, True)):
+            with pytest.raises(ValueError, match="SO scan"):
+                kernel(*oracle._kernel_args(g, 3, [-1] * 4, TS | SO, first_only=first_only, collect=collect))
         with pytest.raises(ValueError, match="n >= 1"):
             kernel(*args([-1] * 4, n=0))
         assert kernel(*args([-1] * 4))["states"] == 3**4
