@@ -30,8 +30,15 @@ bound every prefix that no completion lifts to the top welfare seen so far
 (see ``_scan_py``).  Its test is strict, so ``top_welfare`` stays exact, and
 so do ``best_welfare``, ``best_index``, ``best_count`` and the listed
 matches at the top welfare; ``matched`` and ``first_index`` are undefined
-with SO, so an SO scan is never ``first_only`` and collects no table.
-``oracle_find_all`` with SO keeps only the matches at the top welfare.
+with SO, so an SO scan collects no table.  ``oracle_find_all`` with SO keeps
+only the matches at the top welfare.  ``oracle_exists``, ``max_welfare`` and
+``oracle_max_cut`` read no count, so their SO scans are ``first_only``: once
+a match sits at the top welfare, the kernel also skips every tie after it,
+which has a larger index.  An SO scan that fixes no vertex but the vertex-0
+pin starts its top welfare at a floor, the welfare of a local optimum
+(``_local_optimum``), so the bound prunes from the first prefix on.  Every
+other scan starts at -1: with TS and a fixed vertex, the top the scan visits
+may lie below a free local optimum.
 
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
@@ -189,8 +196,39 @@ def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
     return _decoder(g, n, fixed)(index)
 
 
+def _local_optimum(g: Graph, n: int) -> tuple[int, list[int]]:
+    """The welfare and the bundle of each vertex of an allocation that no
+    single move improves: each vertex in index order goes to the bundle with
+    fewest of its neighbours so far (the least one on ties), then sweeps in
+    index order move a vertex to the least bundle with fewest of its
+    neighbours when that strictly raises the welfare, until a sweep moves
+    none.  Its welfare is the floor of an SO scan."""
+    adjacency = g.adjacency
+    assign = []
+    counts = [[0] * n for _ in adjacency]  # counts[v][b]: v's neighbours in bundle b
+    for nbrs, row in zip(adjacency, counts):
+        b = row.index(min(row))
+        assign.append(b)
+        for u in nbrs:
+            counts[u][b] += 1
+    moved = True
+    while moved:
+        moved = False
+        for v, row in enumerate(counts):
+            b, fewest = assign[v], min(row)
+            if fewest < row[b]:
+                nb = row.index(fewest)
+                assign[v] = nb
+                for u in adjacency[v]:
+                    counts[u][b] -= 1
+                    counts[u][nb] += 1
+                moved = True
+    return sum(len(nbrs) - row[b] for nbrs, row, b in zip(adjacency, counts, assign)), assign
+
+
 def _kernel_args(
-    g, n, fixed, mask=0, alpha=1, first_only=False, collect=False, list_matches=False, canonical=False
+    g, n, fixed, mask=0, alpha=1, first_only=False, collect=False, list_matches=False, canonical=False,
+    floor=-1,
 ):
     """The positional arguments of a kernel scan on g."""
     indptr = [0]
@@ -202,7 +240,7 @@ def _kernel_args(
     return (
         g.num_vertices, n, indptr, indices, degrees, list(fixed),
         mask, alpha.numerator, alpha.denominator,
-        first_only, collect, list_matches, canonical, _shift(g),
+        first_only, collect, list_matches, canonical, _shift(g), floor,
     )
 
 
@@ -214,11 +252,13 @@ def _scan(
     place, and vertex 0 in bundle 0 if pin: the fixed vertices and the
     result, in labelled indices and counts, with each table named in collect
     keyed by ascending value tuples.  The scan is canonical unless it lists
-    its matches or fixes a vertex other than the pinned one.  The cap counts
+    its matches or fixes a vertex other than the pinned one; an SO scan that
+    fixes none starts its top welfare at a local optimum's.  The cap counts
     the labelled states in range; only a scan that collects tables packs a
     value vector into 64 bits."""
     m = g.num_vertices
-    canonical = not list_matches and (fixed is None or max(fixed, default=-1) < 0)
+    unfixed = fixed is None or max(fixed, default=-1) < 0
+    canonical = not list_matches and unfixed
     fixed = [-1] * m if fixed is None else list(fixed)
     pinned = pin and m > 0
     if pinned:
@@ -231,7 +271,10 @@ def _scan(
     states = n ** scanned.count(-1)
     if states >= 1 << 63:
         raise CapExceededError(f"{states} states overflow the kernel's 64-bit indices")
-    result = scan(*_kernel_args(g, n, scanned, mask, alpha, first_only, bool(collect), list_matches, canonical))
+    floor = _local_optimum(g, n)[0] if mask & SO and unfixed else -1
+    result = scan(
+        *_kernel_args(g, n, scanned, mask, alpha, first_only, bool(collect), list_matches, canonical, floor)
+    )
     if pinned and canonical:  # vertex 0 is in bundle 0 in one labelling of every n
         result["matched"] //= n
         result["best_count"] //= n
@@ -270,7 +313,8 @@ def _answer(g, n, query: OracleQuery, first_only: bool):
     """The fixed vertices of a query, its least matching index (-1 if none)
     and its number of matches, exact unless first_only.  SO reads the
     welfare optimum of the matches off one scan: they are SO when it is the
-    top welfare of every allocation in range.  Only PO needs the value
+    top welfare of every allocation in range, and a first_only SO scan skips
+    the ties after the first match at the top.  Only PO needs the value
     vector of every allocation, and not with SO: every SO vector is
     undominated, as a dominator has the larger sum, so SO+PO is SO."""
     mask = _mask(query)
@@ -279,8 +323,7 @@ def _answer(g, n, query: OracleQuery, first_only: bool):
         fixed, first, count, keys = _po_scan(g, n, query, mask)
         return fixed, min((first[k] for k in keys), default=-1), sum(count[k] for k in keys)
     fixed, result = _scan(
-        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha,
-        first_only=first_only and not so,
+        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, first_only=first_only
     )
     if not so:
         return fixed, result["first_index"], result["matched"]
@@ -342,7 +385,7 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:
     """Exact maximum utilitarian welfare over all complete n-partitions."""
     max_states = max_states if max_states is not None else DEFAULT_MAX_STATES
-    return _scan(g, n, max_states, TS | SO)[1]["top_welfare"]
+    return _scan(g, n, max_states, TS | SO, first_only=True)[1]["top_welfare"]
 
 
 def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -368,7 +411,7 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
     """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry):
     the first state of the scan to reach its top welfare, twice the cut."""
-    fixed, result = _scan(g, 2, max_states, TS | SO, pin=True)
+    fixed, result = _scan(g, 2, max_states, TS | SO, pin=True, first_only=True)
     return _decode(g, 2, fixed, result["best_index"]), result["best_welfare"] // 2
 
 

@@ -43,8 +43,16 @@
  * the same states.  The test is strict, so every state at the top welfare is
  * visited: top_welfare is as without SO, and best_welfare, best_index,
  * best_count and the listed matches are exact at the top welfare.  With SO,
- * matched, first_index and the tables are undefined, and a first_only or
- * collect_vectors scan is refused with ValueError.
+ * matched, first_index and the tables are undefined, and a collect_vectors
+ * scan is refused with ValueError.
+ *
+ * An SO scan that is first_only reads only top_welfare, best_welfare and
+ * best_index, and does not stop at its first match.  Once a match sits at the
+ * top welfare, it also skips every prefix whose bound equals the top and every
+ * state at the top: bar, the least welfare the scan still visits, is then
+ * top_welfare + 1 instead of top_welfare.  Later ties have larger indices, so
+ * the three fields stay exact.  top_welfare starts at floor (-1 for none),
+ * the welfare of an allocation in range whose maximum the scan visits.
  *
  * Unlike the Python kernel's bitmasks, cnt[v][b] counts v's neighbours in
  * bundle b: with fixed vertices a scan may have more than 64 vertices.  The
@@ -150,19 +158,19 @@ static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
     int m, n, require_mask, first_only, collect_vectors, list_matches, canonical, shift;
-    long long alpha_num, alpha_den;
+    long long alpha_num, alpha_den, floor_welfare; /* the floor argument (floor() is math.h's) */
     PyObject *indptr_obj, *indices_obj, *degrees_obj, *fixed_obj;
-    if (!PyArg_ParseTuple(args, "iiOOOOiLLppppi:scan", &m, &n, &indptr_obj,
+    if (!PyArg_ParseTuple(args, "iiOOOOiLLppppiL:scan", &m, &n, &indptr_obj,
                           &indices_obj, &degrees_obj, &fixed_obj, &require_mask,
                           &alpha_num, &alpha_den, &first_only, &collect_vectors,
-                          &list_matches, &canonical, &shift))
+                          &list_matches, &canonical, &shift, &floor_welfare))
         return NULL;
     if (m < 0 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
         return NULL;
     }
-    if ((require_mask & SO) && (first_only || collect_vectors)) {
-        PyErr_SetString(PyExc_ValueError, "an SO scan is neither first_only nor collect_vectors");
+    if ((require_mask & SO) && collect_vectors) {
+        PyErr_SetString(PyExc_ValueError, "an SO scan collects no value vectors");
         return NULL;
     }
     Py_ssize_t num_arcs = PySequence_Size(indices_obj);
@@ -208,7 +216,9 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     int bound = (require_mask & SO) != 0;
     long long r, key, vmin, vmax, tmp, weight = 1, welfare = 0;
     long long states = 0, matched = 0, first_index = -1;
-    long long top_welfare = -1, best_welfare = -1, best_index = -1, best_count = 0;
+    long long best_welfare = -1, best_index = -1, best_count = 0;
+    /* bar: the least welfare an SO scan still visits */
+    long long top_welfare = floor_welfare, bar = floor_welfare;
 
     for (i = 0; i < m; i++)
         if (assign[i] < 0)
@@ -325,17 +335,17 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                 }
                 placedin[placed] = b;
                 ub[placed + 1] = ub[placed] + 2 * r;
-                if (ub[placed + 1] < top_welfare) {
-                    last = placed++; /* every completion of digits 0..last is below the top */
+                if (ub[placed + 1] < bar) {
+                    last = placed++; /* every completion of digits 0..last is below the bar */
                     goto step;
                 }
             }
-            if (welfare < top_welfare)
+            if (welfare < bar)
                 goto step;
         }
         states += 1;
         if (welfare > top_welfare)
-            top_welfare = welfare;
+            top_welfare = bar = welfare;
         i = tails[changed];
         changed = f;
         for (; i < crowdable; i++) {
@@ -436,8 +446,13 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                               ok, weight) < 0)
                 goto done;
         }
-        if (ok && first_only)
-            break;
+        if (ok && first_only) {
+            if (!bound)
+                break;
+            /* an SO scan visits only states at the top welfare, and every
+             * later tie has a larger index */
+            bar = welfare + 1;
+        }
 
         /* Step to the next index: increment the digits of the free vertices,
          * digit k up to top[k], moving each changed vertex from bundle d to
@@ -497,7 +512,8 @@ done:
 
 PyDoc_STRVAR(scan_doc,
 "scan(num_vertices, n, indptr, indices, degrees, fixed, require_mask,\n"
-"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, canonical, shift, /)\n"
+"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, canonical, shift,\n"
+"     floor, /)\n"
 "--\n\n"
 "Scan every global assignment index, or only the canonical ones;\n"
 "see _scan_py.scan.");

@@ -72,7 +72,19 @@ every state at the top welfare is visited: ``top_welfare`` is as without SO,
 and ``best_welfare``, ``best_index``, ``best_count`` and the listed matches
 are exact at the top welfare (``best_welfare`` is below it when no match
 reaches it).  With SO ``matched``, ``first_index`` and the tables are
-undefined, and a scan that is ``first_only`` or ``collect_vectors`` is refused.
+undefined, and a scan that is ``collect_vectors`` is refused.
+
+An SO scan that is ``first_only`` reads only ``top_welfare``,
+``best_welfare`` and ``best_index``; ``best_count`` and the matches are
+undefined.  It does not stop at its first match.  Once a match sits at the top
+welfare, both tests also hold on equality, so every prefix whose bound is the
+top and every state at the top is skipped: the scan walks in index order, so
+every later tie has a larger index, and only a welfare above the top can move
+the three fields.  ``floor`` is where ``top_welfare`` starts, -1 for none.  It
+must not exceed the top welfare the scan finds from -1, as the welfare of any
+allocation in range does when the scan visits the range's maximum (with TS or
+WTS: when it fixes no vertex but vertex 0).  Then the states below it are
+skipped and every field is as from -1.
 """
 
 from __future__ import annotations
@@ -112,6 +124,7 @@ def scan(
     list_matches,
     canonical,
     shift,
+    floor,
 ):
     """Scan global assignment indices from 0 to n**free - 1; in canonical
     mode (no fixed vertex) only the restricted growth strings.
@@ -127,7 +140,8 @@ def scan(
       matches         -- index of every matching state visited, in scan order
                          (list_matches only)
     With SO in require_mask only top_welfare, and best_welfare, best_index,
-    best_count and the matches at the top welfare, are defined.
+    best_count and the matches at the top welfare, are defined, and with
+    first_only as well only the first three.  top_welfare starts at floor.
       all_vectors     -- {packed sorted value vector: least index} over the visited
                          states that pass the TS/WTS bits of require_mask (collect only)
       matched_first   -- same, restricted to matching states (collect only)
@@ -135,8 +149,8 @@ def scan(
     """
     if num_vertices < 0 or n < 1:
         raise ValueError("num_vertices must be >= 0 and n >= 1")
-    if require_mask & SO and (first_only or collect_vectors):
-        raise ValueError("an SO scan is neither first_only nor collect_vectors")
+    if require_mask & SO and collect_vectors:
+        raise ValueError("an SO scan collects no value vectors")
     free = [v for v in range(num_vertices) if fixed[v] < 0]
     f = len(free)
     if canonical and f < num_vertices:
@@ -222,8 +236,9 @@ def scan(
     states = 0
     matched = 0
     first_index = -1
-    top_welfare = best_welfare = best_index = -1
+    best_welfare = best_index = -1
     best_count = 0
+    top_welfare = bar = floor  # bar: the least welfare an SO scan still visits
     k = 0  # the lowest digit the last step moved: ub[k + 1:] are stale
     changed = f  # the lowest digit moved since the last visited state
 
@@ -247,16 +262,16 @@ def scan(
                 placedin[p] = b
                 placed = p + 1
                 ub[placed] = ub[p] + 2 * delta
-                if ub[placed] < top_welfare:
-                    last = p  # every completion of digits 0..p is below the top
+                if ub[placed] < bar:
+                    last = p  # every completion of digits 0..p is below the bar
                     break
             else:
-                if welfare < top_welfare:
+                if welfare < bar:
                     last = f - 1
         if last == f:
             states += 1
             if welfare > top_welfare:
-                top_welfare = welfare
+                top_welfare = bar = welfare
             for nv, v, t, j in tails[changed]:
                 if (nv & member[assign[v]]).bit_count() >= t:
                     last = j  # every completion of digits 0..j fails: the digits after j reset to 0
@@ -319,7 +334,11 @@ def scan(
                     else:
                         matched_count[key] += weight
             if ok and first_only:
-                break
+                if not bound:
+                    break
+                # an SO scan visits only states at the top welfare, and every
+                # later tie has a larger index
+                bar = welfare + 1
 
         k = f - 1
         while k >= 0:

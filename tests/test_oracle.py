@@ -22,6 +22,7 @@ from cutfair.graph import Graph
 from cutfair.instances import (
     SplitMix64,
     gen_appendix_a,
+    gen_appendix_b,
     gen_complete,
     gen_complete_bipartite,
     gen_cycle,
@@ -409,8 +410,10 @@ def pruned_scans(draw, so=False):
     """A kernel scan whose mask has TS or WTS, maybe with other bits, on a
     graph with 0-6 vertices and 1-4 bundles: canonical, labelled,
     vertex-0-pinned or with random fixed vertices, with or without
-    first_only and the list of matches.  With so, the mask has SO and any
-    other bits, and the scan is neither first_only nor collects tables."""
+    first_only and the list of matches, and with a floor of -1.  With so, the
+    mask has SO and any other bits, the scan collects no table, and when no
+    vertex but vertex 0 is fixed the floor may also be the brute-force top
+    welfare or the welfare of a random allocation."""
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=0, max_value=max(k for k in range(7) if n**k <= PRUNED_LIMIT)))
     pairs = list(itertools.combinations(range(m), 2))
@@ -426,10 +429,15 @@ def pruned_scans(draw, so=False):
     if mode == "fixed":
         fixed = draw(st.lists(st.integers(min_value=-1, max_value=n - 1), min_size=m, max_size=m))
     first_only, list_matches, collect = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    g = Graph.from_edges(m, edges)
+    floor = -1
     if so:
-        first_only = collect = False
+        collect = False
+        if max(fixed[1:], default=-1) < 0:
+            welfare = [sum(bundle_values(a, g)) for a in oracle.enumerate_allocations(g, n)]
+            floor = draw(st.sampled_from([-1, max(welfare), draw(st.sampled_from(welfare))]))
     canonical = mode == "canonical"
-    return Graph.from_edges(m, edges), n, fixed, mask, alpha, canonical, first_only, list_matches, collect
+    return g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect, floor
 
 
 def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
@@ -486,7 +494,7 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
     value-vector tables of the unpruned scan, and visit no more states.
     top_welfare is compared where it is defined: not first_only, and no
     vertex fixed but vertex 0."""
-    g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect = case
+    g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect, _ = case
     ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only)
     fields = ["matched", "first_index", "best_welfare", "best_index", "best_count"]
     if list_matches:
@@ -506,14 +514,16 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
 @given(case=pruned_scans(so=True))
 def test_so_scans_equal_brute_force(compiled_scan, case):
     """Both kernels' SO scans, which also skip every completion of a prefix
-    whose cut bound is below the top welfare, visit the same states, and
-    return the unpruned scan's top welfare and, when a match reaches it, its
-    best_* fields and its matches at that welfare in the list.  They are
-    compared where top_welfare is defined: the mask has no TS or WTS bit, or
-    no vertex but vertex 0 is fixed."""
-    g, n, fixed, mask, alpha, canonical, _, list_matches, _ = case
+    whose cut bound is below the top welfare (or equal to it, once a
+    first_only scan has a match there), visit the same states, and return
+    the unpruned scan's top welfare and, when a match reaches it, its
+    best_welfare and best_index and, unless first_only, its best_count and
+    its matches at that welfare in the list.  They are compared where
+    top_welfare is defined: the mask has no TS or WTS bit, or no vertex but
+    vertex 0 is fixed."""
+    g, n, fixed, mask, alpha, canonical, first_only, list_matches, _, floor = case
     ref, states = unpruned_reference(g, n, fixed, mask & ~SO, alpha, canonical, False)
-    call = oracle._kernel_args(g, n, fixed, mask, alpha, False, False, list_matches, canonical)
+    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, False, list_matches, canonical, floor)
     result = scan_python(*call)
     assert compiled_scan(*call) == result
     assert result["states"] <= states
@@ -521,12 +531,12 @@ def test_so_scans_equal_brute_force(compiled_scan, case):
         return
     top = ref["top_welfare"]
     assert result["top_welfare"] == top
-    best = ["best_welfare", "best_index", "best_count"]
+    best = ["best_welfare", "best_index"] if first_only else ["best_welfare", "best_index", "best_count"]
     if ref["best_welfare"] == top:
         assert [result[k] for k in best] == [ref[k] for k in best]
     else:
         assert result["best_welfare"] < top
-    if list_matches:
+    if list_matches and not first_only:
         decode = oracle._decoder(g, n, fixed)
 
         def at_top(matches):
@@ -555,10 +565,15 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     """The TS-pruned scans of ef1+ts on fig3 with d = 9 and n = 3, which no
     allocation satisfies, of the collect scans of the criterion-10 Pareto
     check (fig1, n = 7) and of an ef1+po count, and the TS- and
-    cut-bound-pruned scans of one oracle_max_cut call and of max_welfare on
-    G(12, 0.4) with n = 4 visit these many states, against every restricted
+    cut-bound-pruned first_only scans of one oracle_max_cut call, of
+    max_welfare on G(12, 0.4) with n = 4 and of the ef1+so witness on
+    appendixB with n = 4 visit these many states, against every restricted
     growth string unpruned and, for the max cut and max_welfare, against the
-    scan pruned by TS alone, which finds the same top welfare."""
+    scan pruned by TS alone, which finds the same top welfare.  The max cut
+    and max_welfare start at a floor that is already their top welfare, so
+    each visits the first state at the top alone; the appendixB scan, with
+    840 allocations at the top welfare, visited 1,246 states when every tie
+    was visited and the top started at -1."""
     scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
     g = gen_fig3(9).graph
     visited = [
@@ -578,8 +593,9 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     oracle.oracle_pareto(Allocation.of([{0, 4}, {1}, {2}, {3}, {5}, {6}, {7}]), *cases[1])
     oracle.oracle_count(*cases[2], query("ef1", "po"))
     oracle.max_welfare(*cases[3])
+    oracle.oracle_exists(gen_appendix_b(4).graph, 4, query("ef1", "so", symmetry=True))
     full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, canonical=True)) for g, n in cases[:3]]
-    assert [r["states"] for r in results] == [59, 1_425, 3_222, 462]
+    assert [r["states"] for r in results] == [1, 1_425, 3_222, 1, 16]
     assert [r["states"] for r in full] == [32_768, 4_139, 9_842]
     stable = [
         scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, TS, canonical=True)) for g, n in cases[::3]
@@ -605,6 +621,75 @@ def test_welfare_scans_add_the_ts_bit(monkeypatch):
     oracle.oracle_count(g, 3, query("ef1", "po"))
     oracle.oracle_pareto(oracle.oracle_leximin(g, 3), g, 3)
     assert masks == [TS | SO, TS | SO, EF1 | TS | SO, TS | SO, EF1 | TS, TS, TS]
+
+
+def test_local_optimum_is_a_floor_no_move_improves():
+    """The floor of an SO scan is the welfare of its own allocation, at most
+    the brute-force maximum welfare, and no single vertex moving to another
+    bundle raises it, on random graphs with 1-7 vertices and 1-4 bundles."""
+    rng = SplitMix64(505)
+    for trial in range(40):
+        n = 1 + trial % 4
+        m = 1 + rng.below(7 if n < 3 else 6)
+        g = gen_random_graph(m, 0.2 + 0.6 * rng.below(100) / 100, rng.next_u64()).graph
+        welfare, assign = oracle._local_optimum(g, n)
+        bundles = [{v for v in range(m) if assign[v] == b} for b in range(n)]
+        assert welfare == sum(bundle_values(Allocation.of(bundles), g))
+        assert welfare <= max(sum(bundle_values(a, g)) for a in oracle.enumerate_allocations(g, n))
+        for v, nbrs in enumerate(g.adjacency):
+            own = sum(u in bundles[assign[v]] for u in nbrs)
+            assert all(sum(u in bundle for u in nbrs) >= own for bundle in bundles), (trial, v)
+
+
+def test_the_floor_changes_only_the_visited_states(monkeypatch):
+    """With every scan's floor forced to -1, every oracle entry point returns
+    the same, and the SO scans visit more states in all."""
+    graphs = [
+        (gen_fig3(3).graph, 3),
+        (gen_cycle(7).graph, 2),
+        (gen_random_graph(9, 0.4, 11).graph, 3),
+        (gen_random_graph(8, 0.5, 12).graph, 4),
+        (gen_appendix_b(4).graph, 4),
+    ]
+    states = []
+
+    def answers():
+        states.clear()
+        out = []
+        for g, n in graphs:
+            so = query("ef1", "so")
+            witness = oracle.oracle_exists(g, n, so)
+            out += [
+                witness,
+                oracle.oracle_exists(g, n, query("so", symmetry=True)),
+                oracle.oracle_count(g, n, so),
+                oracle.oracle_count(g, n, query("nonempty", "so", "po", symmetry=True)),
+                oracle.oracle_find_all(g, n, query("ef1", "so")),
+                oracle.oracle_find_all(g, n, query("so", symmetry=True)),
+                oracle.max_welfare(g, n),
+                oracle.oracle_max_cut(g),
+                oracle.oracle_exists(g, n, query("ef1", "ts")),
+                oracle.oracle_count(g, n, query("ef1", "po")),
+                oracle.oracle_leximin(g, n),
+                witness is None or oracle.oracle_pareto(witness, g, n),
+                oracle.oracle_completable_ef1(Allocation.of([{0}] + [set()] * (n - 1)), g, n),
+            ]
+        return out, sum(states)
+
+    kernel = oracle.scan
+
+    def counting(*args):
+        result = kernel(*args)
+        states.append(result["states"])
+        return result
+
+    monkeypatch.setattr(oracle, "scan", counting)
+    with_floor = answers()
+    kernel_args = oracle._kernel_args
+    monkeypatch.setattr(oracle, "_kernel_args", lambda *args, **kwargs: kernel_args(*args, **kwargs)[:-1] + (-1,))
+    without_floor = answers()
+    assert with_floor[0] == without_floor[0]
+    assert with_floor[1] < without_floor[1]
 
 
 def parity_cases():
@@ -638,19 +723,24 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
     """Both kernels return identical result dictionaries, states included, for
     each mask bit and their union, with and without SO, on every parity case,
     labelled and canonical with the case's fixed vertices freed, with and
-    without the list of matches, in every scan mode an SO scan allows."""
+    without the list of matches, in every scan mode an SO scan allows, and
+    SO scans with no floor and with a local optimum's welfare as the floor."""
     predicates = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
     masks = predicates + [SO] + [mask | SO for mask in predicates]
     for case, (g, n, fixed) in enumerate(parity_cases()):
         scans = ((fixed, False), ([-1] * len(fixed), True))
+        floors = (-1, oracle._local_optimum(g, n)[0])
         for mask in masks:
-            modes = [(False, False)] if mask & SO else itertools.product((False, True), repeat=2)
-            for first_only, collect in modes:
+            if mask & SO:
+                modes = itertools.product((False, True), (False,), floors)
+            else:
+                modes = itertools.product((False, True), (False, True), (-1,))
+            for first_only, collect, floor in modes:
                 for (free, canonical), list_matches in itertools.product(scans, (False, True)):
                     call = oracle._kernel_args(
-                        g, n, free, mask, Fraction(1, 2), first_only, collect, list_matches, canonical
+                        g, n, free, mask, Fraction(1, 2), first_only, collect, list_matches, canonical, floor
                     )
-                    assert compiled_scan(*call) == scan_python(*call), (case, mask, call[9:13])
+                    assert compiled_scan(*call) == scan_python(*call), (case, mask, call[9:])
 
 
 def test_canonical_scan_visits_one_labelling_per_partition():
@@ -664,7 +754,7 @@ def test_canonical_scan_visits_one_labelling_per_partition():
 
 def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
     """Both kernels refuse a canonical scan that fixes a vertex, an SO scan
-    that is first_only or collects tables, and a scan into no bundle, so an
+    that collects tables, and a scan into no bundle, so an
     oracle query with n = 0 raises ValueError; the
     compiled one refuses a short ``fixed`` list instead of reading past it.  A
     labelled scan visits the whole range."""
@@ -676,9 +766,9 @@ def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
     for kernel in (compiled_scan, scan_python):
         with pytest.raises(ValueError, match="canonical scan fixes no vertex"):
             kernel(*args([0, -1, -1, -1], True))
-        for first_only, collect in ((True, False), (False, True)):
+        for first_only in (False, True):
             with pytest.raises(ValueError, match="SO scan"):
-                kernel(*oracle._kernel_args(g, 3, [-1] * 4, TS | SO, first_only=first_only, collect=collect))
+                kernel(*oracle._kernel_args(g, 3, [-1] * 4, TS | SO, first_only=first_only, collect=True))
         with pytest.raises(ValueError, match="n >= 1"):
             kernel(*args([-1] * 4, n=0))
         assert kernel(*args([-1] * 4))["states"] == 3**4
