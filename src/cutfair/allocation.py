@@ -195,14 +195,11 @@ def check_so(a: Allocation, g: Graph, max_states: Optional[int] = None) -> Fairn
     if sw == top:
         return FairnessReport("SO", True)
     if g.is_forest() and a.n >= 2:
-        owner = {}
-        for i, b in enumerate(a.bundles):
-            for o in b:
-                owner[o] = i
         violations = [
-            {"i": owner[u], "j": owner[v], "item": [u, v], "values": [sw, top]}
-            for (u, v) in g.edges
-            if owner[u] == owner[v]
+            {"i": i, "j": i, "item": [u, v], "values": [sw, top]}
+            for u, v in monochromatic_edges(a, g)
+            for i, bundle in enumerate(a.bundles)
+            if u in bundle
         ]
         return FairnessReport("SO", not violations, violations)
     from . import oracle  # deferred: oracle depends on this module

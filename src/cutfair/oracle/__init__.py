@@ -7,7 +7,8 @@ predicate wiring, witness decoding, and the global predicates.  The kernel
 keeps the welfare as it walks, so SO, the maximum welfare and the maximum cut
 come from its welfare optimum (``top_welfare`` and the ``best_*`` fields of
 the matching states) with no table; PO, the Pareto check and leximin are
-built on the kernel's sorted-value-vector tables.
+built on the one table of a collect scan, ``vectors``, which maps each sorted
+value vector to its least matching index and its matching count.
 
 A scan with TS or wTS skips every completion of a prefix whose closed
 vertices already break them (see ``_scan_py``), so every scan that reads the
@@ -21,8 +22,8 @@ kernel's TS is wTS, a locally maximal cut), and so is every allocation whose
 value vector no other one dominates, the leximin ones included.  So the TS
 bit drops no allocation at the top welfare or with an undominated vector:
 the kernel still returns the top welfare as ``top_welfare``, and its
-``all_vectors``, which holds only the TS allocations' vectors, keeps every
-undominated vector at its least index.
+``vectors``, which holds only the TS allocations' vectors, keeps every
+undominated vector.
 
 The scans that read only the top welfare, those of SO, ``max_welfare`` and
 ``oracle_max_cut``, also carry the kernel's SO bit, which prunes by a cut
@@ -61,10 +62,8 @@ one of a PO filter, which ends the query when it keeps nothing).  Indices,
 counts and the state cap are all in labelled terms.
 
 Every query is one call of ``_scan``, which holds the refusals: more
-labelled states than the cap, n**free at or above 2**63 (the kernels'
-64-bit indices), and, for PO, the Pareto check and leximin alone, a sorted
-value vector that does not pack into 64 bits (n times the bit length of the
-edge count above 62).  n must be at least 1: both kernels raise ValueError
+labelled states than the cap, and n**free at or above 2**63 (the kernels'
+64-bit indices).  n must be at least 1: both kernels raise ValueError
 otherwise.
 """
 
@@ -165,10 +164,6 @@ def _require_one_thread(threads: int) -> None:
         raise ValueError(f"threads must be 1, not {threads}: an oracle query is one kernel scan")
 
 
-def _shift(g: Graph) -> int:
-    return max(1, g.num_edges).bit_length()
-
-
 def _check_cap(states: int, max_states: int) -> None:
     if states > max_states:
         raise CapExceededError(f"{states} states exceed the cap of {max_states}")
@@ -240,22 +235,21 @@ def _kernel_args(
     return (
         g.num_vertices, n, indptr, indices, degrees, list(fixed),
         mask, alpha.numerator, alpha.denominator,
-        first_only, collect, list_matches, canonical, _shift(g), floor,
+        first_only, collect, list_matches, canonical, floor,
     )
 
 
 def _scan(
     g, n, max_states, mask=0, fixed=None, pin=False, alpha=1,
-    first_only=False, collect=(), list_matches=False,
+    first_only=False, collect=False, list_matches=False,
 ):
     """One kernel scan over the allocations that keep the fixed vertices in
     place, and vertex 0 in bundle 0 if pin: the fixed vertices and the
-    result, in labelled indices and counts, with each table named in collect
-    keyed by ascending value tuples.  The scan is canonical unless it lists
-    its matches or fixes a vertex other than the pinned one; an SO scan that
-    fixes none starts its top welfare at a local optimum's.  The cap counts
-    the labelled states in range; only a scan that collects tables packs a
-    value vector into 64 bits."""
+    result, in labelled indices and counts, with the ``vectors`` table if
+    collect.  The scan is canonical unless it lists its matches or fixes a
+    vertex other than the pinned one; an SO scan that fixes none starts its
+    top welfare at a local optimum's.  The cap counts the labelled states in
+    range."""
     m = g.num_vertices
     unfixed = fixed is None or max(fixed, default=-1) < 0
     canonical = not list_matches and unfixed
@@ -264,39 +258,30 @@ def _scan(
     if pinned:
         fixed[0] = 0
     _check_cap(n ** fixed.count(-1), max_states)
-    shift = _shift(g)
-    if collect and n * shift > 62:
-        raise CapExceededError("value vector does not pack into 64 bits")
     scanned = [-1] * m if canonical else fixed
     states = n ** scanned.count(-1)
     if states >= 1 << 63:
         raise CapExceededError(f"{states} states overflow the kernel's 64-bit indices")
     floor = _local_optimum(g, n)[0] if mask & SO and unfixed else -1
     result = scan(
-        *_kernel_args(g, n, scanned, mask, alpha, first_only, bool(collect), list_matches, canonical, floor)
+        *_kernel_args(g, n, scanned, mask, alpha, first_only, collect, list_matches, canonical, floor)
     )
     if pinned and canonical:  # vertex 0 is in bundle 0 in one labelling of every n
         result["matched"] //= n
         result["best_count"] //= n
         if collect:
-            result["matched_count"] = {key: c // n for key, c in result["matched_count"].items()}
-    bits = (1 << shift) - 1
-    offsets = range(shift * (n - 1), -1, -shift)
-    for name in collect:
-        result[name] = {tuple([(key >> s) & bits for s in offsets]): v for key, v in result[name].items()}
+            for entry in result["vectors"].values():
+                entry[1] //= n
     return fixed, result
 
 
 def _po_scan(g, n, query: OracleQuery, mask: int):
-    """The fixed vertices of a PO query, the least index and the count of
-    each matched ascending value vector, and the matched vectors that no
-    allocation in range dominates."""
-    fixed, result = _scan(
-        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha,
-        collect=("all_vectors", "matched_first", "matched_count"),
-    )
-    first = result["matched_first"]
-    return fixed, first, result["matched_count"], set(first) & _undominated(result["all_vectors"])
+    """The fixed vertices of a PO query and {vector: [least index, count]}
+    over the matched ascending value vectors that no allocation in range
+    dominates."""
+    fixed, result = _scan(g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, collect=True)
+    vectors = result["vectors"]
+    return fixed, {v: vectors[v] for v in _undominated(vectors) if vectors[v][0] >= 0}
 
 
 def _mask(query: OracleQuery) -> int:
@@ -320,8 +305,8 @@ def _answer(g, n, query: OracleQuery, first_only: bool):
     mask = _mask(query)
     so = "so" in query.predicates
     if "po" in query.predicates and not so:
-        fixed, first, count, keys = _po_scan(g, n, query, mask)
-        return fixed, min((first[k] for k in keys), default=-1), sum(count[k] for k in keys)
+        fixed, kept = _po_scan(g, n, query, mask)
+        return fixed, min((i for i, _ in kept.values()), default=-1), sum(c for _, c in kept.values())
     fixed, result = _scan(
         g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, first_only=first_only
     )
@@ -367,7 +352,7 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     so = "so" in query.predicates
     keys = None
     if "po" in query.predicates and not so:
-        keys = _po_scan(g, n, query, mask)[3]
+        keys = _po_scan(g, n, query, mask)[1]
         if not keys:
             return []
     fixed, result = _scan(
@@ -395,7 +380,7 @@ def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX
     if not a.is_complete(g):
         raise ValueError("Pareto check requires a complete allocation")
     mine = tuple(sorted(bundle_values(a, g)))
-    vectors = _scan(g, n, max_states, TS, collect=("all_vectors",))[1]["all_vectors"]
+    vectors = _scan(g, n, max_states, TS, collect=True)[1]["vectors"]
     return not any(_dominates(v, mine) for v in vectors)
 
 
@@ -403,9 +388,9 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
     """Allocation whose sorted value vector is lexicographically maximal; first
     in enumeration order on ties.  ``threads`` must be 1."""
     _require_one_thread(threads)
-    fixed, result = _scan(g, n, max_states, TS, collect=("all_vectors",))
-    vectors = result["all_vectors"]
-    return _decode(g, n, fixed, vectors[max(vectors)])
+    fixed, result = _scan(g, n, max_states, TS, collect=True)
+    vectors = result["vectors"]  # with the mask TS alone every state in it matches
+    return _decode(g, n, fixed, vectors[max(vectors)][0])
 
 
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:

@@ -9,9 +9,12 @@
  * vertices: moving v from bundle d to nd adds 2 * (cnt[v][d] - cnt[v][nd]).
  * So it returns top_welfare (the largest welfare visited) and, over the
  * matching states, best_welfare, best_index (the first state to reach it) and
- * best_count (their weighted count) with no table.  TS and wTS reduce to a
- * per-vertex threshold on the neighbours a vertex has in its own bundle, the
- * crowded array (see _scan_py for the argument).
+ * best_count (their weighted count) with no table.  A collect_vectors scan
+ * also returns vectors, a dict from the tuple of a state's ascending bundle
+ * values to [least matching index or -1, labelled matching count], filled by
+ * collect_state.  TS and wTS reduce to a per-vertex threshold on the
+ * neighbours a vertex has in its own bundle, the crowded array (see _scan_py
+ * for the argument).
  *
  * That count is final at the vertex's closing position, the largest
  * free-vertex position among itself and its neighbours.  A scan whose mask has
@@ -21,10 +24,10 @@
  * digits after j reset to 0 and digit j advances through the normal carry.
  * Only failing states are skipped, so every field but states is unchanged,
  * except top_welfare, which stays the largest welfare over the visited states,
- * and all_vectors, which holds the vectors of the states that pass the TS/wTS
+ * and vectors, which holds the vectors of the states that pass the TS/wTS
  * test.  As every welfare maximum and every undominated value vector is TS and
  * wTS, top_welfare is still the global maximum when the scan is not first_only
- * and fixes no vertex other than a vertex-0 pin, and all_vectors still holds
+ * and fixes no vertex other than a vertex-0 pin, and vectors still holds
  * every undominated vector.  With n = 1 no vertex fails.  A visited state
  * re-tests only order[tails[changed]:], the vertices that close at or after
  * the lowest digit moved since the last visited state; the others kept their
@@ -43,7 +46,7 @@
  * the same states.  The test is strict, so every state at the top welfare is
  * visited: top_welfare is as without SO, and best_welfare, best_index,
  * best_count and the listed matches are exact at the top welfare.  With SO,
- * matched, first_index and the tables are undefined, and a collect_vectors
+ * matched, first_index and vectors are undefined, and a collect_vectors
  * scan is refused with ValueError.
  *
  * An SO scan that is first_only reads only top_welfare, best_welfare and
@@ -110,60 +113,61 @@ labelled_index(const int *digits, int f, int n)
     return index;
 }
 
-/* Record the packed sorted value vector key of the state labelled digits: its
- * least index in all_vectors and, for a matching state, in matched_first,
- * with the number of labelled matching states in matched_count. */
+/* Set item i of list to the int x (PyList_SetItem steals the new int). */
 static int
-collect_state(PyObject *all_vectors, PyObject *matched_first,
-              PyObject *matched_count, long long key, const int *digits, int f,
-              int n, int ok, long long weight)
+set_int(PyObject *list, Py_ssize_t i, long long x)
 {
-    PyObject *k = PyLong_FromLongLong(key), *idx = NULL, *c;
+    PyObject *item = PyLong_FromLongLong(x);
+    return item == NULL ? -1 : PyList_SetItem(list, i, item);
+}
+
+/* Record the n ascending values of the state labelled digits in vectors, keyed
+ * by their tuple: the entry [least matching index or -1, labelled matching
+ * count] is added at [-1, 0] and, for a matching state, updated. */
+static int
+collect_state(PyObject *vectors, const long long *sorted, const int *digits, int f, int n,
+              int ok, long long weight)
+{
+    PyObject *key = PyTuple_New(n), *entry = NULL;
     int rc = -1;
-    if (k == NULL)
+    if (key == NULL)
         return -1;
-    if (PyDict_GetItemWithError(all_vectors, k) == NULL) {
-        if (PyErr_Occurred() || (idx = PyLong_FromLongLong(labelled_index(digits, f, n))) == NULL
-            || PyDict_SetItem(all_vectors, k, idx) < 0)
+    for (int b = 0; b < n; b++) {
+        PyObject *x = PyLong_FromLongLong(sorted[b]);
+        if (x == NULL)
             goto done;
+        PyTuple_SET_ITEM(key, b, x);
     }
+    entry = PyDict_GetItemWithError(vectors, key);
+    Py_XINCREF(entry);
+    if (entry == NULL
+        && (PyErr_Occurred() || (entry = PyList_New(2)) == NULL || set_int(entry, 0, -1) < 0
+            || set_int(entry, 1, 0) < 0 || PyDict_SetItem(vectors, key, entry) < 0))
+        goto done;
     if (ok) {
-        c = PyDict_GetItemWithError(matched_count, k);
-        if (c == NULL) {
-            if (PyErr_Occurred())
-                goto done;
-            if (idx == NULL && (idx = PyLong_FromLongLong(labelled_index(digits, f, n))) == NULL)
-                goto done;
-            if (PyDict_SetItem(matched_first, k, idx) < 0)
-                goto done;
-            c = PyLong_FromLongLong(weight);
-        } else {
-            c = PyLong_FromLongLong(PyLong_AsLongLong(c) + weight);
-        }
-        if (c == NULL)
+        if (PyLong_AsLongLong(PyList_GET_ITEM(entry, 0)) < 0
+            && set_int(entry, 0, labelled_index(digits, f, n)) < 0)
             goto done;
-        int set = PyDict_SetItem(matched_count, k, c);
-        Py_DECREF(c);
-        if (set < 0)
+        if (set_int(entry, 1, PyLong_AsLongLong(PyList_GET_ITEM(entry, 1)) + weight) < 0)
             goto done;
     }
     rc = 0;
 done:
-    Py_DECREF(k);
-    Py_XDECREF(idx);
+    Py_DECREF(key);
+    Py_XDECREF(entry);
     return rc;
 }
 
 static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    int m, n, require_mask, first_only, collect_vectors, list_matches, canonical, shift;
+    int m, n, require_mask, first_only, collect_vectors, list_matches, canonical;
     long long alpha_num, alpha_den, floor_welfare; /* the floor argument (floor() is math.h's) */
     PyObject *indptr_obj, *indices_obj, *degrees_obj, *fixed_obj;
-    if (!PyArg_ParseTuple(args, "iiOOOOiLLppppiL:scan", &m, &n, &indptr_obj,
+    if (!PyArg_ParseTuple(args, "iiOOOOiLLppppL:scan", &m, &n, &indptr_obj,
                           &indices_obj, &degrees_obj, &fixed_obj, &require_mask,
                           &alpha_num, &alpha_den, &first_only, &collect_vectors,
-                          &list_matches, &canonical, &shift, &floor_welfare))
+                          &list_matches, &canonical, &floor_welfare))
         return NULL;
     if (m < 0 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
@@ -177,8 +181,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     if (num_arcs < 0)
         return NULL;
 
-    PyObject *result = NULL, *matches = NULL, *all_vectors = NULL, *matched_first = NULL,
-             *matched_count = NULL;
+    PyObject *result = NULL, *matches = NULL, *vectors = NULL;
     int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)12 * m + 2 + (size_t)num_arcs));
     long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)2 * m * n + (size_t)4 * n + m + 1));
     if (ibuf == NULL || lbuf == NULL) {
@@ -206,15 +209,12 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         goto done;
     if (list_matches && (matches = PyList_New(0)) == NULL)
         goto done;
-    if (collect_vectors) {
-        if ((all_vectors = PyDict_New()) == NULL || (matched_first = PyDict_New()) == NULL
-            || (matched_count = PyDict_New()) == NULL)
-            goto done;
-    }
+    if (collect_vectors && (vectors = PyDict_New()) == NULL)
+        goto done;
 
     int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok, last, crowdable = 0, changed, placed = 0;
     int bound = (require_mask & SO) != 0;
-    long long r, key, vmin, vmax, tmp, weight = 1, welfare = 0;
+    long long r, vmin, vmax, tmp, weight = 1, welfare = 0;
     long long states = 0, matched = 0, first_index = -1;
     long long best_welfare = -1, best_index = -1, best_count = 0;
     /* bar: the least welfare an SO scan still visits */
@@ -439,11 +439,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                     sortbuf[j + 1] = sortbuf[j];
                 sortbuf[j + 1] = tmp;
             }
-            key = 0;
-            for (b = 0; b < n; b++)
-                key = (key << shift) | sortbuf[b];
-            if (collect_state(all_vectors, matched_first, matched_count, key, digits, f, n,
-                              ok, weight) < 0)
+            if (collect_state(vectors, sortbuf, digits, f, n, ok, weight) < 0)
                 goto done;
         }
         if (ok && first_only) {
@@ -492,27 +488,23 @@ step:
             changed = k;
     }
 
-    result = Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O}", "states", states,
+    result = Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:O,s:O}", "states", states,
                            "matched", matched, "first_index", first_index,
                            "top_welfare", top_welfare, "best_welfare", best_welfare,
                            "best_index", best_index, "best_count", best_count,
                            "matches", list_matches ? matches : Py_None,
-                           "all_vectors", collect_vectors ? all_vectors : Py_None,
-                           "matched_first", collect_vectors ? matched_first : Py_None,
-                           "matched_count", collect_vectors ? matched_count : Py_None);
+                           "vectors", collect_vectors ? vectors : Py_None);
 done:
     PyMem_Free(ibuf);
     PyMem_Free(lbuf);
     Py_XDECREF(matches);
-    Py_XDECREF(all_vectors);
-    Py_XDECREF(matched_first);
-    Py_XDECREF(matched_count);
+    Py_XDECREF(vectors);
     return result;
 }
 
 PyDoc_STRVAR(scan_doc,
 "scan(num_vertices, n, indptr, indices, degrees, fixed, require_mask,\n"
-"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, canonical, shift,\n"
+"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, canonical,\n"
 "     floor, /)\n"
 "--\n\n"
 "Scan every global assignment index, or only the canonical ones;\n"

@@ -40,7 +40,7 @@ digits 0 to j: the digits after j reset to 0 and digit j advances through the
 normal carry (with n = 1 no vertex fails).  The failing state itself goes
 straight to the step.  Only failing states are skipped, so every field but
 ``states`` is unchanged, except ``top_welfare``, which stays the largest
-welfare over the visited states, and ``all_vectors``, which holds the vectors
+welfare over the visited states, and ``vectors``, which holds the vectors
 of the states that pass the TS/wTS test (every state's when the mask has
 neither bit).  A vertex that breaks TS or wTS has fewer neighbours in some
 other bundle than in its own, and moving it there raises that bundle's value
@@ -48,7 +48,7 @@ without lowering its own: a Pareto improvement that strictly raises the
 welfare.  So every welfare maximum and every undominated value vector is TS
 and wTS; hence a scan that is not ``first_only`` and fixes no vertex, or only
 vertex 0 (any allocation has a relabelling with vertex 0 in bundle 0), still
-visits a global maximum and returns it, and its ``all_vectors`` still holds
+visits a global maximum and returns it, and its ``vectors`` still holds
 every undominated vector.  A visited state re-tests only the vertices that
 close at or after the lowest digit moved since the last visited state: one
 that closes earlier kept its count, and it passed, for a failure would have
@@ -71,7 +71,7 @@ through the normal carry without visiting the state.  The test is strict, so
 every state at the top welfare is visited: ``top_welfare`` is as without SO,
 and ``best_welfare``, ``best_index``, ``best_count`` and the listed matches
 are exact at the top welfare (``best_welfare`` is below it when no match
-reaches it).  With SO ``matched``, ``first_index`` and the tables are
+reaches it).  With SO ``matched``, ``first_index`` and ``vectors`` are
 undefined, and a scan that is ``collect_vectors`` is refused.
 
 An SO scan that is ``first_only`` reads only ``top_welfare``,
@@ -123,7 +123,6 @@ def scan(
     collect_vectors,
     list_matches,
     canonical,
-    shift,
     floor,
 ):
     """Scan global assignment indices from 0 to n**free - 1; in canonical
@@ -142,10 +141,10 @@ def scan(
     With SO in require_mask only top_welfare, and best_welfare, best_index,
     best_count and the matches at the top welfare, are defined, and with
     first_only as well only the first three.  top_welfare starts at floor.
-      all_vectors     -- {packed sorted value vector: least index} over the visited
-                         states that pass the TS/WTS bits of require_mask (collect only)
-      matched_first   -- same, restricted to matching states (collect only)
-      matched_count   -- {packed vector: labelled matching-state count} (collect only)
+      vectors         -- {tuple(sorted(values)): [least matching index or -1,
+                         labelled matching-state count]} over the visited
+                         states that pass the TS/WTS bits of require_mask
+                         (collect_vectors only)
     """
     if num_vertices < 0 or n < 1:
         raise ValueError("num_vertices must be >= 0 and n >= 1")
@@ -229,9 +228,7 @@ def scan(
         placed = 0
 
     matches = [] if list_matches else None
-    all_vectors: dict = {}
-    matched_first: dict = {}
-    matched_count: dict = {}
+    vectors: dict = {}
     drops: dict = {}  # bundle bitmask -> its best removal drop
     states = 0
     matched = 0
@@ -322,17 +319,14 @@ def scan(
                 if first_index < 0:
                     first_index = _index(digits, n)
             if collect_vectors and last == f:
-                key = 0
-                for v in sorted(values):
-                    key = (key << shift) | v
-                if key not in all_vectors:
-                    all_vectors[key] = _index(digits, n)
+                key = tuple(sorted(values))
+                entry = vectors.get(key)
+                if entry is None:
+                    entry = vectors[key] = [-1, 0]
                 if ok:
-                    if key not in matched_first:
-                        matched_first[key] = _index(digits, n)
-                        matched_count[key] = weight
-                    else:
-                        matched_count[key] += weight
+                    if entry[0] < 0:
+                        entry[0] = _index(digits, n)
+                    entry[1] += weight
             if ok and first_only:
                 if not bound:
                     break
@@ -380,7 +374,5 @@ def scan(
         "best_index": best_index,
         "best_count": best_count,
         "matches": matches,
-        "all_vectors": all_vectors if collect_vectors else None,
-        "matched_first": matched_first if collect_vectors else None,
-        "matched_count": matched_count if collect_vectors else None,
+        "vectors": vectors if collect_vectors else None,
     }

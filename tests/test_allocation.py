@@ -148,7 +148,10 @@ def test_check_so_forest_tier():
     assert check_so(good, g).holds is True
     rep = check_so(bad, g)
     assert rep.holds is False
-    assert len(rep.violations) == 2
+    assert rep.violations == [
+        {"i": 0, "j": 0, "item": [0, 1], "values": [2, 6]},
+        {"i": 1, "j": 1, "item": [2, 3], "values": [2, 6]},
+    ]
     assert monochromatic_edges(bad, g) == [(0, 1), (2, 3)]
 
 

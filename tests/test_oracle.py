@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import perm
 
@@ -231,8 +233,8 @@ def test_threads_other_than_one_are_refused():
 
 def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     """One kernel call per query, canonical unless a partial allocation fixes
-    a vertex (vertex 0 alone included), and collecting value-vector tables
-    only for PO without SO, the Pareto check and leximin; oracle_find_all
+    a vertex (vertex 0 alone included), and collecting value vectors only
+    for PO without SO, the Pareto check and leximin; oracle_find_all
     makes one labelled call, after the canonical collect scan of a PO filter,
     and none when that filter keeps no vector."""
     calls = []
@@ -297,15 +299,21 @@ def test_overflowing_queries_are_refused_before_any_kernel_call(kernel, request,
     assert calls == []
 
 
-def test_only_table_scans_need_packable_value_vectors():
-    """On K4 with 21 bundles a sorted value vector needs 63 bits: queries
-    that build no table of vectors answer, and PO, which builds one, is
-    refused."""
+@pytest.mark.parametrize("n", [21, 22])
+def test_po_answers_on_value_vectors_wider_than_63_bits(n):
+    """On K4 with 21 or 22 bundles a sorted value vector would take 63 or 66
+    bits packed: PO, the Pareto check and leximin answer all the same.  The
+    EF1+PO allocations are those with one vertex per bundle, the EF1+SO
+    ones."""
     g = gen_complete(4).graph
-    assert oracle.oracle_exists(g, 21, query("ef1")) is not None
-    assert check_so(Allocation.of([{0}, {1}, {2}, {3}] + [set()] * 17), g).holds is True
-    with pytest.raises(CapExceededError, match="64 bits"):
-        oracle.oracle_exists(g, 21, query("ef1", "po"))
+    spread = Allocation.of([{0}, {1}, {2}, {3}] + [set()] * (n - 4))
+    assert oracle.oracle_exists(g, n, query("ef1")) is not None
+    assert oracle.oracle_exists(g, n, query("ef1", "po")) == spread
+    assert oracle.oracle_count(g, n, query("ef1", "po")) == perm(n, 4)
+    assert oracle.oracle_count(g, n, query("ef1", "so")) == perm(n, 4)
+    assert check_so(spread, g).holds is True
+    assert oracle.oracle_pareto(spread, g, n) is True
+    assert oracle.oracle_leximin(g, n) == spread
 
 
 KERNEL_PREDICATES = sorted(name for name, p in oracle.PREDICATES.items() if p.bit)
@@ -328,10 +336,12 @@ def labelled_queries(draw):
 @settings(deadline=None, max_examples=200)
 @given(labelled_queries())
 def test_canonical_oracle_equals_one_labelled_scan(case):
-    """Counts, witnesses and value-vector tables of the canonical enumeration
-    equal those of one Python-kernel scan over every labelled state (the
-    vertex-0-pinned ones with symmetry).  all_vectors depends on the mask
-    only through its TS and WTS bits."""
+    """Counts, witnesses and value vectors of the canonical enumeration equal
+    those of one Python-kernel scan over every labelled state (the
+    vertex-0-pinned ones with symmetry), and the value vectors those built
+    from the exact checkers, one restricted growth string at a time.  Which
+    vectors a scan collects depends on the mask only through its TS and WTS
+    bits."""
     g, n, preds, alpha, symmetry = case
     q = query(*preds, alpha=alpha, symmetry=symmetry)
     m = g.num_vertices
@@ -342,18 +352,15 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
     witness = oracle.oracle_exists(g, n, q)
     index = ref["first_index"]
     assert witness == (oracle._decode(g, n, fixed, index) if index >= 0 else None)
-    shift = oracle._shift(g)
-
-    def unpack(key):
-        return tuple((key >> s) & ((1 << shift) - 1) for s in range(shift * (n - 1), -1, -shift))
-
-    tables = ("all_vectors", "matched_first", "matched_count")
-    expected = [{unpack(key): v for key, v in ref[t].items()} for t in tables]
-    scanned, result = oracle._scan(g, n, q.max_states, mask, pin=symmetry, alpha=alpha, collect=tables)
-    assert (scanned, [result[t] for t in tables]) == (fixed, expected)
-    stable = mask & (TS | WTS)
-    vectors = oracle._scan(g, n, q.max_states, stable, pin=symmetry, collect=("all_vectors",))[1]
-    assert vectors["all_vectors"] == expected[0]
+    expected = unpruned_reference(g, n, [-1] * m, mask, alpha, True, False)[0]["vectors"]
+    if symmetry and m:  # vertex 0 is in bundle 0 in one labelling of every n
+        for entry in expected.values():
+            entry[1] //= n
+    assert ref["vectors"] == expected
+    scanned, result = oracle._scan(g, n, q.max_states, mask, pin=symmetry, alpha=alpha, collect=True)
+    assert (scanned, result["vectors"]) == (fixed, expected)
+    stable = oracle._scan(g, n, q.max_states, mask & (TS | WTS), pin=symmetry, collect=True)[1]
+    assert stable["vectors"].keys() == expected.keys()
 
 
 @st.composite
@@ -444,35 +451,34 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
     """The fields of a scan from the exact checkers, state by state: every
     labelled index in range, decoded, in order (in canonical mode only the
     restricted growth strings, each matching one counting its labellings),
-    up to the first match if first_only.  The value-vector tables, packed as
-    the kernels pack them, hold the states that pass the mask's TS and WTS
-    bits (all_vectors) and the matching ones.  Also the number of states."""
+    up to the first match if first_only.  ``vectors`` maps the sorted value
+    vector of each state that passes the mask's TS and WTS bits to the least
+    matching index with it (-1 if none) and its weighted number of matches.
+    Also the number of states."""
     q = query(alpha=alpha)
     checks = [p.check for p in oracle.PREDICATES.values() if p.bit & mask]
     stable = [p.check for p in oracle.PREDICATES.values() if p.bit & mask & (TS | WTS)]
     free = fixed.count(-1)
-    shift = oracle._shift(g)
     ref = {"matched": 0, "first_index": -1, "best_welfare": -1, "best_index": -1, "best_count": 0}
-    ref["matches"], ref["top_welfare"], states = [], -1, 0
-    ref["all_vectors"], ref["matched_first"], ref["matched_count"] = {}, {}, {}
+    ref["matches"], ref["top_welfare"], ref["vectors"], states = [], -1, {}, 0
     for index in range(n**free):
         digits = [index // n ** (free - 1 - k) % n for k in range(free)]
         if canonical and any(d > max(digits[:k], default=-1) + 1 for k, d in enumerate(digits)):
             continue
         states += 1
         a = oracle._decode(g, n, fixed, index)
-        welfare = sum(bundle_values(a, g))
+        values = bundle_values(a, g)
+        welfare = sum(values)
         ref["top_welfare"] = max(ref["top_welfare"], welfare)
-        key = 0
-        for value in sorted(bundle_values(a, g)):
-            key = key << shift | value
-        if all(check(a, g, q).holds for check in stable):
-            ref["all_vectors"].setdefault(key, index)
+        if not all(check(a, g, q).holds for check in stable):
+            continue
+        entry = ref["vectors"].setdefault(tuple(sorted(values)), [-1, 0])
         if not all(check(a, g, q).holds for check in checks):
             continue
         weight = perm(n, len(set(digits))) if canonical else 1
-        ref["matched_first"].setdefault(key, index)
-        ref["matched_count"][key] = ref["matched_count"].get(key, 0) + weight
+        if entry[0] < 0:
+            entry[0] = index
+        entry[1] += weight
         ref["matched"] += weight
         ref["matches"].append(index)
         if ref["first_index"] < 0:
@@ -491,7 +497,7 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
 def test_pruned_scans_equal_brute_force(compiled_scan, case):
     """Both kernels, which skip the completions of a prefix that breaks TS or
     wTS, return the matches, counts, witnesses, welfare optimum and
-    value-vector tables of the unpruned scan, and visit no more states.
+    value vectors of the unpruned scan, and visit no more states.
     top_welfare is compared where it is defined: not first_only, and no
     vertex fixed but vertex 0."""
     g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect, _ = case
@@ -500,7 +506,7 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
     if list_matches:
         fields.append("matches")
     if collect:
-        fields += ["all_vectors", "matched_first", "matched_count"]
+        fields.append("vectors")
     if not first_only and max(fixed[1:], default=-1) < 0:
         fields.append("top_welfare")
     call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, collect, list_matches, canonical)
@@ -754,7 +760,7 @@ def test_canonical_scan_visits_one_labelling_per_partition():
 
 def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
     """Both kernels refuse a canonical scan that fixes a vertex, an SO scan
-    that collects tables, and a scan into no bundle, so an
+    that collects value vectors, and a scan into no bundle, so an
     oracle query with n = 0 raises ValueError; the
     compiled one refuses a short ``fixed`` list instead of reading past it.  A
     labelled scan visits the whole range."""
@@ -802,6 +808,32 @@ def test_oracle_entry_points_on_the_compiled_kernel(compiled_scan, monkeypatch):
     expected = answers()
     monkeypatch.setattr(oracle, "scan", compiled_scan)
     assert answers() == expected
+
+
+def test_both_kernels_share_one_signature(compiled_scan):
+    """The compiled kernel's text signature, from its docstring, names the
+    Python kernel's parameters in the same order."""
+    names = [list(inspect.signature(kernel).parameters) for kernel in (compiled_scan, scan_python)]
+    assert names[0] == names[1]
+
+
+def test_compiled_collect_scans_do_not_leak(compiled_scan):
+    """200 compiled scans that collect value vectors and list their matches
+    leave the traced memory where it was: every key tuple, entry list and
+    int the kernel makes is freed with its result."""
+    g = gen_random_graph(7, 0.5, 3).graph
+    call = oracle._kernel_args(g, 3, [-1] * 7, EF1 | TS, collect=True, list_matches=True)
+    assert compiled_scan(*call)["vectors"]
+    tracemalloc.start()
+    try:
+        compiled_scan(*call)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            compiled_scan(*call)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 0
 
 
 def test_kernel_name_is_reported():
