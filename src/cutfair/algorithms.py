@@ -587,27 +587,21 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
                 compensate(o_t, a1, lambda: stats.bundle_value[a2] + stats.marginal_remove(a2, h2))
                 tag = "2"
             else:
-                drops = {
-                    pos: stats.min_removal_value(order[pos]) for pos in range(2, n)
-                }
-                dvals = {
-                    pos: (0 if item is None else item[1]) for pos, item in drops.items()
-                }
-                dmin = min(dvals.values())
+                dmin = min(stats.removal_floor(b) for b in order[2:])
                 pick = None
                 if stats.bundle_value[a1] > dmin:
-                    for pos in range(2, n):
-                        if dvals[pos] != dmin:
+                    for b in order[2:]:
+                        if stats.removal_floor(b) != dmin:
                             continue
-                        fj = feasible_roots(order[pos])
+                        fj = feasible_roots(b)
                         if fj:
-                            pick = (pos, fj)
+                            pick = (b, fj)
                             break
                 if pick is None:
                     raise SolverInvariantError("no peeling case applies")
-                pos, fj = pick
-                j = order[pos]
-                oj = drops[pos][0] if drops[pos] else None
+                j, fj = pick
+                best_j = stats.min_removal_value(j)
+                oj = best_j[0] if best_j else None
                 o_t = best_root(fj)
                 allocate(o_t, j)
                 for leaf in leaf_children(o_t):

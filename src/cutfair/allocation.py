@@ -144,41 +144,38 @@ def _require_complete(a: Allocation, g: Graph, predicate: str) -> None:
         raise ValueError(f"{predicate} requires a complete allocation")
 
 
-def check_ts(a: Allocation, g: Graph) -> FairnessReport:
-    """Transfer stability: no single-item transfer leaves both endpoints weakly
-    better with at least one strictly better."""
-    _require_complete(a, g, "TS")
+def _transfers(a: Allocation, g: Graph, name: str, least: int) -> FairnessReport:
+    """Violations are the single-item transfers o: i -> j that raise each
+    endpoint's value by at least ``least`` and their sum above 0: TS with
+    least 0 (both weakly better, one strictly), wTS with least 1 (both
+    strictly better)."""
+    _require_complete(a, g, name)
     stats = _stats(a, g)
     violations = []
     for o, i in enumerate(stats.assignment):
         drop = stats.marginal_remove(i, o)
-        if drop < 0:
+        if drop < least:
             continue
         for j in range(a.n):
             if j == i:
                 continue
             gain = stats.marginal_add(j, o)
-            if gain >= 0 and (drop > 0 or gain > 0):
+            if gain >= least and drop + gain > 0:
                 violations.append(
                     {"i": i, "j": j, "item": o, "values": [stats.bundle_value[i], stats.bundle_value[j]]}
                 )
-    return FairnessReport("TS", not violations, violations)
+    return FairnessReport(name, not violations, violations)
+
+
+def check_ts(a: Allocation, g: Graph) -> FairnessReport:
+    """Transfer stability: no single-item transfer leaves both endpoints weakly
+    better with at least one strictly better."""
+    return _transfers(a, g, "TS", 0)
 
 
 def check_wts(a: Allocation, g: Graph) -> FairnessReport:
     """Weak transfer stability: no transfer makes both endpoints strictly better."""
-    _require_complete(a, g, "wTS")
-    stats = _stats(a, g)
-    violations = []
-    for o, i in enumerate(stats.assignment):
-        if stats.marginal_remove(i, o) <= 0:
-            continue
-        for j in range(a.n):
-            if j != i and stats.marginal_add(j, o) > 0:
-                violations.append(
-                    {"i": i, "j": j, "item": o, "values": [stats.bundle_value[i], stats.bundle_value[j]]}
-                )
-    return FairnessReport("wTS", not violations, violations)
+    return _transfers(a, g, "wTS", 1)
 
 
 def check_so(a: Allocation, g: Graph, max_states: Optional[int] = None) -> FairnessReport:

@@ -64,7 +64,9 @@ counts and the state cap are all in labelled terms.
 Every query is one call of ``_scan``, which holds the refusals: more
 labelled states than the cap, and n**free at or above 2**63 (the kernels'
 64-bit indices).  n must be at least 1: both kernels raise ValueError
-otherwise.
+otherwise.  A query reaches it through ``_query_scan``, at the mask and alpha
+of ``_kernel_query``: ef1 and alpha_ef1 share the kernels' EF1 bit, and alpha
+is 1 with ef1, as EF1 implies alpha-EF1 for every alpha <= 1.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from ..allocation import (
     check_wts,
 )
 from ..graph import Graph
-from ._kernel import ALPHA_EF1, EF, EF1, KERNEL_NAME, NONEMPTY, SO, TS, WTS, scan
+from ._kernel import EF, EF1, KERNEL_NAME, NONEMPTY, SO, TS, WTS, scan
 
 DEFAULT_MAX_STATES = 20_000_000
 
@@ -122,7 +124,7 @@ class _Predicate(NamedTuple):
 PREDICATES = {
     "ef": _Predicate(lambda a, g, q: check_ef(a, g), EF),
     "ef1": _Predicate(lambda a, g, q: check_ef1(a, g), EF1),
-    "alpha_ef1": _Predicate(lambda a, g, q: check_alpha_ef1(a, g, q.alpha), ALPHA_EF1),
+    "alpha_ef1": _Predicate(lambda a, g, q: check_alpha_ef1(a, g, q.alpha), EF1),
     "ts": _Predicate(lambda a, g, q: check_ts(a, g), TS, complete=True),
     "wts": _Predicate(lambda a, g, q: check_wts(a, g), WTS, complete=True),
     "so": _Predicate(lambda a, g, q: check_so(a, g, max_states=q.max_states), complete=True),
@@ -275,23 +277,34 @@ def _scan(
     return fixed, result
 
 
-def _po_scan(g, n, query: OracleQuery, mask: int):
+def _kernel_query(query: OracleQuery) -> tuple[int, Fraction]:
+    """The kernel mask and alpha of a query: its predicates' bits OR'd, TS
+    with SO or PO, as every allocation at the top welfare or with an
+    undominated value vector is TS, and SO with SO, whose scans read only the
+    top.  alpha is 1 with ef1, which implies alpha-EF1 for every alpha <= 1."""
+    mask = 0
+    for name in query.predicates:
+        mask |= PREDICATES[name].bit
+    if "so" in query.predicates:
+        mask |= TS | SO
+    elif "po" in query.predicates:
+        mask |= TS
+    return mask, Fraction(1) if "ef1" in query.predicates else query.alpha
+
+
+def _query_scan(g, n, query: OracleQuery, **kwargs):
+    """``_scan`` with a query's kernel mask, alpha, cap and vertex-0 pin."""
+    mask, alpha = _kernel_query(query)
+    return _scan(g, n, query.max_states, mask, pin=query.symmetry, alpha=alpha, **kwargs)
+
+
+def _po_scan(g, n, query: OracleQuery):
     """The fixed vertices of a PO query and {vector: [least index, count]}
     over the matched ascending value vectors that no allocation in range
     dominates."""
-    fixed, result = _scan(g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, collect=True)
+    fixed, result = _query_scan(g, n, query, collect=True)
     vectors = result["vectors"]
     return fixed, {v: vectors[v] for v in _undominated(vectors) if vectors[v][0] >= 0}
-
-
-def _mask(query: OracleQuery) -> int:
-    """The kernel mask of a query: its predicates' bits, and TS with SO or
-    PO, as every allocation at the top welfare or with an undominated value
-    vector is TS; and the SO bit with SO, whose scans read only the top."""
-    mask = sum(PREDICATES[name].bit for name in query.predicates)
-    if "so" in query.predicates:
-        return mask | TS | SO
-    return mask | TS if "po" in query.predicates else mask
 
 
 def _answer(g, n, query: OracleQuery, first_only: bool):
@@ -302,14 +315,11 @@ def _answer(g, n, query: OracleQuery, first_only: bool):
     the ties after the first match at the top.  Only PO needs the value
     vector of every allocation, and not with SO: every SO vector is
     undominated, as a dominator has the larger sum, so SO+PO is SO."""
-    mask = _mask(query)
     so = "so" in query.predicates
     if "po" in query.predicates and not so:
-        fixed, kept = _po_scan(g, n, query, mask)
+        fixed, kept = _po_scan(g, n, query)
         return fixed, min((i for i, _ in kept.values()), default=-1), sum(c for _, c in kept.values())
-    fixed, result = _scan(
-        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, first_only=first_only
-    )
+    fixed, result = _query_scan(g, n, query, first_only=first_only)
     if not so:
         return fixed, result["first_index"], result["matched"]
     if result["best_welfare"] < result["top_welfare"]:
@@ -348,16 +358,13 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     only): one labelled scan that lists every match.  With PO the canonical
     collect scan comes first and ends the query when no vector qualifies;
     SO keeps the matches at the listing scan's top welfare."""
-    mask = _mask(query)
     so = "so" in query.predicates
     keys = None
     if "po" in query.predicates and not so:
-        keys = _po_scan(g, n, query, mask)[1]
+        keys = _po_scan(g, n, query)[1]
         if not keys:
             return []
-    fixed, result = _scan(
-        g, n, query.max_states, mask, pin=query.symmetry, alpha=query.alpha, list_matches=True
-    )
+    fixed, result = _query_scan(g, n, query, list_matches=True)
     decode = _decoder(g, n, fixed)
     found = [decode(i) for i in result["matches"]]
     if keys is not None:

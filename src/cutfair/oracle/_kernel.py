@@ -1,7 +1,7 @@
 """Kernel selection: compiled extension when present, pure Python otherwise."""
 
 from . import _scan_py
-from ._scan_py import ALPHA_EF1, EF, EF1, NONEMPTY, SO, TS, WTS  # mask bits, shared by both kernels
+from ._scan_py import EF, EF1, NONEMPTY, SO, TS, WTS  # mask bits, shared by both kernels
 
 try:
     from . import _scan as _impl

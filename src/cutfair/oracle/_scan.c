@@ -12,9 +12,10 @@
  * best_count (their weighted count) with no table.  A collect_vectors scan
  * also returns vectors, a dict from the tuple of a state's ascending bundle
  * values to [least matching index or -1, labelled matching count], filled by
- * collect_state.  TS and wTS reduce to a per-vertex threshold on the
- * neighbours a vertex has in its own bundle, the crowded array (see _scan_py
- * for the argument).
+ * collect_state.  The EF1 bit tests alpha-EF1 at alpha_num / alpha_den, EF1 at
+ * 1 / 1.  TS and wTS reduce to a per-vertex threshold on the neighbours a
+ * vertex has in its own bundle, the crowded array (see _scan_py for the
+ * argument).
  *
  * That count is final at the vertex's closing position, the largest
  * free-vertex position among itself and its neighbours.  A scan whose mask has
@@ -68,7 +69,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-enum { NONEMPTY = 1, EF = 2, EF1 = 4, ALPHA_EF1 = 8, TS = 16, WTS = 32, SO = 64 };
+enum { NONEMPTY = 1, EF = 2, EF1 = 4, TS = 16, WTS = 32, SO = 64 };
 
 #define BIG (1LL << 60)
 
@@ -374,7 +375,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             }
             ok = vmin == vmax;
         }
-        if (ok && (require_mask & (EF1 | ALPHA_EF1))) {
+        if (ok && (require_mask & EF1)) {
             for (b = 0; b < n; b++)
                 minrem[b] = BIG;
             for (v = 0; v < m; v++) {
@@ -387,21 +388,10 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             for (b = 1; b < n; b++)
                 if (values[b] < vmin)
                     vmin = values[b];
-            if (require_mask & EF1) {
-                for (b = 0; b < n; b++) {
-                    if (values[b] > vmin && values[b] + minrem[b] > vmin) {
-                        ok = 0;
-                        break;
-                    }
-                }
-            }
-            if (ok && (require_mask & ALPHA_EF1)) {
-                for (b = 0; b < n; b++) {
-                    if (values[b] > vmin
-                        && alpha_num * (values[b] + minrem[b]) > alpha_den * vmin) {
-                        ok = 0;
-                        break;
-                    }
+            for (b = 0; b < n; b++) {
+                if (values[b] > vmin && alpha_num * (values[b] + minrem[b]) > alpha_den * vmin) {
+                    ok = 0;
+                    break;
                 }
             }
         }

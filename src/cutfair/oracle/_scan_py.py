@@ -16,9 +16,9 @@ per neighbour.  Welfare, the sum of the bundle values, is twice the number of
 cut edges; moving v from bundle d to nd changes it by
 ``2 * (|N(v) & B_d| - |N(v) & B_nd|)``.
 
-EF1 asks each bundle richer than the poorest to hold a vertex whose removal
-takes its value down to the poorest value vmin, and alpha-EF1 down to
-alpha_den * vmin // alpha_num, which is at least vmin as alpha <= 1.  So a
+The EF1 bit tests alpha-EF1, which asks each bundle richer than the poorest
+to hold a vertex whose removal takes its value down to
+alpha_den * vmin // alpha_num, vmin the poorest value; EF1 is alpha 1.  So a
 bundle B passes when its best removal drop, the largest
 ``degrees[v] - 2 * |N(v) & B|`` over its members v, is at least its value
 minus that target.  The drop depends only on B's member bitmask, and a scan
@@ -94,7 +94,6 @@ from math import perm
 NONEMPTY = 1
 EF = 2
 EF1 = 4
-ALPHA_EF1 = 8
 TS = 16
 WTS = 32
 SO = 64
@@ -126,7 +125,8 @@ def scan(
     floor,
 ):
     """Scan global assignment indices from 0 to n**free - 1; in canonical
-    mode (no fixed vertex) only the restricted growth strings.
+    mode (no fixed vertex) only the restricted growth strings.  The EF1 bit of
+    require_mask tests alpha-EF1 at alpha_num / alpha_den (EF1 at 1 / 1).
 
     Returns a dict with:
       states          -- number of states visited
@@ -279,9 +279,9 @@ def scan(
                 ok = 0 not in member
             if ok and require_mask & EF:
                 ok = min(values) == max(values)
-            if ok and require_mask & (EF1 | ALPHA_EF1):
+            if ok and require_mask & EF1:
                 vmin = min(values)
-                cap = vmin if require_mask & EF1 else alpha_den * vmin // alpha_num
+                cap = alpha_den * vmin // alpha_num
                 for b in range(n):
                     if values[b] > vmin:  # some vertex of b must take it down to cap
                         mb = member[b]

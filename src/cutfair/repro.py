@@ -62,6 +62,11 @@ class CriterionResult:
     passed: bool
     detail: str
 
+    def verdict(self) -> str:
+        """The one-line report: number, PASS or FAIL, name and detail."""
+        status = "PASS" if self.passed else "FAIL"
+        return f"criterion {self.number:2d} {status}  {self.name}: {self.detail}"
+
 
 def _random_graph(rng: SplitMix64, m: int) -> Graph:
     p = (20 + rng.below(61)) / 100.0
@@ -483,6 +488,5 @@ def run_all(only: Optional[str] = None, report=print) -> list[CriterionResult]:
     for number, fn in selected:
         result = fn(ctx)
         results.append(result)
-        status = "PASS" if result.passed else "FAIL"
-        report(f"criterion {result.number:2d} {status}  {result.name}: {result.detail}")
+        report(result.verdict())
     return results

@@ -17,8 +17,7 @@ def ctx():
 
 def run(fn, ctx):
     result = fn(ctx)
-    status = "PASS" if result.passed else "FAIL"
-    line = f"criterion {result.number:2d} {status}  {result.name}: {result.detail}"
+    line = result.verdict()
     print(line)
     assert result.passed, line
 

@@ -120,12 +120,25 @@ def test_ts_and_wts_require_complete():
 
 
 def test_ts_wts_on_six_cycle():
+    """The exact violations: a transfer to a bundle holding none of the
+    item's neighbours weakly helps (TS), and one out of a bundle holding both
+    of them strictly helps both sides (wTS)."""
     g = gen_cycle(6).graph
+
+    def moves(report):
+        assert all(v["values"] == [2, 2] for v in report.violations)
+        return [(v["item"], v["i"], v["j"]) for v in report.violations]
+
     a = Allocation.of([{0, 1}, {2, 3}, {4, 5}])
     assert check_wts(a, g).holds
     rep = check_ts(a, g)
     assert rep.holds is False
-    assert rep.violations  # a weakly improving transfer exists
+    assert moves(rep) == [(0, 0, 1), (1, 0, 2), (2, 1, 2), (3, 1, 0), (4, 2, 0), (5, 2, 1)]
+    b = Allocation.of([{0, 1, 2}, {3}, {4, 5}])
+    assert moves(check_ts(b, g)) == [(0, 0, 1), (1, 0, 1), (1, 0, 2), (2, 0, 2), (4, 2, 0), (5, 2, 1)]
+    rep = check_wts(b, g)
+    assert rep.holds is False
+    assert moves(rep) == [(1, 0, 1), (1, 0, 2)]  # item 1 out of the bundle holding both its neighbours
 
 
 def test_ts_implies_wts_on_random_states():

@@ -35,7 +35,6 @@ from cutfair.instances import (
 )
 from cutfair.oracle import CapExceededError, OracleQuery, _scan_py
 from cutfair.oracle._kernel import (
-    ALPHA_EF1,
     EF,
     EF1,
     KERNEL_NAME,
@@ -345,7 +344,7 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
     g, n, preds, alpha, symmetry = case
     q = query(*preds, alpha=alpha, symmetry=symmetry)
     m = g.num_vertices
-    mask = sum(oracle.PREDICATES[p].bit for p in preds)
+    mask, alpha = oracle._kernel_query(q)
     fixed = [0] + [-1] * (m - 1) if symmetry and m else [-1] * m
     ref = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, collect=True))
     assert oracle.oracle_count(g, n, q) == ref["matched"]
@@ -357,7 +356,7 @@ def test_canonical_oracle_equals_one_labelled_scan(case):
         for entry in expected.values():
             entry[1] //= n
     assert ref["vectors"] == expected
-    scanned, result = oracle._scan(g, n, q.max_states, mask, pin=symmetry, alpha=alpha, collect=True)
+    scanned, result = oracle._query_scan(g, n, q, collect=True)
     assert (scanned, result["vectors"]) == (fixed, expected)
     stable = oracle._scan(g, n, q.max_states, mask & (TS | WTS), pin=symmetry, collect=True)[1]
     assert stable["vectors"].keys() == expected.keys()
@@ -386,7 +385,7 @@ def test_welfare_fields_equal_brute_force(case):
     checkers accept.  The pinned states are the first n**(m - 1)."""
     g, n, preds, alpha = case
     q = query(*preds, alpha=alpha)
-    mask = sum(oracle.PREDICATES[p].bit for p in preds)
+    mask, alpha = oracle._kernel_query(q)
     m = g.num_vertices
     allocations = list(oracle.enumerate_allocations(g, n))
     welfare = [sum(bundle_values(a, g)) for a in allocations]
@@ -426,8 +425,9 @@ def pruned_scans(draw, so=False):
     pairs = list(itertools.combinations(range(m), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     mask = SO if so else draw(st.sampled_from([TS, WTS, TS | WTS]))
-    others = [NONEMPTY, EF, EF1, ALPHA_EF1] + ([TS, WTS] if so else [])
-    mask |= sum(draw(st.sets(st.sampled_from(others))))
+    others = [NONEMPTY, EF, EF1] + ([TS, WTS] if so else [])
+    for bit in draw(st.sets(st.sampled_from(others))):
+        mask |= bit
     alpha = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
     mode = draw(st.sampled_from(["canonical", "labelled", "pinned", "fixed"]))
     fixed = [-1] * m
@@ -456,7 +456,8 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
     matching index with it (-1 if none) and its weighted number of matches.
     Also the number of states."""
     q = query(alpha=alpha)
-    checks = [p.check for p in oracle.PREDICATES.values() if p.bit & mask]
+    # the EF1 bit is alpha-EF1 at the scan's alpha: ef1's own checker would test EF1
+    checks = [p.check for name, p in oracle.PREDICATES.items() if p.bit & mask and name != "ef1"]
     stable = [p.check for p in oracle.PREDICATES.values() if p.bit & mask & (TS | WTS)]
     free = fixed.count(-1)
     ref = {"matched": 0, "first_index": -1, "best_welfare": -1, "best_index": -1, "best_count": 0}
@@ -553,16 +554,16 @@ def test_so_scans_equal_brute_force(compiled_scan, case):
 
 def test_drop_cache_overflow_keeps_ef1_scans_exact(monkeypatch):
     """With the Python kernel's EF1 drop cache capped at two bundles, so that
-    it is cleared over and over, EF1 and alpha-EF1 scans still return the
-    brute force's matches, counts and welfare optimum."""
+    it is cleared over and over, EF1 scans at alpha 1, 1/2 and 2/3 still
+    return the brute force's matches, counts and welfare optimum."""
     monkeypatch.setattr(_scan_py, "DROP_CACHE_CAP", 2)
     fields = ["matched", "first_index", "best_welfare", "best_index", "best_count", "matches"]
     for g, n in ((gen_random_graph(7, 0.5, 3).graph, 3), (gen_random_graph(6, 0.7, 4).graph, 4)):
         fixed = [-1] * g.num_vertices
-        for mask, alpha in ((EF1, Fraction(1)), (ALPHA_EF1, Fraction(1, 2)), (ALPHA_EF1, Fraction(2, 3))):
-            ref, _ = unpruned_reference(g, n, fixed, mask, alpha, False, False)
-            result = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, list_matches=True))
-            assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}, (n, mask, alpha)
+        for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3)):
+            ref, _ = unpruned_reference(g, n, fixed, EF1, alpha, False, False)
+            result = scan_python(*oracle._kernel_args(g, n, fixed, EF1, alpha, list_matches=True))
+            assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}, (n, alpha)
             assert ref["matched"] > 0
 
 
@@ -730,10 +731,12 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
     each mask bit and their union, with and without SO, on every parity case,
     labelled and canonical with the case's fixed vertices freed, with and
     without the list of matches, in every scan mode an SO scan allows, and
-    SO scans with no floor and with a local optimum's welfare as the floor."""
-    predicates = [NONEMPTY, EF, EF1, ALPHA_EF1, TS, WTS, NONEMPTY | EF | EF1 | ALPHA_EF1 | TS | WTS]
+    SO scans with no floor and with a local optimum's welfare as the floor.
+    The cases take alpha 1, 1/2 and 2/3 in turn, so EF1 runs at and below 1."""
+    predicates = [NONEMPTY, EF, EF1, TS, WTS, NONEMPTY | EF | EF1 | TS | WTS]
     masks = predicates + [SO] + [mask | SO for mask in predicates]
     for case, (g, n, fixed) in enumerate(parity_cases()):
+        alpha = (Fraction(1), Fraction(1, 2), Fraction(2, 3))[case % 3]
         scans = ((fixed, False), ([-1] * len(fixed), True))
         floors = (-1, oracle._local_optimum(g, n)[0])
         for mask in masks:
@@ -744,9 +747,9 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
             for first_only, collect, floor in modes:
                 for (free, canonical), list_matches in itertools.product(scans, (False, True)):
                     call = oracle._kernel_args(
-                        g, n, free, mask, Fraction(1, 2), first_only, collect, list_matches, canonical, floor
+                        g, n, free, mask, alpha, first_only, collect, list_matches, canonical, floor
                     )
-                    assert compiled_scan(*call) == scan_python(*call), (case, mask, call[9:])
+                    assert compiled_scan(*call) == scan_python(*call), (case, mask, call[7:])
 
 
 def test_canonical_scan_visits_one_labelling_per_partition():
