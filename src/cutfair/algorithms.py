@@ -11,11 +11,16 @@ Isolated vertices have zero marginal value everywhere, so they are stripped
 before solving and re-appended round-robin afterwards (empty bundles first);
 this changes no bundle's cut-value and preserves every checker verdict.
 
-Solver state lives in BundleStats, whose member sets, cached removal floors
-and chore indexes keep a move at O(deg + |A_src| + |A_dst|) instead of a
-rescan of all vertices.  The two-bundle hill climb keeps its own side array
-and a least-index heap of vertices whose flip raises the cut, so it flips
-the same vertices in the same order as a scan restarted at vertex 0.
+Solver state lives in BundleStats, whose own-bundle neighbor counts, member
+sets, cached removal floors and chore heaps keep a move at
+O(deg + |A_src| + |A_dst|) (times log V for the heaps) instead of a rescan
+of all vertices; a receiver is chosen from one neighbor_counts row, and no
+state has n * V entries.  Forest peeling keeps its frontier in lazy heaps
+keyed by the blocking bundle, so a step makes O(n log V) frontier queries
+instead of a scan of the whole frontier.  The two-bundle hill climb keeps
+its own side array and a least-index heap of vertices whose flip raises the
+cut, so it flips the same vertices in the same order as a scan restarted at
+vertex 0.
 """
 
 from __future__ import annotations
@@ -111,6 +116,8 @@ def _split_isolated(g: Graph):
 
 
 def _reattach(bundles, keep, iso, n):
+    if not iso:  # keep is then the identity
+        return bundles
     out = [set(keep[o] for o in b) for b in bundles]
     slots = sorted(range(n), key=lambda i: (len(out[i]), i))
     for t, v in enumerate(iso):
@@ -146,33 +153,35 @@ def _helpful_pick(stats: BundleStats, order: list[int], violators: list[int]):
     """(bundle, item) for the first violator holding an item whose transfer
     raises the minimum bundle's value, with its least such item; or None."""
     a1 = order[0]
-    deg, cnt = stats.degree, stats.neighbors_in_bundle
     for pos in violators:
         b = order[pos]
-        o = min((o for o in stats.members[b] if deg[o] > 2 * cnt[o][a1]), default=None)
+        o = min((o for o in stats.members[b] if stats.marginal_add(a1, o) > 0), default=None)
         if o is not None:
             return b, o
     return None
 
 
 def _first_receiver(stats, order, o, exclude) -> Optional[int]:
+    """The first bundle in order, not in exclude, whose value o raises."""
+    deg = stats.degree[o]
+    counts = stats.neighbor_counts(o)
     for b in order:
-        if b not in exclude and stats.marginal_add(b, o) > 0:
+        if b not in exclude and deg > 2 * counts[b]:
             return b
     return None
 
 
 def _find_chore(stats: BundleStats, order: list[int], strict: bool):
     """Least (position, item) whose removal does not hurt its bundle (strict:
-    strictly helps it), read from the chore indexes.
+    strictly helps it), read from the chore sets and heaps.
 
     Degree-0 items are left out of the weak chores: no transfer involving
     them changes any value, so they cannot violate stability.
     """
-    index = stats.chores()[1 if strict else 0]
+    index = stats.chores()[strict]
     for pos, b in enumerate(order):
         if index[b]:
-            return pos, b, min(index[b])
+            return pos, b, stats.least_chore(b, strict)
     return None
 
 
@@ -512,30 +521,47 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
     order = list(range(n))
     # A vertex is placed only as a frontier root or as a child of a placed
     # vertex, so its parent is placed first and its unplaced neighbours are
-    # its children.  The frontier maps each root to its parent's bundle
-    # (None for a tree root), which never changes once the parent is placed.
-    frontier = {  # a tree of three or more vertices is rooted at its least inner vertex
-        (min(v for v in comp if deg[v] >= 2) if len(comp) >= 3 else min(comp)): None
-        for comp in components
-    }
+    # its children.  Each root's blocker is its parent's bundle (n for a tree
+    # root), which never changes once the parent is placed.  Per blocker, two
+    # lazy heaps index its roots, one by index and one by (-degree, index),
+    # the latter packed into one int, -deg * size + index; the root of an
+    # entry of either is entry % size.  An entry is stale once its root
+    # leaves the frontier, and a root never re-enters it.
+    size = core.num_vertices
+    frontier = set()
+    by_index = [[] for _ in range(n + 1)]
+    by_degree = [[] for _ in range(n + 1)]
+
+    def add_root(r, blocker):
+        frontier.add(r)
+        heapq.heappush(by_index[blocker], r)
+        heapq.heappush(by_degree[blocker], r - deg[r] * size)
+
+    def first_root(heaps, b):
+        """The root of the least entry over the heaps of every blocker but
+        b, or None if every frontier root's parent is in bundle b."""
+        best = None
+        for blocker, heap in enumerate(heaps):
+            if blocker == b:
+                continue
+            while heap and heap[0] % size not in frontier:
+                heapq.heappop(heap)
+            if heap and (best is None or heap[0] < best):
+                best = heap[0]
+        return None if best is None else best % size
+
+    for comp in components:  # a tree of three or more vertices is rooted at its least inner vertex
+        add_root(min(v for v in comp if deg[v] >= 2) if len(comp) >= 3 else min(comp), n)
     budget = max(1, 4 * core.num_vertices)
-
-    def feasible_roots(b):
-        """Frontier roots whose parent is not in bundle b, in no fixed order."""
-        return [r for r, blocker in frontier.items() if blocker != b]
-
-    def best_root(candidates):
-        return min(candidates, key=lambda r: (-deg[r], r))
-
     placements = trace.placements
 
     def allocate(v, b):
         stats.apply_move(v, None, b)
         placements.append((keep[v], b))
-        del frontier[v]
+        frontier.remove(v)
         for c in adj[v]:
             if stats.assignment[c] is None:
-                frontier[c] = b
+                add_root(c, b)
 
     def leaf_children(o_t):
         return [c for c in adj[o_t] if stats.assignment[c] is None and deg[c] == 1]
@@ -566,9 +592,8 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
         # parent), but a compensation step that hands a non-leaf child to the
         # minimum bundle can promote that child's own leaves to the frontier
         a1, a2 = order[0], order[1]
-        f1 = feasible_roots(a1)
-        if f1:
-            o_t = min(f1)
+        o_t = first_root(by_index, a1)
+        if o_t is not None:
             allocate(o_t, a1)
             distribute_leaf_children(o_t, order[1:])
             tag = "1"
@@ -576,11 +601,8 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
             best2 = stats.min_removal_value(a2)
             drop2 = stats.removal_floor(a2)
             deg2 = 0 if best2 is None else deg[best2[0]]
-            f2 = feasible_roots(a2)
-            o_t = best_root(f2) if f2 else None
-            if f2 and (
-                stats.bundle_value[a1] > drop2 or deg[o_t] > deg2
-            ):
+            o_t = first_root(by_degree, a2)
+            if o_t is not None and (stats.bundle_value[a1] > drop2 or deg[o_t] > deg2):
                 allocate(o_t, a2)
                 h2 = stats.min_removal_value(a2)[0]
                 distribute_leaf_children(o_t, [a1] + order[2:])
@@ -588,21 +610,19 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
                 tag = "2"
             else:
                 dmin = min(stats.removal_floor(b) for b in order[2:])
-                pick = None
+                j = None
                 if stats.bundle_value[a1] > dmin:
                     for b in order[2:]:
                         if stats.removal_floor(b) != dmin:
                             continue
-                        fj = feasible_roots(b)
-                        if fj:
-                            pick = (b, fj)
+                        o_t = first_root(by_degree, b)
+                        if o_t is not None:
+                            j = b
                             break
-                if pick is None:
+                if j is None:
                     raise SolverInvariantError("no peeling case applies")
-                j, fj = pick
                 best_j = stats.min_removal_value(j)
                 oj = best_j[0] if best_j else None
-                o_t = best_root(fj)
                 allocate(o_t, j)
                 for leaf in leaf_children(o_t):
                     allocate(leaf, a1)

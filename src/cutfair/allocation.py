@@ -156,10 +156,11 @@ def _transfers(a: Allocation, g: Graph, name: str, least: int) -> FairnessReport
         drop = stats.marginal_remove(i, o)
         if drop < least:
             continue
-        for j in range(a.n):
+        deg = stats.degree[o]
+        for j, inside in enumerate(stats.neighbor_counts(o)):
             if j == i:
                 continue
-            gain = stats.marginal_add(j, o)
+            gain = deg - 2 * inside  # marginal_add(j, o)
             if gain >= least and drop + gain > 0:
                 violations.append(
                     {"i": i, "j": j, "item": o, "values": [stats.bundle_value[i], stats.bundle_value[j]]}

@@ -70,6 +70,7 @@
 #include <Python.h>
 
 enum { NONEMPTY = 1, EF = 2, EF1 = 4, TS = 16, WTS = 32, SO = 64 };
+enum { KNOWN = NONEMPTY | EF | EF1 | TS | WTS | SO }; /* any other require_mask bit is refused */
 
 #define BIG (1LL << 60)
 
@@ -172,6 +173,10 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         return NULL;
     if (m < 0 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
+        return NULL;
+    }
+    if (require_mask & ~KNOWN) {
+        PyErr_Format(PyExc_ValueError, "unknown require_mask bits %d", require_mask & ~KNOWN);
         return NULL;
     }
     if ((require_mask & SO) && collect_vectors) {

@@ -97,6 +97,7 @@ EF1 = 4
 TS = 16
 WTS = 32
 SO = 64
+KNOWN = NONEMPTY | EF | EF1 | TS | WTS | SO  # any other require_mask bit is refused
 DROP_CACHE_CAP = 1 << 14  # entries of a scan's EF1 drop cache, which is cleared when full
 
 
@@ -148,6 +149,8 @@ def scan(
     """
     if num_vertices < 0 or n < 1:
         raise ValueError("num_vertices must be >= 0 and n >= 1")
+    if require_mask & ~KNOWN:
+        raise ValueError(f"unknown require_mask bits {require_mask & ~KNOWN}")
     if require_mask & SO and collect_vectors:
         raise ValueError("an SO scan collects no value vectors")
     free = [v for v in range(num_vertices) if fixed[v] < 0]

@@ -294,10 +294,7 @@ def criterion_7(ctx: ReproContext) -> CriterionResult:
         m = 2 + rng.below(13)
         g, a = _random_state(rng, m, n)
         stats = BundleStats.from_bundles(g, a.bundles)
-        margins = [
-            [g.degree(o) - 2 * stats.neighbors_in_bundle[o][i] for i in range(n)]
-            for o in range(m)
-        ]
+        margins = [[g.degree(o) - 2 * c for c in stats.neighbor_counts(o)] for o in range(m)]
         # an item can be a weak or strict chore for at most two bundles
         # (degree-0 items are exempt: their marginal is 0 everywhere)
         for o in range(m):

@@ -2,14 +2,17 @@
 
 The value of a bundle S is the number of edges with exactly one endpoint in S.
 Unassigned vertices count as "outside" every bundle, which is what partial
-allocations need.  BundleStats caches, for every vertex o and bundle i, the
-count of o's neighbors inside A_i, giving closed-form marginals:
+allocations need.  BundleStats caches, for every vertex o, the count of o's
+neighbors inside its own bundle (0 while o is unassigned).  With
+|N_{A_i}(o)| the count of o's neighbors in A_i, the marginals are:
 
-    add    o to A_i:     deg(o) - 2 * |N_{A_i}(o)|
-    remove o from A_i:   2 * |N_{A_i \\ {o}}(o)| - deg(o)
+    add    o to A_i:     deg(o) - 2 * |N_{A_i}(o)|         O(deg(o)): counted
+    remove o from A_i:   2 * |N_{A_i \\ {o}}(o)| - deg(o)   O(1): cached
 
-On top of the counts it keeps the per-bundle state that solvers and checkers
-query over and over, each maintained by apply_move(o, src, dst):
+neighbor_counts(o) counts o's neighbors in every bundle at once, in
+O(deg(o) + n).  On top of the counts BundleStats keeps the per-bundle state
+that solvers and checkers query over and over, each maintained by
+apply_move(o, src, dst):
 
 - member sets, one per bundle: O(1) per move;
 - the removal floor min over o in A_i of v(A_i - o), cached per bundle and
@@ -17,16 +20,20 @@ query over and over, each maintained by apply_move(o, src, dst):
   on the next query of a stale bundle;
 - chore indexes, built on their first query: per bundle, the weak chores
   (degree > 0 and removal marginal >= 0) and the strict chores (removal
-  marginal > 0).  Once built, a move re-classifies o and those neighbors of
-  o that sit in src or dst: O(deg(o)) per move.
+  marginal > 0), each a set plus a least-index heap with lazy deletion for
+  least_chore.  Once built, a move re-classifies o and those neighbors of
+  o that sit in src or dst: O(deg(o) log V) per move.
 
-A move therefore costs O(deg(o)), plus O(|A_src| + |A_dst|) when the floors
-of both bundles are queried afterwards.  All arithmetic is exact integer
+A move therefore costs O(deg(o)) (times log V once the chore indexes are
+built), plus O(|A_src| + |A_dst|) when the floors of both bundles are
+queried afterwards.  No structure has n * V entries: BundleStats(g, n) is
+O(V + n) and from_bundles O(V + n + E).  All arithmetic is exact integer
 arithmetic.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional, Sequence
 
 from .graph import Graph
@@ -49,13 +56,14 @@ def cut_value(g: Graph, s: Iterable[int]) -> int:
 
 
 class BundleStats:
-    """Mutable per-(vertex, bundle) neighbor counts with cached bundle state.
+    """Mutable own-bundle neighbor counts with cached bundle state.
 
     Public state: ``assignment`` (bundle of each vertex, or None),
-    ``neighbors_in_bundle``, ``bundle_value``, ``members`` (one vertex set
-    per bundle) and ``degree`` (a plain list, for hot loops).  Removal floors
-    and chore indexes are read through min_removal_value, removal_floor and
-    chores.  Mutable, with a single owner.
+    ``own_neighbors`` (each vertex's neighbors in its own bundle, 0 while it
+    is unassigned), ``bundle_value``, ``members`` (one vertex set per bundle)
+    and ``degree`` (a plain list, for hot loops).  Removal floors and chore
+    indexes are read through min_removal_value, removal_floor, chores and
+    least_chore.  Mutable, with a single owner.
     """
 
     def __init__(self, g: Graph, n: int):
@@ -65,18 +73,20 @@ class BundleStats:
         self.n = n
         self.degree = list(map(len, g.adjacency))
         self.assignment: list[Optional[int]] = [None] * g.num_vertices
-        self.neighbors_in_bundle = [[0] * n for _ in range(g.num_vertices)]
+        self.own_neighbors = [0] * g.num_vertices
         self.bundle_value = [0] * n
         self.members: list[set[int]] = [set() for _ in range(n)]
         self._floor: list = [_STALE] * n
+        # (weak, strict), per bundle: the chore set, and a least-index heap
+        # holding every member of that set plus stale entries
         self._chores: Optional[tuple[list[set[int]], list[set[int]]]] = None
+        self._heaps: Optional[tuple[list[list[int]], list[list[int]]]] = None
 
     @staticmethod
     def from_bundles(g: Graph, bundles: Sequence[Iterable[int]]) -> "BundleStats":
         """Build without apply_move: the assignment and member sets first, then
-        one pass over the assigned vertices' adjacency lists for the neighbor
-        counts, and one for the values, v(A_i) = sum over o in A_i of
-        deg(o) - |N_{A_i}(o)|.
+        one pass over the assigned vertices' adjacency lists for the own-bundle
+        counts and the values, v(A_i) = sum over o in A_i of deg(o) - |N_{A_i}(o)|.
         """
         stats = BundleStats(g, len(bundles))
         assignment, num_vertices = stats.assignment, g.num_vertices
@@ -89,53 +99,77 @@ class BundleStats:
                     raise ValueError(f"vertex {o} is in bundle {assignment[o]}, not None")
                 assignment[o] = i
                 members.add(o)
-        cnt, adj, deg = stats.neighbors_in_bundle, g.adjacency, stats.degree
+        own, adj, deg, value = stats.own_neighbors, g.adjacency, stats.degree, stats.bundle_value
         for o, b in enumerate(assignment):
             if b is not None:
+                inside = 0
                 for u in adj[o]:
-                    cnt[u][b] += 1
-        for o, b in enumerate(assignment):
-            if b is not None:
-                stats.bundle_value[b] += deg[o] - cnt[o][b]
+                    if assignment[u] == b:
+                        inside += 1
+                own[o] = inside
+                value[b] += deg[o] - inside
         return stats
 
+    def neighbor_counts(self, o: int) -> list[int]:
+        """Per bundle, the number of o's neighbors in it: O(deg(o) + n)."""
+        row = [0] * self.n
+        assignment = self.assignment
+        for u in self.graph.adjacency[o]:
+            b = assignment[u]
+            if b is not None:
+                row[b] += 1
+        return row
+
     def marginal_add(self, i: int, o: int) -> int:
-        """v(A_i + o) - v(A_i).  o must not already be in bundle i."""
-        if self.assignment[o] == i:
+        """v(A_i + o) - v(A_i), in O(deg(o)).  o must not already be in bundle i."""
+        assignment = self.assignment
+        if assignment[o] == i:
             raise ValueError(f"vertex {o} already in bundle {i}")
-        return self.degree[o] - 2 * self.neighbors_in_bundle[o][i]
+        inside = 0
+        for u in self.graph.adjacency[o]:
+            if assignment[u] == i:
+                inside += 1
+        return self.degree[o] - 2 * inside
 
     def marginal_remove(self, i: int, o: int) -> int:
         """v(A_i - o) - v(A_i).  o must be in bundle i."""
         if self.assignment[o] != i:
             raise ValueError(f"vertex {o} not in bundle {i}")
-        return 2 * self.neighbors_in_bundle[o][i] - self.degree[o]
+        return 2 * self.own_neighbors[o] - self.degree[o]
 
     def apply_move(self, o: int, src: Optional[int], dst: Optional[int]) -> None:
         """Move o from bundle src to bundle dst (None means unassigned).
 
         O(deg(o)); marks the removal floors of src and dst stale.
         """
-        if self.assignment[o] != src:
-            raise ValueError(f"vertex {o} is in bundle {self.assignment[o]}, not {src}")
+        assignment = self.assignment
+        if assignment[o] != src:
+            raise ValueError(f"vertex {o} is in bundle {assignment[o]}, not {src}")
         if src == dst:
             raise ValueError("no-op move")
         deg = self.degree[o]
-        cnt = self.neighbors_in_bundle
+        own = self.own_neighbors
+        adj = self.graph.adjacency[o]
         if src is not None:
-            self.bundle_value[src] += 2 * cnt[o][src] - deg
+            self.bundle_value[src] += 2 * own[o] - deg
             self.members[src].discard(o)
             self._floor[src] = _STALE
-        for u in self.graph.adjacency[o]:
-            if src is not None:
-                cnt[u][src] -= 1
-            if dst is not None:
-                cnt[u][dst] += 1
+        inside = 0  # o's neighbors in dst
+        for u in adj:
+            b = assignment[u]
+            if b is None:
+                continue
+            if b == src:
+                own[u] -= 1
+            elif b == dst:
+                own[u] += 1
+                inside += 1
+        own[o] = inside
+        assignment[o] = dst
         if dst is not None:
-            self.bundle_value[dst] += deg - 2 * cnt[o][dst]
+            self.bundle_value[dst] += deg - 2 * inside
             self.members[dst].add(o)
             self._floor[dst] = _STALE
-        self.assignment[o] = dst
         if self._chores is not None:
             weak, strict = self._chores
             if src is not None:
@@ -143,8 +177,7 @@ class BundleStats:
                 strict[src].discard(o)
             if dst is not None:
                 self._classify_chore(o, dst)
-            assignment = self.assignment
-            for u in self.graph.adjacency[o]:
+            for u in adj:
                 b = assignment[u]
                 if b is not None and (b == src or b == dst):
                     self._classify_chore(u, b)
@@ -153,14 +186,14 @@ class BundleStats:
         """File o, a member of bundle b, in b's chore indexes."""
         weak, strict = self._chores
         deg = self.degree[o]
-        margin = 2 * self.neighbors_in_bundle[o][b] - deg
+        margin = 2 * self.own_neighbors[o] - deg
         if margin > 0:
-            weak[b].add(o)
-            strict[b].add(o)
+            _file(weak[b], self._heaps[0][b], o)
+            _file(strict[b], self._heaps[1][b], o)
         else:
             strict[b].discard(o)
             if margin == 0 and deg > 0:
-                weak[b].add(o)
+                _file(weak[b], self._heaps[0][b], o)
             else:
                 weak[b].discard(o)
 
@@ -171,10 +204,10 @@ class BundleStats:
         """
         best = self._floor[i]
         if best is _STALE:
-            cnt, deg = self.neighbors_in_bundle, self.degree
+            own, deg = self.own_neighbors, self.degree
             best = None
             if self.members[i]:
-                margin, o = min((2 * cnt[o][i] - deg[o], o) for o in self.members[i])
+                margin, o = min((2 * own[o] - deg[o], o) for o in self.members[i])
                 best = (o, self.bundle_value[i] + margin)
             self._floor[i] = best
         return best
@@ -192,21 +225,33 @@ class BundleStats:
         """
         if self._chores is None:
             self._chores = ([set() for _ in range(self.n)], [set() for _ in range(self.n)])
+            self._heaps = ([[] for _ in range(self.n)], [[] for _ in range(self.n)])
             for o, b in enumerate(self.assignment):
                 if b is not None:
                     self._classify_chore(o, b)
         return self._chores
+
+    def least_chore(self, b: int, strict: bool) -> Optional[int]:
+        """The least member of chores()[strict][b], or None if it is empty.
+
+        Pops the stale entries off the top of the bundle's heap first:
+        amortised O(log V) per entry ever pushed.
+        """
+        members = self.chores()[strict][b]
+        heap = self._heaps[strict][b]
+        while heap and heap[0] not in members:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def check_consistency(self) -> None:
         """Recompute everything from scratch and compare against the caches."""
         g = self.graph
         if self.degree != [g.degree(o) for o in range(g.num_vertices)]:
             raise AssertionError("stale degree list")
-        for o in range(g.num_vertices):
-            for i in range(self.n):
-                actual = sum(1 for u in g.adjacency[o] if self.assignment[u] == i)
-                if actual != self.neighbors_in_bundle[o][i]:
-                    raise AssertionError(f"stale neighbor count at ({o}, {i})")
+        for o, b in enumerate(self.assignment):
+            actual = 0 if b is None else sum(1 for u in g.adjacency[o] if self.assignment[u] == b)
+            if actual != self.own_neighbors[o]:
+                raise AssertionError(f"stale own-bundle neighbor count at {o}")
         for i in range(self.n):
             members = {o for o in range(g.num_vertices) if self.assignment[o] == i}
             if members != self.members[i]:
@@ -227,3 +272,17 @@ class BundleStats:
                 strict = {o for o, x in margins.items() if x > 0}
                 if (weak, strict) != (self._chores[0][i], self._chores[1][i]):
                     raise AssertionError(f"stale chore index for bundle {i}")
+                for chores, heap in zip((weak, strict), (self._heaps[0][i], self._heaps[1][i])):
+                    ordered = all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
+                    if not (ordered and chores <= set(heap)):
+                        raise AssertionError(f"stale chore heap for bundle {i}")
+
+
+def _file(chores: set[int], heap: list[int], o: int) -> None:
+    """Add o to a chore set and, if it was not in it, to the set's heap.  A
+    heap grown past twice the set (plus slack) is rebuilt from the set."""
+    if o not in chores:
+        chores.add(o)
+        heapq.heappush(heap, o)
+        if len(heap) > 2 * len(chores) + 16:
+            heap[:] = sorted(chores)

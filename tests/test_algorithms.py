@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutfair import algorithms
 from cutfair.algorithms import (
@@ -362,6 +364,134 @@ def test_forest_solver_random_sweep_with_snapshots():
         trees = 1 + rng.below(3)
         m = max(n, 2 * trees) + rng.below(12)
         peel(gen_random_forest(m, trees, rng.next_u64()).graph, n)
+
+
+def frontier_scan_peeling(g, n):
+    """Forest peeling's placements and case tags for n >= 3, with the frontier
+    searched by full scans, as before it was indexed by heaps: feasible_roots
+    lists every root whose parent is not in a bundle, case 1 takes the least
+    of them and cases 2 and 3 the best by (-degree, index)."""
+    core, keep, _, components = algorithms._forest_parts(g)
+    stats = BundleStats(core, n)
+    adj, deg = core.adjacency, stats.degree
+    order = list(range(n))
+    frontier = {
+        (min(v for v in comp if deg[v] >= 2) if len(comp) >= 3 else min(comp)): None
+        for comp in components
+    }
+    placements, tags = [], []
+
+    def feasible_roots(b):
+        return [r for r, blocker in frontier.items() if blocker != b]
+
+    def best_root(candidates):
+        return min(candidates, key=lambda r: (-deg[r], r))
+
+    def allocate(v, b):
+        stats.apply_move(v, None, b)
+        placements.append((keep[v], b))
+        del frontier[v]
+        for c in adj[v]:
+            if stats.assignment[c] is None:
+                frontier[c] = b
+
+    def leaf_children(o_t):
+        return [c for c in adj[o_t] if stats.assignment[c] is None and deg[c] == 1]
+
+    def compensate(o_t, a1, bound):
+        rest = (c for c in adj[o_t] if stats.assignment[c] is None)
+        while stats.bundle_value[a1] < bound():
+            allocate(next(rest), a1)
+
+    while frontier:
+        order.sort(key=stats.bundle_value.__getitem__)
+        a1, a2 = order[0], order[1]
+        f1 = feasible_roots(a1)
+        if f1:
+            o_t = min(f1)
+            allocate(o_t, a1)
+            for leaf in leaf_children(o_t):
+                allocate(leaf, min(order[1:], key=stats.bundle_value.__getitem__))
+            tags.append("1")
+            continue
+        best2 = stats.min_removal_value(a2)
+        deg2 = 0 if best2 is None else deg[best2[0]]
+        f2 = feasible_roots(a2)
+        if f2 and (stats.bundle_value[a1] > stats.removal_floor(a2) or deg[best_root(f2)] > deg2):
+            o_t = best_root(f2)
+            allocate(o_t, a2)
+            h2 = stats.min_removal_value(a2)[0]
+            for leaf in leaf_children(o_t):
+                allocate(leaf, min([a1] + order[2:], key=stats.bundle_value.__getitem__))
+            compensate(o_t, a1, lambda: stats.bundle_value[a2] + stats.marginal_remove(a2, h2))
+            tags.append("2")
+            continue
+        dmin = min(stats.removal_floor(b) for b in order[2:])
+        assert stats.bundle_value[a1] > dmin
+        j, fj = next(
+            (b, feasible_roots(b))
+            for b in order[2:]
+            if stats.removal_floor(b) == dmin and feasible_roots(b)
+        )
+        oj = stats.min_removal_value(j)[0]
+        o_t = best_root(fj)
+        allocate(o_t, j)
+        for leaf in leaf_children(o_t):
+            allocate(leaf, a1)
+        compensate(o_t, a1, lambda: min(
+            stats.bundle_value[a2], stats.bundle_value[j] + stats.marginal_remove(j, oj)
+        ))
+        tags.append("3")
+    return placements, tags
+
+
+@st.composite
+def forests(draw):
+    """A forest of 1-4 random trees of 2-12 vertices each, plus 0-2 isolated
+    vertices, under a random labelling."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4))
+    edges, base = [], 0
+    for k in sizes:
+        edges += [(base + draw(st.integers(min_value=0, max_value=v - 1)), base + v) for v in range(1, k)]
+        base += k
+    m = base + draw(st.integers(min_value=0, max_value=2))
+    label = draw(st.permutations(range(m)))
+    return Graph.from_edges(m, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(deadline=None, max_examples=150)
+@given(forests(), st.integers(min_value=3, max_value=6))
+def test_indexed_frontier_peels_as_the_frontier_scan(g, n):
+    """Peeling with its frontier heaps places the same vertices in the same
+    bundles, in the same order and by the same cases, as the full frontier
+    scans of frontier_scan_peeling."""
+    if g.num_vertices < n:
+        return
+    _, trace = solve_forest_ef1_so(g, n)
+    assert (trace.placements, trace.case_history) == frontier_scan_peeling(g, n)
+
+
+# (n, m, edges): forests on which peeling into n bundles reaches case 3,
+# found by a random search: about 1 in 70,000 random forests of 1-4 trees
+# reaches it with n from 3 to 6.  They have 4, 3, 2 and 3 trees.
+CASE_THREE_FORESTS = [
+    (3, 22, [(0, 18), (1, 18), (2, 4), (3, 10), (4, 12), (4, 21), (5, 10), (6, 15), (6, 16),
+             (7, 19), (7, 21), (8, 20), (9, 17), (11, 14), (12, 18), (13, 18), (14, 15), (15, 20)]),
+    (3, 15, [(0, 13), (1, 13), (1, 14), (2, 6), (3, 5), (4, 12), (5, 7), (5, 8), (5, 9), (5, 10),
+             (5, 11), (6, 14)]),
+    (3, 19, [(0, 5), (1, 4), (2, 17), (3, 11), (4, 15), (4, 16), (4, 18), (5, 11), (6, 16),
+             (6, 17), (7, 11), (8, 17), (9, 15), (10, 11), (11, 12), (11, 13), (11, 14)]),
+    (4, 14, [(0, 3), (0, 10), (1, 13), (2, 10), (2, 12), (3, 6), (4, 8), (4, 9), (4, 10), (5, 7),
+             (7, 11)]),
+]
+
+
+@pytest.mark.parametrize("n, m, edges", CASE_THREE_FORESTS)
+def test_indexed_frontier_reaches_case_three_as_the_frontier_scan(n, m, edges):
+    g = Graph.from_edges(m, edges)
+    _, trace = solve_forest_ef1_so(g, n)
+    assert "3" in trace.case_history
+    assert (trace.placements, trace.case_history) == frontier_scan_peeling(g, n)
 
 
 def test_forest_bundle_snapshots_rebuild_the_peeling():

@@ -763,7 +763,8 @@ def test_canonical_scan_visits_one_labelling_per_partition():
 
 def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
     """Both kernels refuse a canonical scan that fixes a vertex, an SO scan
-    that collects value vectors, and a scan into no bundle, so an
+    that collects value vectors, a mask bit they do not know (8, the old
+    ALPHA_EF1, or 128 and up) and a scan into no bundle, so an
     oracle query with n = 0 raises ValueError; the
     compiled one refuses a short ``fixed`` list instead of reading past it.  A
     labelled scan visits the whole range."""
@@ -780,6 +781,9 @@ def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
                 kernel(*oracle._kernel_args(g, 3, [-1] * 4, TS | SO, first_only=first_only, collect=True))
         with pytest.raises(ValueError, match="n >= 1"):
             kernel(*args([-1] * 4, n=0))
+        for bad in (8, 128, 1 << 20):
+            with pytest.raises(ValueError, match=f"unknown require_mask bits {bad}"):
+                kernel(*oracle._kernel_args(g, 3, [-1] * 4, EF1 | bad))
         assert kernel(*args([-1] * 4))["states"] == 3**4
         assert kernel(*args([0, 1, 2, 0]))["states"] == 1
     with pytest.raises(ValueError, match="n >= 1"):

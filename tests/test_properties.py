@@ -104,11 +104,7 @@ def test_at_most_two_nonpositive_bundles_per_item(state):
     for o in range(g.num_vertices):
         if g.degree(o) == 0:
             continue
-        nonpos = sum(
-            1
-            for i in range(a.n)
-            if g.degree(o) - 2 * stats.neighbors_in_bundle[o][i] <= 0
-        )
+        nonpos = sum(1 for c in stats.neighbor_counts(o) if g.degree(o) - 2 * c <= 0)
         assert nonpos <= 2
 
 
@@ -169,6 +165,9 @@ def test_bundle_caches_survive_random_moves(state, steps):
         else:
             weak, strict = stats.chores()
             assert all(strict[i] <= weak[i] <= stats.members[i] for i in range(n))
+            for i in range(n):
+                for kind in (weak, strict):
+                    assert stats.least_chore(i, kind is strict) == min(kind[i], default=None)
         stats.check_consistency()
 
 
@@ -181,7 +180,11 @@ def test_from_bundles_equals_a_build_by_moves(state):
             built.apply_move(o, None, i)
     stats = BundleStats.from_bundles(g, bundles)
     assert stats.assignment == built.assignment
-    assert stats.neighbors_in_bundle == built.neighbors_in_bundle
+    assert stats.own_neighbors == built.own_neighbors
+    for o in range(g.num_vertices):
+        assert stats.neighbor_counts(o) == built.neighbor_counts(o) == [
+            sum(1 for u in g.adjacency[o] if u in bundle) for bundle in bundles
+        ]
     assert stats.bundle_value == built.bundle_value
     assert stats.members == built.members
     stats.check_consistency()

@@ -103,3 +103,22 @@ def test_min_removal_value_tie_breaks_low_index():
 def test_rejects_zero_bundles():
     with pytest.raises(ValueError):
         BundleStats(path(2), 0)
+
+
+def test_chore_heaps_stay_small_under_repeated_moves():
+    """A vertex that leaves and re-enters a bundle's chores leaves a stale
+    heap entry each time (least_chore pops them, but it is not asked here);
+    the heap is rebuilt from its set once it holds more than twice the set
+    plus 16, so it stays O(V)."""
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
+    stats = BundleStats.from_bundles(g, [{0, 1, 2}, {3}])
+    strict = stats.chores()[1]
+    assert strict[0] == {0, 1}  # each round trip below re-files both
+    longest = 0
+    for _ in range(100):
+        stats.apply_move(0, 0, 1)
+        stats.apply_move(0, 1, 0)
+        longest = max(longest, len(stats._heaps[1][0]))
+    assert 2 < longest <= 2 * len(strict[0]) + 16  # not 200
+    stats.check_consistency()
+    assert stats.least_chore(0, True) == 0
