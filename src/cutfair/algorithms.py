@@ -319,23 +319,21 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     _step(stats, order, trace)
     _ts_pass(stats, order, None, trace)
     budget = max(1, 8 * core.num_vertices * core.num_vertices * n)
-    while _violator_positions(stats, order):
+    violators = _violator_positions(stats, order)  # recomputed after every move
+    while violators:
         trace.iterations += 1
         if trace.iterations > budget:
             raise BudgetExceededError("outer loop exceeded its budget")
         # first resolve every violation fixable by a transfer that helps the
         # minimum bundle
-        while True:
-            pick = _helpful_pick(stats, order, _violator_positions(stats, order))
-            if pick is None:
-                break
+        while (pick := _helpful_pick(stats, order, violators)) is not None:
             src, o = pick
             stats.apply_move(o, src, order[0])
             trace.case_history.append("I")
             _step(stats, order, trace)
             _ts_pass(stats, order, None, trace)
             trace.snapshots.append(("I", trace.potential_history[-1]))
-        violators = _violator_positions(stats, order)
+            violators = _violator_positions(stats, order)
         if not violators:
             break
         if len(violators) != 1:
@@ -363,6 +361,7 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         _step(stats, order, trace)
         _ts_pass(stats, order, i_star, trace)
         trace.snapshots.append(("II", trace.potential_history[-1]))
+        violators = _violator_positions(stats, order)
     return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace
 
 
@@ -437,28 +436,22 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             # carve out a just-above-minimum subset for the violator and park
             # the rest with a third bundle
             deg = stats.degree
-            pool = sorted(stats.members[i])
-            in_s = set()
+            # i's vertices outside the subset, least first, and their
+            # neighbours in it
+            rest = dict.fromkeys(sorted(stats.members[i]), 0)
             vs = 0
             while vs <= v1:
-                o = None
-                for cand in pool:
-                    if cand in in_s:
-                        continue
-                    margin = deg[cand] - 2 * sum(
-                        1 for u in core.adjacency[cand] if u in in_s
-                    )
-                    if margin > 0:
-                        o = cand
-                        break
+                o = next((o for o, inside in rest.items() if deg[o] > 2 * inside), None)
                 if o is None:
                     raise SolverInvariantError(
                         "subset building stalled below the minimum value"
                     )
-                in_s.add(o)
-                vs += margin
+                vs += deg[o] - 2 * rest.pop(o)
+                for u in core.adjacency[o]:
+                    if u in rest:
+                        rest[u] += 1
             j = next(b for b in order if b not in (a1, i))
-            for o in sorted(set(pool) - in_s):
+            for o in rest:
                 stats.apply_move(o, i, j)
             trace.case_history.append("2")
         _step(stats, order, trace)

@@ -29,6 +29,7 @@ from .allocation import bundle_values
 from .instances import (
     Instance,
     ParseError,
+    format_instance,
     from_label,
     read_allocation,
     read_instance,
@@ -207,11 +208,7 @@ def cmd_gen(args) -> int:
             raise UsageError(str(exc)) from exc
         _note(args, f"wrote {inst.label} to {args.out}")
     else:
-        g = inst.graph
-        print(f"c {inst.label}")
-        print(f"p fairdiv {g.num_vertices} {g.num_edges} {inst.num_agents}")
-        for u, v in g.edges:
-            print(f"e {u + 1} {v + 1}")
+        print(format_instance(inst), end="")
     return 0
 
 

@@ -247,14 +247,19 @@ def read_instance(path) -> Instance:
     return Instance(graph, num_agents=n, label=str(path))
 
 
+def format_instance(inst: Instance) -> str:
+    """The text format that read_instance parses: the label as a comment,
+    the header and one 1-based line per edge."""
+    g = inst.graph
+    lines = [f"c {inst.label}"] if inst.label else []
+    lines.append(f"p fairdiv {g.num_vertices} {g.num_edges} {inst.num_agents}")
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
+
+
 def write_instance(inst: Instance, path) -> None:
     with open(path, "w") as handle:
-        if inst.label:
-            handle.write(f"c {inst.label}\n")
-        g = inst.graph
-        handle.write(f"p fairdiv {g.num_vertices} {g.num_edges} {inst.num_agents}\n")
-        for u, v in g.edges:
-            handle.write(f"e {u + 1} {v + 1}\n")
+        handle.write(format_instance(inst))
 
 
 def write_allocation(a: Allocation, path) -> None:

@@ -35,44 +35,48 @@ with SO, so an SO scan collects no table.  ``oracle_find_all`` with SO keeps
 only the matches at the top welfare.  ``oracle_exists``, ``max_welfare`` and
 ``oracle_max_cut`` read no count, so their SO scans are ``first_only``: once
 a match sits at the top welfare, the kernel also skips every tie after it,
-which has a larger index.  An SO scan that fixes no vertex but the vertex-0
-pin starts its top welfare at a floor, the welfare of a local optimum
-(``_local_optimum``), so the bound prunes from the first prefix on.  Every
-other scan starts at -1: with TS and a fixed vertex, the top the scan visits
-may lie below a free local optimum.
+which has a larger index.  An SO scan that fixes no vertex starts its top
+welfare at a floor, the welfare of a local optimum (``_local_optimum``), so
+the bound prunes from the first prefix on.  Every other scan starts at -1:
+with TS and a fixed vertex, the top the scan visits may lie below a free
+local optimum.
 
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
 identities carry no information.
 
 For the same reason every predicate is invariant under relabelling the
-bundles, so a query with no fixed vertex is one canonical kernel scan: it
-visits one labelling per bundle partition of all m vertices, the restricted
-growth string (Knuth, TAOCP 4A, 7.2.1.5).  A string using j labels stands for
+bundles, and a kernel scan that fixes no vertex is canonical: it visits one
+labelling per bundle partition of all m vertices, the restricted growth
+string (Knuth, TAOCP 4A, 7.2.1.5).  A string using j labels stands for
 n!/(n - j)! labelled allocations, so weighted counts equal labelled counts,
 and the lex-least labelled index of any relabelling-invariant set is itself
-canonical, so witnesses and least indices are the labelled ones.  The
-vertex-0 pin of ``symmetry`` and ``oracle_max_cut`` runs the same scan with
-counts divided by n; every restricted growth string starts with bundle 0, so
-its indices are those of the pinned enumeration.  A vertex fixed by a
-partial allocation (completability), even vertex 0 alone, breaks the
-symmetry, and that query is one labelled scan.  ``oracle_find_all`` lists
-every labelled match, so it is one labelled scan too (after the canonical
-one of a PO filter, which ends the query when it keeps nothing).  Indices,
-counts and the state cap are all in labelled terms.
+canonical, so witnesses and least indices are the labelled ones.
+``oracle_find_all`` expands each matching string into its relabellings and
+sorts them by labelled index.  The vertex-0 pin of ``symmetry`` and
+``oracle_max_cut`` runs the same scan with the cap at n**(m - 1) and counts
+divided by n; every restricted growth string starts with bundle 0, so its
+indices are those of the pinned enumeration, and ``oracle_find_all`` keeps
+the relabellings that keep label 0.  Only a vertex fixed by a partial
+allocation (completability), even vertex 0 alone, breaks the symmetry, and
+that query is the one labelled scan.  Indices, counts and the state cap are
+all in labelled terms.
 
-Every query is one call of ``_scan``, which holds the refusals: more
-labelled states than the cap, and n**free at or above 2**63 (the kernels'
-64-bit indices).  n must be at least 1: both kernels raise ValueError
-otherwise.  A query reaches it through ``_query_scan``, at the mask and alpha
-of ``_kernel_query``: ef1 and alpha_ef1 share the kernels' EF1 bit, and alpha
-is 1 with ef1, as EF1 implies alpha-EF1 for every alpha <= 1.
+Every query is one call of ``_scan`` (two for ``oracle_find_all`` with a PO
+filter), which holds the refusals: more labelled states than the cap, and
+n**free at or above 2**63 (the kernels' 64-bit indices).  n must be at least
+1: both kernels raise ValueError otherwise.  A query reaches it through
+``_query_scan``, at the mask and alpha of ``_kernel_query``: ef1 and
+alpha_ef1 share the kernels' EF1 bit, and alpha is 1 with ef1, as EF1
+implies alpha-EF1 for every alpha <= 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from ..allocation import (
@@ -171,9 +175,11 @@ def _check_cap(states: int, max_states: int) -> None:
         raise CapExceededError(f"{states} states exceed the cap of {max_states}")
 
 
-def _decoder(g: Graph, n: int, fixed) -> Callable[[int], Allocation]:
+def _decoder(g: Graph, n: int, fixed=None) -> Callable[[int], Allocation]:
     """The allocation of each labelled index of a scan with these fixed
-    vertices, the last free vertex the least significant digit."""
+    vertices (none by default), the last free vertex the least significant
+    digit."""
+    fixed = [-1] * g.num_vertices if fixed is None else fixed
     free = [v for v in reversed(range(g.num_vertices)) if fixed[v] < 0]
 
     def decode(index: int) -> Allocation:
@@ -187,10 +193,6 @@ def _decoder(g: Graph, n: int, fixed) -> Callable[[int], Allocation]:
         return Allocation(tuple(map(frozenset, bundles)))  # disjoint by construction
 
     return decode
-
-
-def _decode(g: Graph, n: int, fixed, index: int) -> Allocation:
-    return _decoder(g, n, fixed)(index)
 
 
 def _local_optimum(g: Graph, n: int) -> tuple[int, list[int]]:
@@ -224,8 +226,7 @@ def _local_optimum(g: Graph, n: int) -> tuple[int, list[int]]:
 
 
 def _kernel_args(
-    g, n, fixed, mask=0, alpha=1, first_only=False, collect=False, list_matches=False, canonical=False,
-    floor=-1,
+    g, n, fixed, mask=0, alpha=1, first_only=False, collect=False, list_matches=False, floor=-1
 ):
     """The positional arguments of a kernel scan on g."""
     indptr = [0]
@@ -237,7 +238,7 @@ def _kernel_args(
     return (
         g.num_vertices, n, indptr, indices, degrees, list(fixed),
         mask, alpha.numerator, alpha.denominator,
-        first_only, collect, list_matches, canonical, floor,
+        first_only, collect, list_matches, floor,
     )
 
 
@@ -246,35 +247,42 @@ def _scan(
     first_only=False, collect=False, list_matches=False,
 ):
     """One kernel scan over the allocations that keep the fixed vertices in
-    place, and vertex 0 in bundle 0 if pin: the fixed vertices and the
-    result, in labelled indices and counts, with the ``vectors`` table if
-    collect.  The scan is canonical unless it lists its matches or fixes a
-    vertex other than the pinned one; an SO scan that fixes none starts its
-    top welfare at a local optimum's.  The cap counts the labelled states in
-    range."""
+    place, canonical when it fixes none (an SO one then starts its top welfare
+    at a local optimum's): its result in labelled indices and counts, with
+    the ``vectors`` table if collect.  The cap counts the labelled states in
+    range.  pin, with no fixed vertex, counts only the allocations with vertex
+    0 in bundle 0, one labelling of every n: the cap is n**(m - 1), and the
+    counts are divided by n."""
     m = g.num_vertices
-    unfixed = fixed is None or max(fixed, default=-1) < 0
-    canonical = not list_matches and unfixed
     fixed = [-1] * m if fixed is None else list(fixed)
+    free = fixed.count(-1)
     pinned = pin and m > 0
+    _check_cap(n ** (free - pinned), max_states)
+    if n**free >= 1 << 63:
+        raise CapExceededError(f"{n**free} states overflow the kernel's 64-bit indices")
+    floor = _local_optimum(g, n)[0] if mask & SO and free == m else -1
+    result = scan(*_kernel_args(g, n, fixed, mask, alpha, first_only, collect, list_matches, floor))
     if pinned:
-        fixed[0] = 0
-    _check_cap(n ** fixed.count(-1), max_states)
-    scanned = [-1] * m if canonical else fixed
-    states = n ** scanned.count(-1)
-    if states >= 1 << 63:
-        raise CapExceededError(f"{states} states overflow the kernel's 64-bit indices")
-    floor = _local_optimum(g, n)[0] if mask & SO and unfixed else -1
-    result = scan(
-        *_kernel_args(g, n, scanned, mask, alpha, first_only, collect, list_matches, canonical, floor)
-    )
-    if pinned and canonical:  # vertex 0 is in bundle 0 in one labelling of every n
         result["matched"] //= n
         result["best_count"] //= n
         if collect:
             for entry in result["vectors"].values():
                 entry[1] //= n
-    return fixed, result
+    return result
+
+
+def _relabellings(index: int, m: int, n: int, pin: bool) -> Iterator[int]:
+    """The labelled indices of the relabellings of the restricted growth
+    string at this index: the injective maps of its j labels into the n
+    bundles, with pin only those that keep label 0."""
+    places = [0] * n  # places[b]: the sum of the digit places of label b
+    for k in range(m):
+        index, b = divmod(index, n)
+        places[b] += n**k
+    used = places[: n - places.count(0)]  # the string uses labels 0 to j - 1
+    kept = 1 if pin and used else 0  # label 0 kept in bundle 0 adds nothing to an index
+    maps = permutations(range(kept, n), len(used) - kept)
+    return (sum(map(mul, labels, used[kept:])) for labels in maps)
 
 
 def _kernel_query(query: OracleQuery) -> tuple[int, Fraction]:
@@ -299,32 +307,30 @@ def _query_scan(g, n, query: OracleQuery, **kwargs):
 
 
 def _po_scan(g, n, query: OracleQuery):
-    """The fixed vertices of a PO query and {vector: [least index, count]}
-    over the matched ascending value vectors that no allocation in range
-    dominates."""
-    fixed, result = _query_scan(g, n, query, collect=True)
-    vectors = result["vectors"]
-    return fixed, {v: vectors[v] for v in _undominated(vectors) if vectors[v][0] >= 0}
+    """{vector: [least index, count]} of a PO query over the matched
+    ascending value vectors that no allocation in range dominates."""
+    vectors = _query_scan(g, n, query, collect=True)["vectors"]
+    return {v: vectors[v] for v in _undominated(vectors) if vectors[v][0] >= 0}
 
 
 def _answer(g, n, query: OracleQuery, first_only: bool):
-    """The fixed vertices of a query, its least matching index (-1 if none)
-    and its number of matches, exact unless first_only.  SO reads the
-    welfare optimum of the matches off one scan: they are SO when it is the
-    top welfare of every allocation in range, and a first_only SO scan skips
-    the ties after the first match at the top.  Only PO needs the value
-    vector of every allocation, and not with SO: every SO vector is
-    undominated, as a dominator has the larger sum, so SO+PO is SO."""
+    """The least matching index of a query (-1 if none) and its number of
+    matches, exact unless first_only.  SO reads the welfare optimum of the
+    matches off one scan: they are SO when it is the top welfare of every
+    allocation in range, and a first_only SO scan skips the ties after the
+    first match at the top.  Only PO needs the value vector of every
+    allocation, and not with SO: every SO vector is undominated, as a
+    dominator has the larger sum, so SO+PO is SO."""
     so = "so" in query.predicates
     if "po" in query.predicates and not so:
-        fixed, kept = _po_scan(g, n, query)
-        return fixed, min((i for i, _ in kept.values()), default=-1), sum(c for _, c in kept.values())
-    fixed, result = _query_scan(g, n, query, first_only=first_only)
+        kept = _po_scan(g, n, query)
+        return min((i for i, _ in kept.values()), default=-1), sum(c for _, c in kept.values())
+    result = _query_scan(g, n, query, first_only=first_only)
     if not so:
-        return fixed, result["first_index"], result["matched"]
+        return result["first_index"], result["matched"]
     if result["best_welfare"] < result["top_welfare"]:
-        return fixed, -1, 0
-    return fixed, result["best_index"], result["best_count"]
+        return -1, 0
+    return result["best_index"], result["best_count"]
 
 
 def enumerate_allocations(
@@ -332,17 +338,14 @@ def enumerate_allocations(
 ) -> Iterator[Allocation]:
     """Every complete allocation exactly once, in lexicographic order of the
     assignment function."""
-    fixed = [-1] * g.num_vertices
-    _check_cap(n ** len(fixed), max_states)
-    decode = _decoder(g, n, fixed)
-    for index in range(n ** len(fixed)):
-        yield decode(index)
+    _check_cap(n**g.num_vertices, max_states)
+    yield from map(_decoder(g, n), range(n**g.num_vertices))
 
 
 def oracle_exists(g: Graph, n: int, query: OracleQuery) -> Optional[Allocation]:
     """A witness satisfying every predicate in the query, or None if none exists."""
-    fixed, index, _ = _answer(g, n, query, first_only=True)
-    return _decode(g, n, fixed, index) if index >= 0 else None
+    index = _answer(g, n, query, first_only=True)[0]
+    return _decoder(g, n)(index) if index >= 0 else None
 
 
 def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
@@ -350,34 +353,38 @@ def oracle_count(g: Graph, n: int, query: OracleQuery) -> int:
     vertex 0 is pinned to bundle 0, so this is the pinned sub-count (the
     number of allocations divided by n); the pin leaves witnesses unchanged
     and makes no query cheaper, since enumeration is canonical anyway."""
-    return _answer(g, n, query, first_only=False)[2]
+    return _answer(g, n, query, first_only=False)[1]
 
 
 def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     """All matching allocations in labelled enumeration order (desk-scale
-    only): one labelled scan that lists every match.  With PO the canonical
-    collect scan comes first and ends the query when no vector qualifies;
-    SO keeps the matches at the listing scan's top welfare."""
+    only): one canonical scan lists the matching restricted growth strings,
+    and each that uses j labels expands into its relabellings, the injective
+    maps of its labels into the n bundles (with ``symmetry`` only those that
+    keep label 0), sorted by labelled index.  With PO the canonical collect
+    scan comes first and ends the query when no vector qualifies; SO keeps
+    the matches at the listing scan's top welfare."""
     so = "so" in query.predicates
     keys = None
     if "po" in query.predicates and not so:
-        keys = _po_scan(g, n, query)[1]
+        keys = _po_scan(g, n, query)
         if not keys:
             return []
-    fixed, result = _query_scan(g, n, query, list_matches=True)
-    decode = _decoder(g, n, fixed)
-    found = [decode(i) for i in result["matches"]]
+    result = _query_scan(g, n, query, list_matches=True)
+    decode = _decoder(g, n)
+    matches = result["matches"]  # both filters keep every relabelling or none
     if keys is not None:
-        return [a for a in found if tuple(sorted(bundle_values(a, g))) in keys]
-    if so:
-        return [a for a in found if sum(bundle_values(a, g)) == result["top_welfare"]]
-    return found
+        matches = [i for i in matches if tuple(sorted(bundle_values(decode(i), g))) in keys]
+    elif so:
+        matches = [i for i in matches if sum(bundle_values(decode(i), g)) == result["top_welfare"]]
+    m, pin = g.num_vertices, query.symmetry
+    return [decode(j) for j in sorted(j for i in matches for j in _relabellings(i, m, n, pin))]
 
 
 def max_welfare(g: Graph, n: int, max_states: Optional[int] = None) -> int:
     """Exact maximum utilitarian welfare over all complete n-partitions."""
     max_states = max_states if max_states is not None else DEFAULT_MAX_STATES
-    return _scan(g, n, max_states, TS | SO, first_only=True)[1]["top_welfare"]
+    return _scan(g, n, max_states, TS | SO, first_only=True)["top_welfare"]
 
 
 def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -387,7 +394,7 @@ def oracle_pareto(a: Allocation, g: Graph, n: int, max_states: int = DEFAULT_MAX
     if not a.is_complete(g):
         raise ValueError("Pareto check requires a complete allocation")
     mine = tuple(sorted(bundle_values(a, g)))
-    vectors = _scan(g, n, max_states, TS, collect=True)[1]["vectors"]
+    vectors = _scan(g, n, max_states, TS, collect=True)["vectors"]
     return not any(_dominates(v, mine) for v in vectors)
 
 
@@ -395,16 +402,15 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
     """Allocation whose sorted value vector is lexicographically maximal; first
     in enumeration order on ties.  ``threads`` must be 1."""
     _require_one_thread(threads)
-    fixed, result = _scan(g, n, max_states, TS, collect=True)
-    vectors = result["vectors"]  # with the mask TS alone every state in it matches
-    return _decode(g, n, fixed, vectors[max(vectors)][0])
+    vectors = _scan(g, n, max_states, TS, collect=True)["vectors"]  # with TS alone all match
+    return _decoder(g, n)(vectors[max(vectors)][0])
 
 
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
     """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry):
     the first state of the scan to reach its top welfare, twice the cut."""
-    fixed, result = _scan(g, 2, max_states, TS | SO, pin=True, first_only=True)
-    return _decode(g, 2, fixed, result["best_index"]), result["best_welfare"] // 2
+    result = _scan(g, 2, max_states, TS | SO, pin=True, first_only=True)
+    return _decoder(g, 2)(result["best_index"]), result["best_welfare"] // 2
 
 
 def oracle_completable_ef1(
@@ -419,7 +425,7 @@ def oracle_completable_ef1(
     for i, bundle in enumerate(partial.bundles):
         for o in bundle:
             fixed[o] = i
-    return _scan(g, n, max_states, EF1, fixed, first_only=True)[1]["first_index"] >= 0
+    return _scan(g, n, max_states, EF1, fixed, first_only=True)["first_index"] >= 0
 
 
 __all__ = [

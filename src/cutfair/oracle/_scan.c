@@ -2,9 +2,9 @@
  *
  * Walks assignment functions (free vertices -> bundles) in lexicographic
  * order with incremental cut-value maintenance, evaluating the fairness
- * predicates of require_mask on each state.  In canonical mode it visits only
- * the restricted growth strings, one per bundle partition, and weights each
- * match by the number of labellings of its partition.  It keeps the welfare
+ * predicates of require_mask on each state.  A canonical scan, one that fixes
+ * no vertex, visits only the restricted growth strings, one per partition,
+ * and weights each match by the number of its labellings.  It keeps the welfare
  * (the sum of the bundle values, twice the number of cut edges) as it moves
  * vertices: moving v from bundle d to nd adds 2 * (cnt[v][d] - cnt[v][nd]).
  * So it returns top_welfare (the largest welfare visited) and, over the
@@ -163,13 +163,13 @@ done:
 static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    int m, n, require_mask, first_only, collect_vectors, list_matches, canonical;
+    int m, n, require_mask, first_only, collect_vectors, list_matches;
     long long alpha_num, alpha_den, floor_welfare; /* the floor argument (floor() is math.h's) */
     PyObject *indptr_obj, *indices_obj, *degrees_obj, *fixed_obj;
-    if (!PyArg_ParseTuple(args, "iiOOOOiLLppppL:scan", &m, &n, &indptr_obj,
+    if (!PyArg_ParseTuple(args, "iiOOOOiLLpppL:scan", &m, &n, &indptr_obj,
                           &indices_obj, &degrees_obj, &fixed_obj, &require_mask,
                           &alpha_num, &alpha_den, &first_only, &collect_vectors,
-                          &list_matches, &canonical, &floor_welfare))
+                          &list_matches, &floor_welfare))
         return NULL;
     if (m < 0 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
@@ -229,10 +229,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     for (i = 0; i < m; i++)
         if (assign[i] < 0)
             freev[f++] = i;
-    if (canonical && f < m) {
-        PyErr_SetString(PyExc_ValueError, "a canonical scan fixes no vertex");
-        goto done;
-    }
+    int canonical = f == m; /* a scan that fixes no vertex */
     for (k = 0; k < f; k++) {
         digits[k] = assign[freev[k]] = 0;
         /* the largest label digit k may take */
@@ -499,11 +496,10 @@ done:
 
 PyDoc_STRVAR(scan_doc,
 "scan(num_vertices, n, indptr, indices, degrees, fixed, require_mask,\n"
-"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, canonical,\n"
-"     floor, /)\n"
+"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, floor, /)\n"
 "--\n\n"
-"Scan every global assignment index, or only the canonical ones;\n"
-"see _scan_py.scan.");
+"Scan every global assignment index, or only the canonical ones when no\n"
+"vertex is fixed; see _scan_py.scan.");
 
 static PyMethodDef methods[] = {
     {"scan", scan, METH_VARARGS, scan_doc},

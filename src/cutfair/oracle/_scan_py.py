@@ -2,12 +2,12 @@
 
 Walks assignment functions (free vertices -> bundles) in lexicographic order
 with incremental cut-value maintenance, evaluating fairness predicates on
-each state.  In canonical mode it visits only restricted growth strings
-(Knuth, TAOCP 4A, 7.2.1.5): digit k rises to at most one more than the
-largest digit before it, so each bundle partition is visited once, by its
-lex-least labelling, and a match counts for every labelling of its
-partition.  Semantically identical to the hand-written C kernel in _scan.c;
-the compiled one is preferred at import time when available.
+each state.  A canonical scan, one that fixes no vertex, visits only
+restricted growth strings (Knuth, TAOCP 4A, 7.2.1.5): digit k rises to at
+most one more than the largest digit before it, so each bundle partition is
+visited once, by its lex-least labelling, and a match counts for every
+labelling of its partition.  Semantically identical to the C kernel in
+_scan.c; the compiled one is preferred at import time when available.
 
 Vertex sets are int bitmasks: ``nbr[v]`` is v's neighbourhood and
 ``member[b]`` bundle b, so v has ``(nbr[v] & member[b]).bit_count()``
@@ -122,11 +122,10 @@ def scan(
     first_only,
     collect_vectors,
     list_matches,
-    canonical,
     floor,
 ):
-    """Scan global assignment indices from 0 to n**free - 1; in canonical
-    mode (no fixed vertex) only the restricted growth strings.  The EF1 bit of
+    """Scan global assignment indices from 0 to n**free - 1; when no vertex
+    is fixed, only the restricted growth strings.  The EF1 bit of
     require_mask tests alpha-EF1 at alpha_num / alpha_den (EF1 at 1 / 1).
 
     Returns a dict with:
@@ -155,8 +154,7 @@ def scan(
         raise ValueError("an SO scan collects no value vectors")
     free = [v for v in range(num_vertices) if fixed[v] < 0]
     f = len(free)
-    if canonical and f < num_vertices:
-        raise ValueError("a canonical scan fixes no vertex")
+    canonical = f == num_vertices
     assign = [max(b, 0) for b in fixed]  # every free vertex starts in bundle 0
     digits = [0] * f
     n1 = n - 1

@@ -2,9 +2,9 @@
 
 Each check returns a CriterionResult; the CLI prints one pass/fail line per
 check and the acceptance tests assert them individually.  Random sweeps are
-seeded, so every run sees the same instances.  Checks that share expensive
-sweeps (the n >= 4 and general-n solver runs) pull them from a common context
-so the trace-monotonicity check reuses the traces instead of re-solving.
+seeded, so every run sees the same instances.  Criteria 2 and 8 share the
+one expensive sweep, the n >= 4 solver runs, through a common context, so the
+trace-monotonicity check reuses its traces instead of re-solving.
 """
 
 from __future__ import annotations
@@ -83,11 +83,10 @@ def _random_state(rng: SplitMix64, m: int, n: int):
 
 
 class ReproContext:
-    """Shared seeded sweeps, run at most once each."""
+    """The shared seeded sweep, run at most once."""
 
     def __init__(self):
         self._alg1 = None
-        self._alg5 = None
 
     def alg1_sweep(self):
         """1,000 runs of the n >= 4 solver on random graphs, with checker
@@ -125,33 +124,6 @@ class ReproContext:
             }
         return self._alg1
 
-    def alg5_sweep(self):
-        """1,000 runs of the general-n solver, checker verdicts and traces."""
-        if self._alg5 is None:
-            rng = SplitMix64(BASE_SEED + 1)
-            failures = []
-            traces = []
-            t0 = time.perf_counter()
-            for t in range(1000):
-                n = 2 + t % 5
-                m = n + rng.below(15 - n)
-                g = _random_graph(rng, m)
-                a, trace = solve_ef1_wts(g, n)
-                traces.append(trace)
-                ok = (
-                    check_ef1(a, g).holds
-                    and check_wts(a, g).holds
-                    and a.all_nonempty()
-                )
-                if not ok:
-                    failures.append(t)
-            self._alg5 = {
-                "failures": failures,
-                "traces": traces,
-                "elapsed": time.perf_counter() - t0,
-            }
-        return self._alg5
-
 
 def criterion_1(ctx: ReproContext) -> CriterionResult:
     """Three bundles on the two-hub instance: strong stability never coexists
@@ -187,11 +159,23 @@ def criterion_2(ctx: ReproContext) -> CriterionResult:
 
 
 def criterion_3(ctx: ReproContext) -> CriterionResult:
-    s = ctx.alg5_sweep()
-    ok = not s["failures"] and s["elapsed"] < 60.0
+    """1,000 runs of the general-n solver on random graphs, each held to its
+    EF1, wTS and non-empty checkers."""
+    rng = SplitMix64(BASE_SEED + 1)
+    failures = []
+    t0 = time.perf_counter()
+    for t in range(1000):
+        n = 2 + t % 5
+        m = n + rng.below(15 - n)
+        g = _random_graph(rng, m)
+        a, _ = solve_ef1_wts(g, n)
+        if not (check_ef1(a, g).holds and check_wts(a, g).holds and a.all_nonempty()):
+            failures.append(t)
+    elapsed = time.perf_counter() - t0
+    ok = not failures and elapsed < 60.0
     return CriterionResult(
         3, "EF1+wTS solver, any bundle count", ok,
-        f"1000 runs, {len(s['failures'])} failures, {s['elapsed']:.1f}s",
+        f"1000 runs, {len(failures)} failures, {elapsed:.1f}s",
     )
 
 

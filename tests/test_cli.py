@@ -145,6 +145,9 @@ def test_gen_round_trip(capsys, tmp_path):
     from cutfair.instances import read_instance
 
     assert read_instance(target).graph.num_edges == 10
+    code, out, _ = run(capsys, "gen", "--label", "fig3:d=5")
+    assert code == 0
+    assert out == target.read_text()
     code, out, _ = run(capsys, "gen", "--label", "path:3")
     assert code == 0
     assert "p fairdiv 3 2 2" in out

@@ -153,31 +153,54 @@ def test_pareto_rejects_dominated():
         oracle.oracle_pareto(oracle.Allocation.of([{0}, {1}]), g, 2)
 
 
+# graphs of 0 to 7 vertices into 1 to 4 bundles; on cycle:5 with n = 4 some
+# matches leave a bundle empty, so a string with j < n labels stands for
+# n!/(n - j)! allocations
+FIND_ALL_CASES = (
+    (gen_path(4).graph, 2),
+    (gen_fig3(3).graph, 3),
+    (gen_cycle(5).graph, 4),
+    (gen_path(4).graph, 1),
+    (Graph.from_edges(0, []), 3),
+)
+
+
+def pinned_part(allocations, g):
+    """The allocations with vertex 0 in bundle 0 (all of them with no vertex)."""
+    return [a for a in allocations if not g.num_vertices or 0 in a.bundles[0]]
+
+
 def test_find_all_matches_count_and_filters():
     """oracle_find_all lists, in enumeration order, exactly the allocations
-    whose checkers all hold, and as many as oracle_count counts."""
-    for g, n in ((gen_path(4).graph, 2), (gen_fig3(3).graph, 3)):
+    whose checkers all hold, and as many as oracle_count counts; with the
+    vertex-0 pin, those with vertex 0 in bundle 0."""
+    for g, n in FIND_ALL_CASES:
         for preds in ({"ef1"}, {"ef1", "ts"}, {"ef1", "so"}, {"po"}, {"nonempty", "wts"}):
-            q = query(*preds)
-            found = oracle.oracle_find_all(g, n, q)
-            assert len(found) == oracle.oracle_count(g, n, q)
-            assert found == [
+            expected = [
                 a
                 for a in oracle.enumerate_allocations(g, n)
-                if all(oracle.PREDICATES[p].check(a, g, q).holds for p in preds)
-            ], (n, preds)
+                if all(oracle.PREDICATES[p].check(a, g, query()).holds for p in preds)
+            ]
+            for symmetry in (False, True):
+                q = query(*preds, symmetry=symmetry)
+                found = oracle.oracle_find_all(g, n, q)
+                assert len(found) == oracle.oracle_count(g, n, q)
+                assert found == (pinned_part(expected, g) if symmetry else expected), (n, preds)
+    g, n = FIND_ALL_CASES[2]
+    assert any(not all(a.bundles) for a in oracle.oracle_find_all(g, n, query("ef1")))
 
 
 def test_find_all_with_symmetry_lists_the_pinned_matches():
     """With the vertex-0 pin, oracle_find_all under a PO or an SO filter
     lists the unpinned matches that have vertex 0 in bundle 0, in the same
     order, and as many as the pinned oracle_count."""
-    for g, n in ((gen_path(4).graph, 2), (gen_fig3(3).graph, 3)):
+    for g, n in FIND_ALL_CASES:
         for preds in ({"po"}, {"wts", "po"}, {"so"}, {"nonempty", "so"}):
             pinned = oracle.oracle_find_all(g, n, query(*preds, symmetry=True))
             found = oracle.oracle_find_all(g, n, query(*preds))
-            assert pinned == [a for a in found if 0 in a.bundles[0]], (n, preds)
-            assert len(pinned) == oracle.oracle_count(g, n, query(*preds, symmetry=True)) > 0
+            assert pinned == pinned_part(found, g), (n, preds)
+            assert len(pinned) == oracle.oracle_count(g, n, query(*preds, symmetry=True))
+            assert pinned or "nonempty" in preds and n > g.num_vertices
 
 
 def test_leximin_maximizes_sorted_vector():
@@ -231,21 +254,27 @@ def test_threads_other_than_one_are_refused():
 
 
 def test_every_entry_point_is_one_kernel_scan(monkeypatch):
-    """One kernel call per query, canonical unless a partial allocation fixes
-    a vertex (vertex 0 alone included), and collecting value vectors only
-    for PO without SO, the Pareto check and leximin; oracle_find_all
-    makes one labelled call, after the canonical collect scan of a PO filter,
-    and none when that filter keeps no vector."""
+    """One kernel call per query, canonical (fixing no vertex) unless a
+    partial allocation fixes a vertex (vertex 0 alone included), and
+    collecting value vectors only for PO without SO, the Pareto check and
+    leximin; oracle_find_all makes one canonical call, after the canonical
+    collect scan of a PO filter, and none when that filter keeps no vector.
+    Only completability makes a labelled scan."""
     calls = []
 
     def counting(*args):
-        calls.append((args[12], args[10]))  # canonical, collect_vectors
+        calls.append((args[5], args[10]))  # fixed, collect_vectors
         return scan_python(*args)
 
     monkeypatch.setattr(oracle, "scan", counting)
     g = gen_fig3(3).graph
     witness = oracle.oracle_exists(g, 3, query("ef1", "wts"))
-    canonical, collect, labelled = (True, False), (True, True), (False, False)
+    free = [-1] * g.num_vertices
+    canonical, collect = (free, False), (free, True)
+
+    def labelled(*bundles):  # the call of a partial allocation with vertex v in bundles[v]
+        return list(bundles) + free[len(bundles) :], False
+
     for run, expected in (
         (lambda: oracle.oracle_exists(g, 3, query("ef1")), [canonical]),
         (lambda: oracle.oracle_exists(g, 3, query("ef1", "so", symmetry=True)), [canonical]),
@@ -262,13 +291,13 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
         run()
         assert calls == expected
     for run, expected in (
-        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3), [labelled]),
-        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, set(), set()]), g, 3), [labelled]),
-        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts")), [labelled]),
-        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [labelled]),
-        (lambda: oracle.oracle_find_all(g, 3, query("so")), [labelled]),
-        (lambda: oracle.oracle_find_all(g, 3, query("so", "po")), [labelled]),
-        (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [collect, labelled]),
+        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, {1}, set()]), g, 3), [labelled(0, 1)]),
+        (lambda: oracle.oracle_completable_ef1(Allocation.of([{0}, set(), set()]), g, 3), [labelled(0)]),
+        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts")), [canonical]),
+        (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [canonical]),
+        (lambda: oracle.oracle_find_all(g, 3, query("so")), [canonical]),
+        (lambda: oracle.oracle_find_all(g, 3, query("so", "po")), [canonical]),
+        (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [collect, canonical]),
     ):
         calls.clear()
         assert run()
@@ -334,31 +363,34 @@ def labelled_queries(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(labelled_queries())
-def test_canonical_oracle_equals_one_labelled_scan(case):
+def test_canonical_oracle_equals_the_labelled_enumeration(case):
     """Counts, witnesses and value vectors of the canonical enumeration equal
-    those of one Python-kernel scan over every labelled state (the
-    vertex-0-pinned ones with symmetry), and the value vectors those built
-    from the exact checkers, one restricted growth string at a time.  Which
-    vectors a scan collects depends on the mask only through its TS and WTS
-    bits."""
+    those of the exact checkers over every labelled state (with symmetry,
+    those of one Python-kernel scan over the vertex-0-pinned ones), and the
+    value vectors those built from the exact checkers, one restricted growth
+    string at a time.  Which vectors a scan collects depends on the mask only
+    through its TS and WTS bits."""
     g, n, preds, alpha, symmetry = case
     q = query(*preds, alpha=alpha, symmetry=symmetry)
     m = g.num_vertices
     mask, alpha = oracle._kernel_query(q)
-    fixed = [0] + [-1] * (m - 1) if symmetry and m else [-1] * m
-    ref = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, collect=True))
+    if symmetry and m:
+        fixed = [0] + [-1] * (m - 1)
+        ref = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, collect=True))
+    else:
+        fixed = [-1] * m
+        ref = unpruned_reference(g, n, fixed, mask, alpha, False, False)[0]
     assert oracle.oracle_count(g, n, q) == ref["matched"]
     witness = oracle.oracle_exists(g, n, q)
     index = ref["first_index"]
-    assert witness == (oracle._decode(g, n, fixed, index) if index >= 0 else None)
+    assert witness == (oracle._decoder(g, n, fixed)(index) if index >= 0 else None)
     expected = unpruned_reference(g, n, [-1] * m, mask, alpha, True, False)[0]["vectors"]
     if symmetry and m:  # vertex 0 is in bundle 0 in one labelling of every n
         for entry in expected.values():
             entry[1] //= n
     assert ref["vectors"] == expected
-    scanned, result = oracle._query_scan(g, n, q, collect=True)
-    assert (scanned, result["vectors"]) == (fixed, expected)
-    stable = oracle._scan(g, n, q.max_states, mask & (TS | WTS), pin=symmetry, collect=True)[1]
+    assert oracle._query_scan(g, n, q, collect=True)["vectors"] == expected
+    stable = oracle._scan(g, n, q.max_states, mask & (TS | WTS), pin=symmetry, collect=True)
     assert stable["vectors"].keys() == expected.keys()
 
 
@@ -378,8 +410,8 @@ def welfare_queries(draw):
 @settings(deadline=None, max_examples=100)
 @given(welfare_queries())
 def test_welfare_fields_equal_brute_force(case):
-    """top_welfare, best_welfare, best_index and best_count of labelled,
-    canonical and vertex-0-pinned scans equal the maximum welfare, the maximum
+    """top_welfare, best_welfare, best_index and best_count of canonical and
+    vertex-0-pinned scans equal the maximum welfare, the maximum
     welfare of a match, the first match reaching it and the number of matches
     at it, over the allocations of enumerate_allocations that the exact
     checkers accept.  The pinned states are the first n**(m - 1)."""
@@ -393,9 +425,8 @@ def test_welfare_fields_equal_brute_force(case):
     pinned = [0] + [-1] * (m - 1) if m else []
     for result, states in (
         (scan_python(*oracle._kernel_args(g, n, [-1] * m, mask, alpha)), n**m),
-        (scan_python(*oracle._kernel_args(g, n, [-1] * m, mask, alpha, canonical=True)), n**m),
         (scan_python(*oracle._kernel_args(g, n, pinned, mask, alpha)), n ** len(pinned[1:])),
-        (oracle._scan(g, n, q.max_states, mask, pin=True, alpha=alpha)[1], n ** len(pinned[1:])),
+        (oracle._scan(g, n, q.max_states, mask, pin=True, alpha=alpha), n ** len(pinned[1:])),
     ):
         hits = [i for i in range(states) if ok[i]]
         best = max((welfare[i] for i in hits), default=-1)
@@ -414,7 +445,7 @@ PRUNED_LIMIT = 1024  # largest n**free the pruning test checks state by state
 @st.composite
 def pruned_scans(draw, so=False):
     """A kernel scan whose mask has TS or WTS, maybe with other bits, on a
-    graph with 0-6 vertices and 1-4 bundles: canonical, labelled,
+    graph with 0-6 vertices and 1-4 bundles: canonical (fixing no vertex),
     vertex-0-pinned or with random fixed vertices, with or without
     first_only and the list of matches, and with a floor of -1.  With so, the
     mask has SO and any other bits, the scan collects no table, and when no
@@ -429,7 +460,7 @@ def pruned_scans(draw, so=False):
     for bit in draw(st.sets(st.sampled_from(others))):
         mask |= bit
     alpha = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
-    mode = draw(st.sampled_from(["canonical", "labelled", "pinned", "fixed"]))
+    mode = draw(st.sampled_from(["canonical", "pinned", "fixed"]))
     fixed = [-1] * m
     if mode == "pinned" and m:
         fixed[0] = 0
@@ -443,7 +474,7 @@ def pruned_scans(draw, so=False):
         if max(fixed[1:], default=-1) < 0:
             welfare = [sum(bundle_values(a, g)) for a in oracle.enumerate_allocations(g, n)]
             floor = draw(st.sampled_from([-1, max(welfare), draw(st.sampled_from(welfare))]))
-    canonical = mode == "canonical"
+    canonical = fixed.count(-1) == m
     return g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect, floor
 
 
@@ -467,7 +498,7 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
         if canonical and any(d > max(digits[:k], default=-1) + 1 for k, d in enumerate(digits)):
             continue
         states += 1
-        a = oracle._decode(g, n, fixed, index)
+        a = oracle._decoder(g, n, fixed)(index)
         values = bundle_values(a, g)
         welfare = sum(values)
         ref["top_welfare"] = max(ref["top_welfare"], welfare)
@@ -510,7 +541,7 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
         fields.append("vectors")
     if not first_only and max(fixed[1:], default=-1) < 0:
         fields.append("top_welfare")
-    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, collect, list_matches, canonical)
+    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, collect, list_matches)
     for kernel in (scan_python, compiled_scan):
         result = kernel(*call)
         assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}
@@ -530,7 +561,7 @@ def test_so_scans_equal_brute_force(compiled_scan, case):
     vertex 0 is fixed."""
     g, n, fixed, mask, alpha, canonical, first_only, list_matches, _, floor = case
     ref, states = unpruned_reference(g, n, fixed, mask & ~SO, alpha, canonical, False)
-    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, False, list_matches, canonical, floor)
+    call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, False, list_matches, floor)
     result = scan_python(*call)
     assert compiled_scan(*call) == result
     assert result["states"] <= states
@@ -554,14 +585,16 @@ def test_so_scans_equal_brute_force(compiled_scan, case):
 
 def test_drop_cache_overflow_keeps_ef1_scans_exact(monkeypatch):
     """With the Python kernel's EF1 drop cache capped at two bundles, so that
-    it is cleared over and over, EF1 scans at alpha 1, 1/2 and 2/3 still
-    return the brute force's matches, counts and welfare optimum."""
+    it is cleared over and over, canonical and labelled EF1 scans at alpha 1,
+    1/2 and 2/3 still return the brute force's matches, counts and welfare
+    optimum."""
     monkeypatch.setattr(_scan_py, "DROP_CACHE_CAP", 2)
     fields = ["matched", "first_index", "best_welfare", "best_index", "best_count", "matches"]
     for g, n in ((gen_random_graph(7, 0.5, 3).graph, 3), (gen_random_graph(6, 0.7, 4).graph, 4)):
-        fixed = [-1] * g.num_vertices
-        for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3)):
-            ref, _ = unpruned_reference(g, n, fixed, EF1, alpha, False, False)
+        free = [-1] * g.num_vertices
+        scans = (free, free[1:] + [n - 1])  # canonical, and labelled with the last vertex fixed
+        for fixed, alpha in itertools.product(scans, (Fraction(1), Fraction(1, 2), Fraction(2, 3))):
+            ref, _ = unpruned_reference(g, n, fixed, EF1, alpha, fixed == free, False)
             result = scan_python(*oracle._kernel_args(g, n, fixed, EF1, alpha, list_matches=True))
             assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}, (n, alpha)
             assert ref["matched"] > 0
@@ -574,7 +607,9 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     check (fig1, n = 7) and of an ef1+po count, and the TS- and
     cut-bound-pruned first_only scans of one oracle_max_cut call, of
     max_welfare on G(12, 0.4) with n = 4 and of the ef1+so witness on
-    appendixB with n = 4 visit these many states, against every restricted
+    appendixB with n = 4, and the canonical listing scan of the ef1+wts
+    matches on fig3 with d = 5 and n = 3 (which a labelled scan made in
+    1,647 states), visit these many states, against every restricted
     growth string unpruned and, for the max cut and max_welfare, against the
     scan pruned by TS alone, which finds the same top welfare.  The max cut
     and max_welfare start at a floor that is already their top welfare, so
@@ -584,7 +619,7 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
     g = gen_fig3(9).graph
     visited = [
-        scan(*oracle._kernel_args(g, 3, [-1] * 11, mask, canonical=True))["states"]
+        scan(*oracle._kernel_args(g, 3, [-1] * 11, mask))["states"]
         for mask in (EF1 | TS, EF1)
     ]
     assert visited == [531, 29_525]
@@ -601,11 +636,12 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     oracle.oracle_count(*cases[2], query("ef1", "po"))
     oracle.max_welfare(*cases[3])
     oracle.oracle_exists(gen_appendix_b(4).graph, 4, query("ef1", "so", symmetry=True))
-    full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, canonical=True)) for g, n in cases[:3]]
-    assert [r["states"] for r in results] == [1, 1_425, 3_222, 1, 16]
+    oracle.oracle_find_all(gen_fig3(5).graph, 3, query("ef1", "wts"))
+    full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices)) for g, n in cases[:3]]
+    assert [r["states"] for r in results] == [1, 1_425, 3_222, 1, 16, 275]
     assert [r["states"] for r in full] == [32_768, 4_139, 9_842]
     stable = [
-        scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, TS, canonical=True)) for g, n in cases[::3]
+        scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, TS)) for g, n in cases[::3]
     ]
     assert [r["states"] for r in stable] == [3_880, 188_138]
     assert [r["top_welfare"] for r in stable] == [r["top_welfare"] for r in results[::3]]
@@ -729,7 +765,7 @@ def parity_cases():
 def test_kernel_parity_compiled_vs_python(compiled_scan):
     """Both kernels return identical result dictionaries, states included, for
     each mask bit and their union, with and without SO, on every parity case,
-    labelled and canonical with the case's fixed vertices freed, with and
+    with its fixed vertices and canonical with them freed, with and
     without the list of matches, in every scan mode an SO scan allows, and
     SO scans with no floor and with a local optimum's welfare as the floor.
     The cases take alpha 1, 1/2 and 2/3 in turn, so EF1 runs at and below 1."""
@@ -737,7 +773,7 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
     masks = predicates + [SO] + [mask | SO for mask in predicates]
     for case, (g, n, fixed) in enumerate(parity_cases()):
         alpha = (Fraction(1), Fraction(1, 2), Fraction(2, 3))[case % 3]
-        scans = ((fixed, False), ([-1] * len(fixed), True))
+        scans = (fixed, [-1] * len(fixed))
         floors = (-1, oracle._local_optimum(g, n)[0])
         for mask in masks:
             if mask & SO:
@@ -745,9 +781,9 @@ def test_kernel_parity_compiled_vs_python(compiled_scan):
             else:
                 modes = itertools.product((False, True), (False, True), (-1,))
             for first_only, collect, floor in modes:
-                for (free, canonical), list_matches in itertools.product(scans, (False, True)):
+                for free, list_matches in itertools.product(scans, (False, True)):
                     call = oracle._kernel_args(
-                        g, n, free, mask, alpha, first_only, collect, list_matches, canonical, floor
+                        g, n, free, mask, alpha, first_only, collect, list_matches, floor
                     )
                     assert compiled_scan(*call) == scan_python(*call), (case, mask, call[7:])
 
@@ -757,25 +793,22 @@ def test_canonical_scan_visits_one_labelling_per_partition():
     partition into at most n blocks, and its count of every state is n**m."""
     g = gen_path(5).graph
     for n, partitions in ((1, 1), (2, 16), (3, 41), (5, 52), (7, 52)):
-        result = scan_python(*oracle._kernel_args(g, n, [-1] * 5, canonical=True))
+        result = scan_python(*oracle._kernel_args(g, n, [-1] * 5))
         assert (result["states"], result["matched"]) == (partitions, n**5)
 
 
-def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
-    """Both kernels refuse a canonical scan that fixes a vertex, an SO scan
-    that collects value vectors, a mask bit they do not know (8, the old
-    ALPHA_EF1, or 128 and up) and a scan into no bundle, so an
-    oracle query with n = 0 raises ValueError; the
-    compiled one refuses a short ``fixed`` list instead of reading past it.  A
-    labelled scan visits the whole range."""
+def test_kernels_reject_bad_scans_and_sizes(compiled_scan):
+    """Both kernels refuse an SO scan that collects value vectors, a mask bit
+    they do not know (8, the old ALPHA_EF1, or 128 and up) and a scan into no
+    bundle, so an oracle query with n = 0 raises ValueError; the compiled one
+    refuses a short ``fixed`` list instead of reading past it.  A labelled
+    scan, which fixes a vertex, visits the whole range."""
     g = gen_random_graph(4, 0.5, 5).graph
 
-    def args(fixed, canonical=False, n=3):
-        return oracle._kernel_args(g, n, fixed, EF1, canonical=canonical)
+    def args(fixed, n=3):
+        return oracle._kernel_args(g, n, fixed, EF1)
 
     for kernel in (compiled_scan, scan_python):
-        with pytest.raises(ValueError, match="canonical scan fixes no vertex"):
-            kernel(*args([0, -1, -1, -1], True))
         for first_only in (False, True):
             with pytest.raises(ValueError, match="SO scan"):
                 kernel(*oracle._kernel_args(g, 3, [-1] * 4, TS | SO, first_only=first_only, collect=True))
@@ -784,7 +817,7 @@ def test_kernels_reject_bad_canonical_scans_and_sizes(compiled_scan):
         for bad in (8, 128, 1 << 20):
             with pytest.raises(ValueError, match=f"unknown require_mask bits {bad}"):
                 kernel(*oracle._kernel_args(g, 3, [-1] * 4, EF1 | bad))
-        assert kernel(*args([-1] * 4))["states"] == 3**4
+        assert kernel(*args([0, -1, -1, -1]))["states"] == 3**3
         assert kernel(*args([0, 1, 2, 0]))["states"] == 1
     with pytest.raises(ValueError, match="n >= 1"):
         oracle.oracle_exists(gen_path(3).graph, 0, query("ef1"))
