@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .allocation import Allocation, Potential, potential_from_values
+from .allocation import Allocation, Potential, bundle_values, potential_from_values
 from .graph import Graph
 from .valuation import BundleStats
 
@@ -643,9 +643,7 @@ def equitable_cut(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     if not 2 <= n <= g.num_vertices:
         raise ValueError("need 2 <= n <= number of vertices")
     a, trace = solve_ef1_wts(g, n)
-    values = sorted(
-        BundleStats.from_bundles(g, a.bundles).bundle_value
-    )
+    values = sorted(bundle_values(a, g))
     if values[-1] - values[0] > g.max_degree():
         raise SolverInvariantError("gap bound violated; the EF1 guarantee failed")
     trace.guarantee = "EF1+wTS+gap<=maxdeg"

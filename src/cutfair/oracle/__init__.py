@@ -4,11 +4,11 @@ Ground truth for existence questions, Pareto optimality, leximin, max-cut,
 and EF1-completability.  The hot loop lives in a kernel (compiled when the
 extension is available, pure Python otherwise); this module owns caps,
 predicate wiring, witness decoding, and the global predicates.  The kernel
-keeps the welfare as it walks, so SO, the maximum welfare and the maximum cut
-come from its welfare optimum (``top_welfare`` and the ``best_*`` fields of
-the matching states) with no table; PO, the Pareto check and leximin are
-built on the one table of a collect scan, ``vectors``, which maps each sorted
-value vector to its least matching index and its matching count.
+keeps the welfare as it walks, so its SO bit decides SO like any other
+predicate, and the maximum welfare and the maximum cut are its top welfare,
+``top_welfare``, with no table; PO, the Pareto check and leximin are built
+on the one table of a collect scan, ``vectors``, which maps each sorted value
+vector to its least matching index and its matching count.
 
 A scan with TS or wTS skips every completion of a prefix whose closed
 vertices already break them (see ``_scan_py``), so every scan that reads the
@@ -25,21 +25,20 @@ the kernel still returns the top welfare as ``top_welfare``, and its
 ``vectors``, which holds only the TS allocations' vectors, keeps every
 undominated vector.
 
-The scans that read only the top welfare, those of SO, ``max_welfare`` and
-``oracle_max_cut``, also carry the kernel's SO bit, which prunes by a cut
-bound every prefix that no completion lifts to the top welfare seen so far
-(see ``_scan_py``).  Its test is strict, so ``top_welfare`` stays exact, and
-so do ``best_welfare``, ``best_index``, ``best_count`` and the listed
-matches at the top welfare; ``matched`` and ``first_index`` are undefined
-with SO, so an SO scan collects no table.  ``oracle_find_all`` with SO keeps
-only the matches at the top welfare.  ``oracle_exists``, ``max_welfare`` and
-``oracle_max_cut`` read no count, so their SO scans are ``first_only``: once
-a match sits at the top welfare, the kernel also skips every tie after it,
-which has a larger index.  An SO scan that fixes no vertex starts its top
-welfare at a floor, the welfare of a local optimum (``_local_optimum``), so
-the bound prunes from the first prefix on.  Every other scan starts at -1:
-with TS and a fixed vertex, the top the scan visits may lie below a free
-local optimum.
+With the SO bit a state matches only at the scan's top welfare: the
+kernel prunes by a cut bound every prefix that no completion lifts to the
+top welfare seen so far (see ``_scan_py``), and resets its matches when the
+top rises.  The test is strict, so ``top_welfare`` stays exact, and so do
+``matched``, ``first_index`` and the listed matches; an SO scan collects no
+table.  The scans of SO queries, ``max_welfare`` and ``oracle_max_cut``
+carry the SO bit.  ``oracle_exists``, ``max_welfare`` and ``oracle_max_cut``
+read no count, so their SO scans are ``first_only``: once a match sits at
+the top welfare, the kernel also skips every tie after it, which has a
+larger index.  An SO scan
+that fixes no vertex starts its top welfare at a floor, the welfare of a
+local optimum (``_local_optimum``), so the bound prunes from the first
+prefix on.  Every other scan starts at -1: with TS and a fixed vertex, the
+top the scan visits may lie below a free local optimum.
 
 Pareto dominance between allocations is compared sorted-vector to
 sorted-vector: agents are interchangeable under a shared valuation, so bundle
@@ -62,13 +61,14 @@ allocation (completability), even vertex 0 alone, breaks the symmetry, and
 that query is the one labelled scan.  Indices, counts and the state cap are
 all in labelled terms.
 
-Every query is one call of ``_scan`` (two for ``oracle_find_all`` with a PO
-filter), which holds the refusals: more labelled states than the cap, and
-n**free at or above 2**63 (the kernels' 64-bit indices).  n must be at least
-1: both kernels raise ValueError otherwise.  A query reaches it through
-``_query_scan``, at the mask and alpha of ``_kernel_query``: ef1 and
-alpha_ef1 share the kernels' EF1 bit, and alpha is 1 with ef1, as EF1
-implies alpha-EF1 for every alpha <= 1.
+Every query is one call of ``_scan``, which holds the refusals: more
+labelled states than the cap, and n**free at or above 2**63 (the kernels'
+64-bit indices).  n must be at least 1: both kernels raise ValueError
+otherwise.  A query reaches it through ``_query_scan``, at the mask and
+alpha of ``_kernel_query``: ef1 and alpha_ef1 share the kernels' EF1 bit,
+and alpha is 1 with ef1, as EF1 implies alpha-EF1 for every alpha <= 1.
+``_query_scan`` also holds the one rule for PO: a PO query without SO
+collects the value vectors, and with SO it is the SO query.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ def _undominated(vectors) -> set[tuple[int, ...]]:
 
 
 class _Predicate(NamedTuple):
-    """A kernel ``bit`` decides the predicate state by state.  SO and PO have
-    none: the kernel's welfare optimum decides SO, and the undominated value
-    vectors of a collect scan decide PO.  ``check`` is the exact checker for
-    one allocation, which needs every vertex assigned if ``complete``."""
+    """A kernel ``bit`` decides the predicate state by state.  PO has none:
+    the undominated value vectors of a collect scan decide it.  ``check`` is
+    the exact checker for one allocation, which needs every vertex assigned
+    if ``complete``."""
 
     check: Callable[[Allocation, Graph, "OracleQuery"], FairnessReport]
     bit: int = 0
@@ -131,14 +131,13 @@ PREDICATES = {
     "alpha_ef1": _Predicate(lambda a, g, q: check_alpha_ef1(a, g, q.alpha), EF1),
     "ts": _Predicate(lambda a, g, q: check_ts(a, g), TS, complete=True),
     "wts": _Predicate(lambda a, g, q: check_wts(a, g), WTS, complete=True),
-    "so": _Predicate(lambda a, g, q: check_so(a, g, max_states=q.max_states), complete=True),
+    "so": _Predicate(lambda a, g, q: check_so(a, g, max_states=q.max_states), SO, complete=True),
     "po": _Predicate(
         lambda a, g, q: FairnessReport("PO", oracle_pareto(a, g, a.n, max_states=q.max_states)),
         complete=True,
     ),
     "nonempty": _Predicate(lambda a, g, q: FairnessReport("non-empty", a.all_nonempty()), NONEMPTY),
 }
-KNOWN_PREDICATES = frozenset(PREDICATES)
 
 
 class CapExceededError(RuntimeError):
@@ -154,7 +153,7 @@ class OracleQuery:
     threads: int = 1  # accepted as 1 only: a query is one kernel scan
 
     def __post_init__(self):
-        unknown = self.predicates - KNOWN_PREDICATES
+        unknown = self.predicates - PREDICATES.keys()
         if unknown:
             raise ValueError(f"unknown predicates: {sorted(unknown)}")
         _require_alpha(self.alpha)
@@ -264,7 +263,6 @@ def _scan(
     result = scan(*_kernel_args(g, n, fixed, mask, alpha, first_only, collect, list_matches, floor))
     if pinned:
         result["matched"] //= n
-        result["best_count"] //= n
         if collect:
             for entry in result["vectors"].values():
                 entry[1] //= n
@@ -286,51 +284,44 @@ def _relabellings(index: int, m: int, n: int, pin: bool) -> Iterator[int]:
 
 
 def _kernel_query(query: OracleQuery) -> tuple[int, Fraction]:
-    """The kernel mask and alpha of a query: its predicates' bits OR'd, TS
-    with SO or PO, as every allocation at the top welfare or with an
-    undominated value vector is TS, and SO with SO, whose scans read only the
-    top.  alpha is 1 with ef1, which implies alpha-EF1 for every alpha <= 1."""
+    """The kernel mask and alpha of a query: its predicates' bits OR'd, and
+    TS with SO or PO, as every allocation at the top welfare or with an
+    undominated value vector is TS.  alpha is 1 with ef1, which implies
+    alpha-EF1 for every alpha <= 1."""
     mask = 0
     for name in query.predicates:
         mask |= PREDICATES[name].bit
-    if "so" in query.predicates:
-        mask |= TS | SO
-    elif "po" in query.predicates:
+    if mask & SO or "po" in query.predicates:
         mask |= TS
     return mask, Fraction(1) if "ef1" in query.predicates else query.alpha
 
 
-def _query_scan(g, n, query: OracleQuery, **kwargs):
-    """``_scan`` with a query's kernel mask, alpha, cap and vertex-0 pin."""
+def _query_scan(g, n, query: OracleQuery, first_only=False, list_matches=False):
+    """The one kernel scan of a query, at its mask, alpha, cap and vertex-0
+    pin, and its PO filter.  With PO but not SO, the scan, never first_only,
+    also collects the value vectors, and the filter maps each matched
+    ascending vector that no allocation in range dominates to [least index,
+    count]; otherwise it is None.  SO+PO is SO, as every SO vector is
+    undominated: a dominator has the larger sum."""
     mask, alpha = _kernel_query(query)
-    return _scan(g, n, query.max_states, mask, pin=query.symmetry, alpha=alpha, **kwargs)
-
-
-def _po_scan(g, n, query: OracleQuery):
-    """{vector: [least index, count]} of a PO query over the matched
-    ascending value vectors that no allocation in range dominates."""
-    vectors = _query_scan(g, n, query, collect=True)["vectors"]
-    return {v: vectors[v] for v in _undominated(vectors) if vectors[v][0] >= 0}
+    po = "po" in query.predicates and not mask & SO
+    result = _scan(
+        g, n, query.max_states, mask, pin=query.symmetry, alpha=alpha,
+        first_only=first_only and not po, collect=po, list_matches=list_matches,
+    )
+    if not po:
+        return result, None
+    vectors = result["vectors"]
+    return result, {v: vectors[v] for v in _undominated(vectors) if vectors[v][0] >= 0}
 
 
 def _answer(g, n, query: OracleQuery, first_only: bool):
     """The least matching index of a query (-1 if none) and its number of
-    matches, exact unless first_only.  SO reads the welfare optimum of the
-    matches off one scan: they are SO when it is the top welfare of every
-    allocation in range, and a first_only SO scan skips the ties after the
-    first match at the top.  Only PO needs the value vector of every
-    allocation, and not with SO: every SO vector is undominated, as a
-    dominator has the larger sum, so SO+PO is SO."""
-    so = "so" in query.predicates
-    if "po" in query.predicates and not so:
-        kept = _po_scan(g, n, query)
-        return min((i for i, _ in kept.values()), default=-1), sum(c for _, c in kept.values())
-    result = _query_scan(g, n, query, first_only=first_only)
-    if not so:
+    matches, exact unless first_only."""
+    result, kept = _query_scan(g, n, query, first_only)
+    if kept is None:
         return result["first_index"], result["matched"]
-    if result["best_welfare"] < result["top_welfare"]:
-        return -1, 0
-    return result["best_index"], result["best_count"]
+    return min((i for i, _ in kept.values()), default=-1), sum(c for _, c in kept.values())
 
 
 def enumerate_allocations(
@@ -361,22 +352,14 @@ def oracle_find_all(g: Graph, n: int, query: OracleQuery) -> list[Allocation]:
     only): one canonical scan lists the matching restricted growth strings,
     and each that uses j labels expands into its relabellings, the injective
     maps of its labels into the n bundles (with ``symmetry`` only those that
-    keep label 0), sorted by labelled index.  With PO the canonical collect
-    scan comes first and ends the query when no vector qualifies; SO keeps
-    the matches at the listing scan's top welfare."""
-    so = "so" in query.predicates
-    keys = None
-    if "po" in query.predicates and not so:
-        keys = _po_scan(g, n, query)
-        if not keys:
-            return []
-    result = _query_scan(g, n, query, list_matches=True)
+    keep label 0), sorted by labelled index.  With PO that scan also collects
+    the value vectors, and a listed string is kept when its vector is
+    undominated."""
+    result, kept = _query_scan(g, n, query, list_matches=True)
     decode = _decoder(g, n)
-    matches = result["matches"]  # both filters keep every relabelling or none
-    if keys is not None:
-        matches = [i for i in matches if tuple(sorted(bundle_values(decode(i), g))) in keys]
-    elif so:
-        matches = [i for i in matches if sum(bundle_values(decode(i), g)) == result["top_welfare"]]
+    matches = result["matches"]
+    if kept is not None:  # PO keeps every relabelling or none
+        matches = [i for i in matches if tuple(sorted(bundle_values(decode(i), g))) in kept]
     m, pin = g.num_vertices, query.symmetry
     return [decode(j) for j in sorted(j for i in matches for j in _relabellings(i, m, n, pin))]
 
@@ -408,9 +391,9 @@ def oracle_leximin(g: Graph, n: int, max_states: int = DEFAULT_MAX_STATES, threa
 
 def oracle_max_cut(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> tuple[Allocation, int]:
     """Optimal bipartition by exhaustive scan (vertex 0 pinned by symmetry):
-    the first state of the scan to reach its top welfare, twice the cut."""
+    the first state of the scan at its top welfare, twice the cut."""
     result = _scan(g, 2, max_states, TS | SO, pin=True, first_only=True)
-    return _decoder(g, 2)(result["best_index"]), result["best_welfare"] // 2
+    return _decoder(g, 2)(result["first_index"]), result["top_welfare"] // 2
 
 
 def oracle_completable_ef1(
@@ -432,7 +415,6 @@ __all__ = [
     "CapExceededError",
     "DEFAULT_MAX_STATES",
     "KERNEL_NAME",
-    "KNOWN_PREDICATES",
     "OracleQuery",
     "PREDICATES",
     "enumerate_allocations",

@@ -7,11 +7,10 @@
  * and weights each match by the number of its labellings.  It keeps the welfare
  * (the sum of the bundle values, twice the number of cut edges) as it moves
  * vertices: moving v from bundle d to nd adds 2 * (cnt[v][d] - cnt[v][nd]).
- * So it returns top_welfare (the largest welfare visited) and, over the
- * matching states, best_welfare, best_index (the first state to reach it) and
- * best_count (their weighted count) with no table.  A collect_vectors scan
- * also returns vectors, a dict from the tuple of a state's ascending bundle
- * values to [least matching index or -1, labelled matching count], filled by
+ * So it returns top_welfare, the largest welfare visited, with no table, and
+ * steps, its prefix placements under SO.  A collect_vectors scan also returns
+ * vectors, a dict from the tuple of a state's ascending bundle values to
+ * [least matching index or -1, labelled matching count], filled by
  * collect_state.  The EF1 bit tests alpha-EF1 at alpha_num / alpha_den, EF1 at
  * 1 / 1.  TS and wTS reduce to a per-vertex threshold on the neighbours a
  * vertex has in its own bundle, the crowded array (see _scan_py for the
@@ -34,29 +33,30 @@
  * the lowest digit moved since the last visited state; the others kept their
  * counts, and they passed.
  *
- * The mask bit SO says that the caller reads only top_welfare, and the best_*
- * fields and the listed matches at the top welfare, and the scan is pruned by
- * the cut bound of _scan_py: ub[p] is twice the cut edges among the placed
- * vertices (the fixed ones and digits 0..p-1), plus the edges among the
- * unplaced ones, plus, for each unplaced u, its placed neighbours outside its
- * fewest bundle.  pcnt holds those per-bundle counts for the first `placed`
+ * With the mask bit SO a state matches only at the scan's top welfare, and the
+ * scan is pruned by the cut bound of _scan_py: ub[p] is twice the cut edges
+ * among the placed vertices (the fixed ones and digits 0..p-1), plus the
+ * edges among the unplaced ones, plus, for each unplaced u, its placed
+ * neighbours outside its fewest bundle.  pcnt holds those per-bundle counts for the first `placed`
  * free vertices: placing a free vertex adds it to its later neighbours' counts,
  * and a step that moves digit k takes the vertices at k and after out again.
  * At the first p >= k with ub[p + 1] < top_welfare the scan advances digit p
  * without visiting the state, at the same positions as _scan_py, so both visit
- * the same states.  The test is strict, so every state at the top welfare is
- * visited: top_welfare is as without SO, and best_welfare, best_index,
- * best_count and the listed matches are exact at the top welfare.  With SO,
- * matched, first_index and vectors are undefined, and a collect_vectors
- * scan is refused with ValueError.
+ * the same states in the same steps, one per placement from k on.  The test
+ * is strict, so every state at the top welfare is visited: top_welfare is as
+ * without SO.  Every visited state is at least at the top so far, so when the
+ * top rises the scan resets matched, first_index and the listed matches
+ * (PyList_SetSlice), which are then exact at the top welfare.  With SO,
+ * vectors is undefined, and a collect_vectors scan is refused with
+ * ValueError.
  *
- * An SO scan that is first_only reads only top_welfare, best_welfare and
- * best_index, and does not stop at its first match.  Once a match sits at the
- * top welfare, it also skips every prefix whose bound equals the top and every
- * state at the top: bar, the least welfare the scan still visits, is then
- * top_welfare + 1 instead of top_welfare.  Later ties have larger indices, so
- * the three fields stay exact.  top_welfare starts at floor (-1 for none),
- * the welfare of an allocation in range whose maximum the scan visits.
+ * An SO scan that is first_only reads only top_welfare and first_index, and
+ * does not stop at its first match.  Once a match sits at the top welfare, it
+ * also skips every prefix whose bound equals the top and every state at the
+ * top: bar, the least welfare the scan still visits, is then top_welfare + 1
+ * instead of top_welfare.  Later ties have larger indices, so the two fields
+ * stay exact.  top_welfare starts at floor (-1 for none), the welfare of an
+ * allocation in range whose maximum the scan visits.
  *
  * Unlike the Python kernel's bitmasks, cnt[v][b] counts v's neighbours in
  * bundle b: with fixed vertices a scan may have more than 64 vertices.  The
@@ -221,8 +221,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     int i, j, k, b, d, nd, v, u, p, deg, t, f = 0, ok, last, crowdable = 0, changed, placed = 0;
     int bound = (require_mask & SO) != 0;
     long long r, vmin, vmax, tmp, weight = 1, welfare = 0;
-    long long states = 0, matched = 0, first_index = -1;
-    long long best_welfare = -1, best_index = -1, best_count = 0;
+    long long states = 0, steps = 0, matched = 0, first_index = -1;
     /* bar: the least welfare an SO scan still visits */
     long long top_welfare = floor_welfare, bar = floor_welfare;
 
@@ -340,15 +339,23 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                 ub[placed + 1] = ub[placed] + 2 * r;
                 if (ub[placed + 1] < bar) {
                     last = placed++; /* every completion of digits 0..last is below the bar */
-                    goto step;
+                    break;
                 }
             }
-            if (welfare < bar)
+            steps += placed - k;
+            if (last < f - 1 || welfare < bar)
                 goto step;
         }
         states += 1;
-        if (welfare > top_welfare)
+        if (welfare > top_welfare) {
             top_welfare = bar = welfare;
+            if (bound) { /* the matches so far are below the new top */
+                matched = 0;
+                first_index = -1;
+                if (list_matches && PyList_SetSlice(matches, 0, PyList_GET_SIZE(matches), NULL) < 0)
+                    goto done;
+            }
+        }
         i = tails[changed];
         changed = f;
         for (; i < crowdable; i++) {
@@ -404,13 +411,6 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             for (j = 0, weight = 1; canonical && j < n && sizes[j] > 0; j++)
                 weight *= n - j;
             matched += weight;
-            if (welfare > best_welfare) {
-                best_welfare = welfare;
-                best_index = labelled_index(digits, f, n);
-                best_count = weight;
-            } else if (welfare == best_welfare) {
-                best_count += weight;
-            }
             if (list_matches) {
                 PyObject *idx = PyLong_FromLongLong(labelled_index(digits, f, n));
                 if (idx == NULL || PyList_Append(matches, idx) < 0) {
@@ -480,10 +480,9 @@ step:
             changed = k;
     }
 
-    result = Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:O,s:O}", "states", states,
+    result = Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:O,s:O}", "states", states, "steps", steps,
                            "matched", matched, "first_index", first_index,
-                           "top_welfare", top_welfare, "best_welfare", best_welfare,
-                           "best_index", best_index, "best_count", best_count,
+                           "top_welfare", top_welfare,
                            "matches", list_matches ? matches : Py_None,
                            "vectors", collect_vectors ? vectors : Py_None);
 done:

@@ -54,37 +54,38 @@ close at or after the lowest digit moved since the last visited state: one
 that closes earlier kept its count, and it passed, for a failure would have
 sent the scan past it.
 
-The mask bit SO says that the caller reads only ``top_welfare``, and the
-``best_*`` fields and the listed matches at the top welfare, and the scan is
-pruned by a cut bound (branch and bound: Land and Doig, Econometrica 1960).
-Place digits 0 to p-1 and the fixed vertices, and let c_b(u) count the placed
-neighbours in bundle b of an unplaced vertex u.  A completion cuts at most the
-cut edges among the placed vertices, every edge among the unplaced ones and,
-of the edges from u to the placed ones, all but its fewest in one bundle,
-sum_b c_b(u) - min_b c_b(u).  Twice that sum is ``ub[p]``; it never rises with
-p, and ``ub[f]`` is the welfare.  Placing v = free[p] in bundle b changes it by
+With the mask bit SO a state matches only at the scan's top welfare, and
+the scan is pruned by a cut bound (branch and bound: Land and Doig,
+Econometrica 1960).  Place digits 0 to p-1 and the fixed vertices, and let
+c_b(u) count the placed neighbours in bundle b of an unplaced vertex u.  A
+completion cuts at most the cut edges among the placed vertices, every edge
+among the unplaced ones and, of the edges from u to the placed ones, all but
+its fewest in one bundle, sum_b c_b(u) - min_b c_b(u).  Twice that sum is
+``ub[p]``; it never rises with p, and ``ub[f]`` is the welfare.  Placing v = free[p] in bundle b changes it by
 2 * (min_b' c_b'(v) - c_b(v) - the number of v's later neighbours u for which b
 was the one fewest bundle), every count taken over the prefix.  After a step
 whose lowest moved digit is k, the scan recomputes ``ub[k + 1:]`` in order,
-and at the first p with ``ub[p + 1] < top_welfare`` it advances digit p
-through the normal carry without visiting the state.  The test is strict, so
-every state at the top welfare is visited: ``top_welfare`` is as without SO,
-and ``best_welfare``, ``best_index``, ``best_count`` and the listed matches
-are exact at the top welfare (``best_welfare`` is below it when no match
-reaches it).  With SO ``matched``, ``first_index`` and ``vectors`` are
-undefined, and a scan that is ``collect_vectors`` is refused.
+one step per placement (``steps``, 0 without SO), and at the first p with
+``ub[p + 1] < top_welfare`` it advances digit p through the normal carry
+without visiting the state.  The test is strict, so every state at the top
+welfare is visited: ``top_welfare`` is as without SO.  Every visited state
+is at least at the top so far, as the tests skip the rest, so when the top
+rises the scan resets ``matched``, ``first_index`` and the listed matches,
+and they are exact at the top welfare (0, -1 and none when no state that
+passes the other bits reaches it).  With SO ``vectors`` is undefined, and a
+scan that is ``collect_vectors`` is refused.
 
-An SO scan that is ``first_only`` reads only ``top_welfare``,
-``best_welfare`` and ``best_index``; ``best_count`` and the matches are
-undefined.  It does not stop at its first match.  Once a match sits at the top
-welfare, both tests also hold on equality, so every prefix whose bound is the
-top and every state at the top is skipped: the scan walks in index order, so
-every later tie has a larger index, and only a welfare above the top can move
-the three fields.  ``floor`` is where ``top_welfare`` starts, -1 for none.  It
-must not exceed the top welfare the scan finds from -1, as the welfare of any
-allocation in range does when the scan visits the range's maximum (with TS or
-WTS: when it fixes no vertex but vertex 0).  Then the states below it are
-skipped and every field is as from -1.
+An SO scan that is ``first_only`` reads only ``top_welfare`` and
+``first_index``; ``matched`` and the matches are undefined.  It does not stop
+at its first match.  Once a match sits at the top welfare, both tests also
+hold on equality, so every prefix whose bound is the top and every state at
+the top is skipped: the scan walks in index order, so every later tie has a
+larger index, and only a welfare above the top can move the two fields.
+``floor`` is where ``top_welfare`` starts, -1 for none.  It must not exceed
+the top welfare the scan finds from -1, as the welfare of any allocation in
+range does when the scan visits the range's maximum (with TS or WTS: when it
+fixes no vertex but vertex 0).  Then the states below it are skipped and
+every field but ``states`` and ``steps`` is as from -1.
 """
 
 from __future__ import annotations
@@ -130,17 +131,15 @@ def scan(
 
     Returns a dict with:
       states          -- number of states visited
+      steps           -- number of prefix placements of the SO bound, 0
+                         without SO
       matched         -- number of labelled states matching require_mask
       first_index     -- least matching index, or -1
-      top_welfare     -- largest welfare over the visited states
-      best_welfare    -- largest welfare over the matching states, or -1
-      best_index      -- least matching index at best_welfare, or -1
-      best_count      -- number of labelled matching states at best_welfare
+      top_welfare     -- largest welfare over the visited states, from floor
       matches         -- index of every matching state visited, in scan order
                          (list_matches only)
-    With SO in require_mask only top_welfare, and best_welfare, best_index,
-    best_count and the matches at the top welfare, are defined, and with
-    first_only as well only the first three.  top_welfare starts at floor.
+    With SO in require_mask a state matches only at top_welfare, and with
+    first_only as well only top_welfare and first_index are defined.
       vectors         -- {tuple(sorted(values)): [least matching index or -1,
                          labelled matching-state count]} over the visited
                          states that pass the TS/WTS bits of require_mask
@@ -231,11 +230,9 @@ def scan(
     matches = [] if list_matches else None
     vectors: dict = {}
     drops: dict = {}  # bundle bitmask -> its best removal drop
-    states = 0
+    states = steps = 0
     matched = 0
     first_index = -1
-    best_welfare = best_index = -1
-    best_count = 0
     top_welfare = bar = floor  # bar: the least welfare an SO scan still visits
     k = 0  # the lowest digit the last step moved: ub[k + 1:] are stale
     changed = f  # the lowest digit moved since the last visited state
@@ -266,10 +263,15 @@ def scan(
             else:
                 if welfare < bar:
                     last = f - 1
+            steps += placed - k
         if last == f:
             states += 1
             if welfare > top_welfare:
                 top_welfare = bar = welfare
+                if bound:  # the matches so far are below the new top
+                    matched, first_index = 0, -1
+                    if list_matches:
+                        matches.clear()
             for nv, v, t, j in tails[changed]:
                 if (nv & member[assign[v]]).bit_count() >= t:
                     last = j  # every completion of digits 0..j fails: the digits after j reset to 0
@@ -309,12 +311,6 @@ def scan(
             if ok:
                 weight = weights[member.count(0)] if canonical else 1
                 matched += weight
-                if welfare >= best_welfare:
-                    if welfare > best_welfare:
-                        best_welfare = welfare
-                        best_index = _index(digits, n)
-                        best_count = 0
-                    best_count += weight
                 if list_matches:
                     matches.append(_index(digits, n))
                 if first_index < 0:
@@ -368,12 +364,10 @@ def scan(
 
     return {
         "states": states,
+        "steps": steps,
         "matched": matched,
         "first_index": first_index,
         "top_welfare": top_welfare,
-        "best_welfare": best_welfare,
-        "best_index": best_index,
-        "best_count": best_count,
         "matches": matches,
         "vectors": vectors if collect_vectors else None,
     }

@@ -175,7 +175,9 @@ def test_find_all_matches_count_and_filters():
     whose checkers all hold, and as many as oracle_count counts; with the
     vertex-0 pin, those with vertex 0 in bundle 0."""
     for g, n in FIND_ALL_CASES:
-        for preds in ({"ef1"}, {"ef1", "ts"}, {"ef1", "so"}, {"po"}, {"nonempty", "wts"}):
+        for preds in (
+            {"ef1"}, {"ef1", "ts"}, {"ef1", "so"}, {"po"}, {"ef1", "po"}, {"so", "po"}, {"nonempty", "wts"}
+        ):
             expected = [
                 a
                 for a in oracle.enumerate_allocations(g, n)
@@ -257,9 +259,9 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     """One kernel call per query, canonical (fixing no vertex) unless a
     partial allocation fixes a vertex (vertex 0 alone included), and
     collecting value vectors only for PO without SO, the Pareto check and
-    leximin; oracle_find_all makes one canonical call, after the canonical
-    collect scan of a PO filter, and none when that filter keeps no vector.
-    Only completability makes a labelled scan."""
+    leximin; oracle_find_all makes one canonical call, which with a PO
+    filter also collects, whether or not that filter keeps a vector.  Only
+    completability makes a labelled scan."""
     calls = []
 
     def counting(*args):
@@ -297,7 +299,7 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
         (lambda: oracle.oracle_find_all(g, 3, query("ef1", "wts", symmetry=True)), [canonical]),
         (lambda: oracle.oracle_find_all(g, 3, query("so")), [canonical]),
         (lambda: oracle.oracle_find_all(g, 3, query("so", "po")), [canonical]),
-        (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [collect, canonical]),
+        (lambda: oracle.oracle_find_all(g, 3, query("wts", "po")), [collect]),
     ):
         calls.clear()
         assert run()
@@ -351,7 +353,8 @@ LABELLED_LIMIT = 4096  # largest n^m the equivalence test scans label by label
 @st.composite
 def labelled_queries(draw):
     """A graph with 0-7 vertices, 1-5 bundles (n > m included, n^m at most
-    LABELLED_LIMIT), any set of the six kernel predicates, alpha and symmetry."""
+    LABELLED_LIMIT), any set of the seven kernel predicates, alpha and
+    symmetry."""
     n = draw(st.integers(min_value=1, max_value=5))
     m = draw(st.integers(min_value=0, max_value=max(k for k in range(8) if n**k <= LABELLED_LIMIT)))
     pairs = list(itertools.combinations(range(m), 2))
@@ -368,35 +371,40 @@ def test_canonical_oracle_equals_the_labelled_enumeration(case):
     those of the exact checkers over every labelled state (with symmetry,
     those of one Python-kernel scan over the vertex-0-pinned ones), and the
     value vectors those built from the exact checkers, one restricted growth
-    string at a time.  Which vectors a scan collects depends on the mask only
-    through its TS and WTS bits."""
+    string at a time.  A collect scan refuses SO, so the value vectors are
+    compared at the mask without it.  Which vectors a scan collects depends
+    on the mask only through its TS and WTS bits."""
     g, n, preds, alpha, symmetry = case
     q = query(*preds, alpha=alpha, symmetry=symmetry)
     m = g.num_vertices
     mask, alpha = oracle._kernel_query(q)
+    unso = mask & ~SO
     if symmetry and m:
         fixed = [0] + [-1] * (m - 1)
-        ref = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, collect=True))
+        ref = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha))
+        vectors = scan_python(*oracle._kernel_args(g, n, fixed, unso, alpha, collect=True))["vectors"]
     else:
         fixed = [-1] * m
         ref = unpruned_reference(g, n, fixed, mask, alpha, False, False)[0]
+        vectors = unpruned_reference(g, n, fixed, unso, alpha, False, False)[0]["vectors"]
     assert oracle.oracle_count(g, n, q) == ref["matched"]
     witness = oracle.oracle_exists(g, n, q)
     index = ref["first_index"]
     assert witness == (oracle._decoder(g, n, fixed)(index) if index >= 0 else None)
-    expected = unpruned_reference(g, n, [-1] * m, mask, alpha, True, False)[0]["vectors"]
+    expected = unpruned_reference(g, n, [-1] * m, unso, alpha, True, False)[0]["vectors"]
     if symmetry and m:  # vertex 0 is in bundle 0 in one labelling of every n
         for entry in expected.values():
             entry[1] //= n
-    assert ref["vectors"] == expected
-    assert oracle._query_scan(g, n, q, collect=True)["vectors"] == expected
+    assert vectors == expected
+    canonical = oracle._scan(g, n, q.max_states, unso, pin=symmetry, alpha=alpha, collect=True)
+    assert canonical["vectors"] == expected
     stable = oracle._scan(g, n, q.max_states, mask & (TS | WTS), pin=symmetry, collect=True)
     assert stable["vectors"].keys() == expected.keys()
 
 
 @st.composite
 def welfare_queries(draw):
-    """A graph with 0-6 vertices, 1-4 bundles, any set of the six kernel
+    """A graph with 0-6 vertices, 1-4 bundles, any set of the seven kernel
     predicates and alpha."""
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=0, max_value=6))
@@ -410,33 +418,35 @@ def welfare_queries(draw):
 @settings(deadline=None, max_examples=100)
 @given(welfare_queries())
 def test_welfare_fields_equal_brute_force(case):
-    """top_welfare, best_welfare, best_index and best_count of canonical and
-    vertex-0-pinned scans equal the maximum welfare, the maximum
-    welfare of a match, the first match reaching it and the number of matches
-    at it, over the allocations of enumerate_allocations that the exact
-    checkers accept.  The pinned states are the first n**(m - 1)."""
+    """Canonical and vertex-0-pinned scans at a query's mask with the SO bit
+    return as top_welfare, first_index and matched the maximum welfare and
+    the first and the number of the matches at it, over the allocations of
+    enumerate_allocations that the exact checkers accept, and the pinned
+    labelled scan lists those matches.  The pinned states are the first
+    n**(m - 1).  SO is the maximum welfare itself, not check_so."""
     g, n, preds, alpha = case
     q = query(*preds, alpha=alpha)
     mask, alpha = oracle._kernel_query(q)
+    mask |= SO
     m = g.num_vertices
     allocations = list(oracle.enumerate_allocations(g, n))
     welfare = [sum(bundle_values(a, g)) for a in allocations]
-    ok = [all(oracle.PREDICATES[p].check(a, g, q).holds for p in preds) for a in allocations]
+    ok = [all(oracle.PREDICATES[p].check(a, g, q).holds for p in preds - {"so"}) for a in allocations]
     pinned = [0] + [-1] * (m - 1) if m else []
+    in_pin = n ** len(pinned[1:])
     for result, states in (
         (scan_python(*oracle._kernel_args(g, n, [-1] * m, mask, alpha)), n**m),
-        (scan_python(*oracle._kernel_args(g, n, pinned, mask, alpha)), n ** len(pinned[1:])),
-        (oracle._scan(g, n, q.max_states, mask, pin=True, alpha=alpha), n ** len(pinned[1:])),
+        (scan_python(*oracle._kernel_args(g, n, pinned, mask, alpha, list_matches=True)), in_pin),
+        (oracle._scan(g, n, q.max_states, mask, pin=True, alpha=alpha), in_pin),
     ):
-        hits = [i for i in range(states) if ok[i]]
-        best = max((welfare[i] for i in hits), default=-1)
-        at_best = [i for i in hits if welfare[i] == best]
-        assert (
-            result["top_welfare"],
-            result["best_welfare"],
-            result["best_index"],
-            result["best_count"],
-        ) == (max(welfare[:states]), best, min(at_best, default=-1), len(at_best))
+        top = max(welfare[:states])
+        at_top = [i for i in range(states) if ok[i] and welfare[i] == top]
+        assert (result["top_welfare"], result["first_index"], result["matched"]) == (
+            top,
+            min(at_top, default=-1),
+            len(at_top),
+        )
+        assert result["matches"] in (None, at_top)
 
 
 PRUNED_LIMIT = 1024  # largest n**free the pruning test checks state by state
@@ -482,30 +492,35 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
     """The fields of a scan from the exact checkers, state by state: every
     labelled index in range, decoded, in order (in canonical mode only the
     restricted growth strings, each matching one counting its labellings),
-    up to the first match if first_only.  ``vectors`` maps the sorted value
-    vector of each state that passes the mask's TS and WTS bits to the least
-    matching index with it (-1 if none) and its weighted number of matches.
-    Also the number of states."""
+    up to the first match if first_only.  With SO in the mask a state
+    matches only at the top welfare of the range, the largest over every
+    labelled index in it.  ``vectors`` maps the sorted value vector of each
+    state that passes the mask's TS and WTS bits to the least matching index
+    with it (-1 if none) and its weighted number of matches.  Also the number
+    of states."""
     q = query(alpha=alpha)
-    # the EF1 bit is alpha-EF1 at the scan's alpha: ef1's own checker would test EF1
-    checks = [p.check for name, p in oracle.PREDICATES.items() if p.bit & mask and name != "ef1"]
+    # the EF1 bit is alpha-EF1 at the scan's alpha: ef1's own checker would test EF1;
+    # the SO bit is the range's top welfare, which check_so's over every allocation need not be
+    checks = [p.check for name, p in oracle.PREDICATES.items() if p.bit & mask and name not in ("ef1", "so")]
     stable = [p.check for p in oracle.PREDICATES.values() if p.bit & mask & (TS | WTS)]
     free = fixed.count(-1)
-    ref = {"matched": 0, "first_index": -1, "best_welfare": -1, "best_index": -1, "best_count": 0}
-    ref["matches"], ref["top_welfare"], ref["vectors"], states = [], -1, {}, 0
+    decode = oracle._decoder(g, n, fixed)
+    top = max(sum(bundle_values(decode(i), g)) for i in range(n**free)) if mask & SO else -1
+    ref = {"matched": 0, "first_index": -1, "matches": [], "top_welfare": -1, "vectors": {}}
+    states = 0
     for index in range(n**free):
         digits = [index // n ** (free - 1 - k) % n for k in range(free)]
         if canonical and any(d > max(digits[:k], default=-1) + 1 for k, d in enumerate(digits)):
             continue
         states += 1
-        a = oracle._decoder(g, n, fixed)(index)
+        a = decode(index)
         values = bundle_values(a, g)
         welfare = sum(values)
         ref["top_welfare"] = max(ref["top_welfare"], welfare)
         if not all(check(a, g, q).holds for check in stable):
             continue
         entry = ref["vectors"].setdefault(tuple(sorted(values)), [-1, 0])
-        if not all(check(a, g, q).holds for check in checks):
+        if welfare < top or not all(check(a, g, q).holds for check in checks):
             continue
         weight = perm(n, len(set(digits))) if canonical else 1
         if entry[0] < 0:
@@ -515,10 +530,6 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
         ref["matches"].append(index)
         if ref["first_index"] < 0:
             ref["first_index"] = index
-        if welfare > ref["best_welfare"]:
-            ref["best_welfare"], ref["best_index"], ref["best_count"] = welfare, index, 0
-        if welfare == ref["best_welfare"]:
-            ref["best_count"] += weight
         if first_only:
             break
     return ref, states
@@ -528,13 +539,13 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
 @given(case=pruned_scans())
 def test_pruned_scans_equal_brute_force(compiled_scan, case):
     """Both kernels, which skip the completions of a prefix that breaks TS or
-    wTS, return the matches, counts, witnesses, welfare optimum and
-    value vectors of the unpruned scan, and visit no more states.
+    wTS, return the matches, counts, witnesses, top welfare and value
+    vectors of the unpruned scan, and visit no more states.
     top_welfare is compared where it is defined: not first_only, and no
     vertex fixed but vertex 0."""
     g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect, _ = case
     ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only)
-    fields = ["matched", "first_index", "best_welfare", "best_index", "best_count"]
+    fields = ["matched", "first_index"]
     if list_matches:
         fields.append("matches")
     if collect:
@@ -553,50 +564,42 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
 def test_so_scans_equal_brute_force(compiled_scan, case):
     """Both kernels' SO scans, which also skip every completion of a prefix
     whose cut bound is below the top welfare (or equal to it, once a
-    first_only scan has a match there), visit the same states, and return
-    the unpruned scan's top welfare and, when a match reaches it, its
-    best_welfare and best_index and, unless first_only, its best_count and
-    its matches at that welfare in the list.  They are compared where
-    top_welfare is defined: the mask has no TS or WTS bit, or no vertex but
-    vertex 0 is fixed."""
+    first_only scan has a match there), visit the same states in the same
+    steps, and return the unpruned scan's top welfare and its first match
+    at that welfare and, unless first_only, its number of matches there and
+    their list.  They are compared where top_welfare is defined: the mask
+    has no TS or WTS bit, or no vertex but vertex 0 is fixed."""
     g, n, fixed, mask, alpha, canonical, first_only, list_matches, _, floor = case
-    ref, states = unpruned_reference(g, n, fixed, mask & ~SO, alpha, canonical, False)
+    ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, False)
     call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, False, list_matches, floor)
     result = scan_python(*call)
     assert compiled_scan(*call) == result
     assert result["states"] <= states
     if mask & (TS | WTS) and max(fixed[1:], default=-1) >= 0:
         return
-    top = ref["top_welfare"]
-    assert result["top_welfare"] == top
-    best = ["best_welfare", "best_index"] if first_only else ["best_welfare", "best_index", "best_count"]
-    if ref["best_welfare"] == top:
-        assert [result[k] for k in best] == [ref[k] for k in best]
-    else:
-        assert result["best_welfare"] < top
-    if list_matches and not first_only:
-        decode = oracle._decoder(g, n, fixed)
-
-        def at_top(matches):
-            return [i for i in matches if sum(bundle_values(decode(i), g)) == top]
-
-        assert at_top(result["matches"]) == at_top(ref["matches"])
+    fields = ["top_welfare", "first_index"]
+    if not first_only:
+        fields.append("matched")
+        if list_matches:
+            fields.append("matches")
+    assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}
 
 
 def test_drop_cache_overflow_keeps_ef1_scans_exact(monkeypatch):
     """With the Python kernel's EF1 drop cache capped at two bundles, so that
-    it is cleared over and over, canonical and labelled EF1 scans at alpha 1,
-    1/2 and 2/3 still return the brute force's matches, counts and welfare
-    optimum."""
+    it is cleared over and over, canonical and labelled EF1 and EF1|SO scans
+    at alpha 1, 1/2 and 2/3 still return the brute force's matches and
+    counts, those of EF1|SO at the top welfare."""
     monkeypatch.setattr(_scan_py, "DROP_CACHE_CAP", 2)
-    fields = ["matched", "first_index", "best_welfare", "best_index", "best_count", "matches"]
+    fields = ["matched", "first_index", "top_welfare", "matches"]
     for g, n in ((gen_random_graph(7, 0.5, 3).graph, 3), (gen_random_graph(6, 0.7, 4).graph, 4)):
         free = [-1] * g.num_vertices
         scans = (free, free[1:] + [n - 1])  # canonical, and labelled with the last vertex fixed
-        for fixed, alpha in itertools.product(scans, (Fraction(1), Fraction(1, 2), Fraction(2, 3))):
-            ref, _ = unpruned_reference(g, n, fixed, EF1, alpha, fixed == free, False)
-            result = scan_python(*oracle._kernel_args(g, n, fixed, EF1, alpha, list_matches=True))
-            assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}, (n, alpha)
+        alphas = (Fraction(1), Fraction(1, 2), Fraction(2, 3))
+        for fixed, alpha, mask in itertools.product(scans, alphas, (EF1, EF1 | SO)):
+            ref, _ = unpruned_reference(g, n, fixed, mask, alpha, fixed == free, False)
+            result = scan_python(*oracle._kernel_args(g, n, fixed, mask, alpha, list_matches=True))
+            assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}, (n, alpha, mask)
             assert ref["matched"] > 0
 
 
@@ -615,7 +618,10 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     and max_welfare start at a floor that is already their top welfare, so
     each visits the first state at the top alone; the appendixB scan, with
     840 allocations at the top welfare, visited 1,246 states when every tie
-    was visited and the top started at -1."""
+    was visited and the top started at -1.  The three cut-bound-pruned scans
+    take these many prefix steps, the others none: a bound tested against
+    the top welfare instead of the bar, which is above the top once a
+    first_only scan has a match, visits the same states in more steps."""
     scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
     g = gen_fig3(9).graph
     visited = [
@@ -639,6 +645,7 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     oracle.oracle_find_all(gen_fig3(5).graph, 3, query("ef1", "wts"))
     full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices)) for g, n in cases[:3]]
     assert [r["states"] for r in results] == [1, 1_425, 3_222, 1, 16, 275]
+    assert [r["steps"] for r in results] == [257, 0, 0, 38, 46, 0]
     assert [r["states"] for r in full] == [32_768, 4_139, 9_842]
     stable = [
         scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, TS)) for g, n in cases[::3]
@@ -651,9 +658,8 @@ def test_welfare_scans_add_the_ts_bit(monkeypatch):
     """oracle_max_cut, max_welfare, the scans of SO and PO queries, the
     Pareto check and leximin add TS to their mask, so that the kernel prunes
     them: every allocation at the top welfare or with an undominated value
-    vector is TS.  The scans that read only the top welfare, those of SO,
-    max_welfare and oracle_max_cut, add SO too, which prunes them by the cut
-    bound."""
+    vector is TS.  The scans of SO queries, max_welfare and oracle_max_cut
+    carry the SO bit too, which prunes them by the cut bound."""
     masks = []
     monkeypatch.setattr(oracle, "scan", lambda *args: masks.append(args[6]) or scan_python(*args))
     g = gen_fig3(3).graph
@@ -858,22 +864,31 @@ def test_both_kernels_share_one_signature(compiled_scan):
 
 
 def test_compiled_collect_scans_do_not_leak(compiled_scan):
-    """200 compiled scans that collect value vectors and list their matches
-    leave the traced memory where it was: every key tuple, entry list and
-    int the kernel makes is freed with its result."""
+    """200 compiled scans that collect value vectors and list their matches,
+    and 200 EF1|TS|SO scans that list theirs, leave the traced memory where
+    it was: every key tuple, entry list and int the kernel makes is freed
+    with its result or when the SO scan clears its list.  It does clear it:
+    the first EF1|TS match has a welfare below the top and at least that of
+    every earlier state, so the SO scan lists it, and then rises above it."""
     g = gen_random_graph(7, 0.5, 3).graph
     call = oracle._kernel_args(g, 3, [-1] * 7, EF1 | TS, collect=True, list_matches=True)
+    so = oracle._kernel_args(g, 3, [-1] * 7, EF1 | TS | SO, list_matches=True)
     assert compiled_scan(*call)["vectors"]
-    tracemalloc.start()
-    try:
-        compiled_scan(*call)
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(200):
-            compiled_scan(*call)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown <= 0
+    first = compiled_scan(*oracle._kernel_args(g, 3, [-1] * 7, EF1 | TS, first_only=True))["first_index"]
+    decode = oracle._decoder(g, 3)
+    welfare = [sum(bundle_values(decode(i), g)) for i in range(first + 1)]
+    assert max(welfare) == welfare[first] < compiled_scan(*so)["top_welfare"]
+    for args in (call, so):
+        tracemalloc.start()
+        try:
+            compiled_scan(*args)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                compiled_scan(*args)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 0
 
 
 def test_kernel_name_is_reported():
