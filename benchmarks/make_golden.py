@@ -1,4 +1,4 @@
-"""Write the golden corpora, tests/golden/solvers.json and tests/golden/oracle.json.
+"""Write the golden corpora, tests/golden/{solvers,oracle,checkers}.json.
 
 Every solver runs on a fixed set of seeded inputs, and the solver corpus
 records what it returned: the bundles, ``iterations``, ``case_counts()``, the
@@ -10,8 +10,12 @@ counts of every predicate pair (symmetry off and on), ``oracle_find_all``,
 ``max_welfare``, ``oracle_leximin``, ``oracle_max_cut``, ``oracle_pareto``
 and ``oracle_completable_ef1`` on the oracle instances of repro criteria 1,
 9, 10 and 11 and on seeded small graphs, and which calls exceed their state
-cap.  Each input graph is stored as its edge list, so the corpora do not
-depend on the generators staying unchanged.  ``tests/test_golden.py`` re-runs
+cap.  The checker corpus records the full report (predicate, holds and
+violations in order) of check_ef, check_ef1, check_alpha_ef1 at 1/2 and 2/3,
+check_ts, check_wts and check_so, or the error it raised, on every solver
+output of the solver corpus and on seeded random complete and partial
+allocations with up to 12 bundles.  Each input graph is stored as its edge
+list, so the corpora do not depend on the generators staying unchanged.  ``tests/test_golden.py`` re-runs
 every case and asserts exact equality.
 
 Regenerating a corpus is a deliberate act: do it only when a change is meant
@@ -30,7 +34,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from cutfair import algorithms, oracle
+from cutfair import algorithms, allocation, oracle
 from cutfair.allocation import Allocation
 from cutfair.graph import Graph
 from cutfair.instances import (
@@ -46,6 +50,8 @@ from cutfair.instances import (
 
 SEED = 0x601DE7
 ORACLE_SEED = 0x0AC1E
+CHECKERS_SEED = 0xC4EC5
+CHECKERS_SO_CAP = 20_000  # check_so's oracle tier: small enough to keep the corpus test fast
 ORACLE_LABELLED_LIMIT = 1024  # largest n^m of a seeded oracle graph
 BOTH = (False, True)  # the symmetry settings of a query case unless it names them
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -261,6 +267,59 @@ def oracle_inputs() -> tuple[dict[str, Graph], list[dict]]:
     return graphs, cases
 
 
+CHECKERS = (
+    ("ef", allocation.check_ef),
+    ("ef1", allocation.check_ef1),
+    ("alpha_ef1:1/2", lambda a, g: allocation.check_alpha_ef1(a, g, Fraction(1, 2))),
+    ("alpha_ef1:2/3", lambda a, g: allocation.check_alpha_ef1(a, g, Fraction(2, 3))),
+    ("ts", allocation.check_ts),
+    ("wts", allocation.check_wts),
+    ("so", lambda a, g: allocation.check_so(a, g, CHECKERS_SO_CAP)),
+)
+
+
+def checker_record(graph: Graph, case: dict) -> dict:
+    """Each checker's full report on one allocation, or the input error it raised."""
+    a = Allocation.of(case["bundles"])
+    out = {}
+    for name, check in CHECKERS:
+        try:
+            rep = check(a, graph)
+        except ValueError as exc:
+            out[name] = {"raises": type(exc).__name__}
+            continue
+        out[name] = {"predicate": rep.predicate, "holds": rep.holds, "violations": rep.violations}
+    return out
+
+
+def checker_inputs() -> tuple[dict[str, Graph], list[dict]]:
+    """The checker corpus graphs by name, and the allocations checked on them:
+    every solver output of the solver corpus, then seeded random ones."""
+    graphs, solver_cases = inputs()
+    cases = [
+        {"graph": c["graph"], "bundles": run_case(graphs[c["graph"]], c)[0].to_lists()}
+        for c in solver_cases
+    ]
+    rng = SplitMix64(CHECKERS_SEED)
+    for t in range(120):
+        n = 2 + rng.below(11)
+        m = 1 + rng.below(16)
+        name = f"c{t}"
+        if t % 5 == 4 and m >= 2:
+            graphs[name] = gen_random_forest(m, 1 + rng.below(m // 2), rng.next_u64()).graph
+        else:
+            graphs[name] = gen_random_graph(m, (20 + rng.below(61)) / 100.0, rng.next_u64()).graph
+        # complete, partial (label n: unassigned), and one crowded bundle
+        # beside near-empty ones, which fails EF1 on several pairs
+        for labels in (n, n + 1):
+            assign = [rng.below(labels) for _ in range(m)]
+            cases.append({"graph": name, "bundles": [[v for v in range(m) if assign[v] == b] for b in range(n)]})
+        big = rng.below(n)
+        assign = [big if rng.below(4) else rng.below(n + 1) for _ in range(m)]
+        cases.append({"graph": name, "bundles": [[v for v in range(m) if assign[v] == b] for b in range(n)]})
+    return graphs, cases
+
+
 def write_corpus(path: Path, seed: int, graphs: dict[str, Graph], cases: list[dict]) -> None:
     # one graph or case per line, so a regenerated corpus diffs line by line
     compact = functools.partial(json.dumps, separators=(",", ":"))
@@ -281,6 +340,7 @@ def main(argv=None) -> int:
     for name, seed, make_inputs, make_record in (
         ("solvers", SEED, inputs, record),
         ("oracle", ORACLE_SEED, oracle_inputs, oracle_record),
+        ("checkers", CHECKERS_SEED, checker_inputs, checker_record),
     ):
         graphs, cases = make_inputs()
         for c in cases:

@@ -135,18 +135,15 @@ def _step(stats: BundleStats, order: list[int], trace: SolveTrace) -> None:
     record the potential and welfare of the new state."""
     values = stats.bundle_value
     order.sort(key=values.__getitem__)
-    trace.potential_history.append(potential_from_values([values[b] for b in order]))
+    trace.potential_history.append(potential_from_values(values))
     trace.welfare_history.append(sum(values))
 
 
 def _violator_positions(stats: BundleStats, order: list[int]) -> list[int]:
     """Positions of bundles the minimum bundle has an unremovable envy toward."""
-    v1 = stats.bundle_value[order[0]]
-    return [
-        pos
-        for pos in range(1, len(order))
-        if stats.bundle_value[order[pos]] > v1 and stats.removal_floor(order[pos]) > v1
-    ]
+    value, floor = stats.bundle_value, stats.removal_floor
+    v1 = value[order[0]]
+    return [pos for pos, b in enumerate(order) if value[b] > v1 and floor(b) > v1]
 
 
 def _helpful_pick(stats: BundleStats, order: list[int], violators: list[int]):

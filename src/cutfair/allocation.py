@@ -2,8 +2,12 @@
 
 Agents share one cut-valuation, so envy-freeness degenerates to "all bundle
 values equal" and EF1 checks reduce (after sorting) to checks against the
-minimum-value bundle.  EF1 and alpha-EF1 share one pairwise scan that reads
-each envied bundle's cached removal floor: O(V + n^2).
+minimum-value bundle.  EF1 and alpha-EF1 share one test that reads each
+bundle's cached removal floor: beyond the BundleStats build, O(V + n) when it
+holds, since a violation exists exactly when the poorest bundle has one, and
+O(V + n^2) to list every violating pair when it fails.  The checkers keep the
+BundleStats of the last allocation and graph they checked, so consecutive
+checks of one allocation share one O(V + n + E) build.
 """
 
 from __future__ import annotations
@@ -22,6 +26,18 @@ class Allocation:
     """Ordered partition of (a subset of) the vertices into n bundles."""
 
     bundles: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        # frozen all the way down, so a bundle cannot change under the
+        # checkers' shared BundleStats
+        bundles = self.bundles
+        frozen = type(bundles) is tuple
+        for b in bundles:
+            if type(b) is not frozenset:
+                frozen = False
+                break
+        if not frozen:
+            object.__setattr__(self, "bundles", tuple(map(frozenset, bundles)))
 
     @staticmethod
     def of(bundles: Sequence[Iterable[int]]) -> "Allocation":
@@ -75,25 +91,40 @@ class Potential(NamedTuple):
     neg_min_count: int
 
 
+_last: tuple = (None, None, None)  # the last (allocation, graph, BundleStats) built
+
+
 def _stats(a: Allocation, g: Graph) -> BundleStats:
-    return BundleStats.from_bundles(g, a.bundles)
+    """a's BundleStats on g, shared by consecutive checks of the same pair.
+
+    One slot, matched by identity: both objects are immutable, and the
+    checkers only read the stats (a removal floor fills its own cache), so
+    a hit equals a fresh build.  Threads may share the slot: it is replaced
+    as one tuple, and a race costs at most one more build.
+    """
+    global _last
+    last_a, last_g, stats = _last
+    if a is not last_a or g is not last_g:
+        stats = BundleStats.from_bundles(g, a.bundles)
+        _last = (a, g, stats)
+    return stats
 
 
 def bundle_values(a: Allocation, g: Graph) -> list[int]:
-    return _stats(a, g).bundle_value
+    return _stats(a, g).bundle_value[:]
 
 
 def social_welfare(a: Allocation, g: Graph) -> int:
-    return sum(bundle_values(a, g))
+    return sum(_stats(a, g).bundle_value)
 
 
 def potential_from_values(values: Sequence[int]) -> Potential:
     vmin = min(values)
-    return Potential(vmin, -sum(1 for v in values if v == vmin))
+    return Potential(vmin, -values.count(vmin))
 
 
 def check_ef(a: Allocation, g: Graph) -> FairnessReport:
-    values = bundle_values(a, g)
+    values = _stats(a, g).bundle_value
     violations = []
     for i, vi in enumerate(values):
         for j, vj in enumerate(values):
@@ -106,9 +137,18 @@ def _ef1(a: Allocation, g: Graph, name: str, num: int, den: int) -> FairnessRepo
     """Pairwise (num/den)-scaled EF1: every envy i -> j must vanish, after
     scaling, once the best single item leaves A_j.  Exact integer comparisons;
     the witness item is the least one reaching A_j's removal floor.
+
+    If i -> j violates, so does the poorest bundle's envy of j (den > 0), so
+    the pairs are listed only when some bundle fails against the minimum.
     """
     stats = _stats(a, g)
     values = stats.bundle_value
+    vmin = min(values)
+    for j, vj in enumerate(values):
+        if vj > vmin and num * stats.removal_floor(j) > den * vmin:
+            break
+    else:
+        return FairnessReport(name, True)
     violations = []
     for i, vi in enumerate(values):
         for j, vj in enumerate(values):

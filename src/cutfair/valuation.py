@@ -214,7 +214,9 @@ class BundleStats:
 
     def removal_floor(self, i: int) -> int:
         """min over o in A_i of v(A_i - o); 0 for an empty bundle."""
-        best = self.min_removal_value(i)
+        best = self._floor[i]
+        if best is _STALE:
+            best = self.min_removal_value(i)
         return 0 if best is None else best[1]
 
     def chores(self) -> tuple[list[set[int]], list[set[int]]]:

@@ -19,6 +19,7 @@ from cutfair.allocation import (
 )
 from cutfair.graph import Graph
 from cutfair.instances import SplitMix64, gen_cycle, gen_fig1, gen_random_graph
+from cutfair.valuation import BundleStats
 
 
 def random_state(rng, m, n):
@@ -173,6 +174,76 @@ def test_check_so_oracle_tier_and_cap():
     a = Allocation.of([{0, 1, 2}, {3, 4}])
     assert check_so(a, g).holds is False
     assert check_so(a, g, max_states=4).holds is None
+
+
+def fresh_values(a, g):
+    return BundleStats.from_bundles(g, a.bundles).bundle_value
+
+
+def reports(a, g):
+    """Every checker that reads a's BundleStats, run back to back on one pair."""
+    return [bundle_values(a, g), check_ef(a, g), check_ef1(a, g), check_ts(a, g), check_wts(a, g)]
+
+
+def fresh_reports(a, g):
+    """reports() on equal but distinct copies, which no earlier check has built."""
+    return reports(Allocation(a.bundles), Graph(g.num_vertices, g.adjacency, g.num_edges))
+
+
+def test_checks_of_one_allocation_on_two_graphs_do_not_share_a_build():
+    rng = SplitMix64(37)
+    g1 = gen_random_graph(9, 0.5, rng.next_u64()).graph
+    g2 = gen_random_graph(9, 0.5, rng.next_u64()).graph
+    a = Allocation.of([{0, 1, 2}, {3, 4, 5}, {6, 7, 8}])
+    want1, want2 = fresh_reports(a, g1), fresh_reports(a, g2)
+    assert want1 != want2
+    assert [reports(a, g1), reports(a, g2), reports(a, g1)] == [want1, want2, want1]
+    assert bundle_values(a, g2) == fresh_values(a, g2)
+
+
+def test_equal_but_distinct_allocations_check_alike():
+    g = gen_fig1().graph
+    a = Allocation.of([{0, 5}, {1, 2}, {3, 4, 6, 7}])
+    b = Allocation.of([{0, 5}, {1, 2}, {3, 4, 6, 7}])
+    assert a == b and a is not b
+    want = fresh_reports(a, g)
+    assert [reports(a, g), reports(b, g), reports(a, g)] == [want, want, want]
+    assert bundle_values(b, g) == fresh_values(b, g)
+
+
+def test_checks_interleaved_across_two_allocations():
+    g = gen_fig1().graph
+    a = Allocation.of([{0, 1, 2}, {3, 4}, {5, 6, 7}])
+    b = Allocation.of([{0}, {1, 2, 3, 4}, {5, 6, 7}])
+    wa, wb = fresh_reports(a, g), fresh_reports(b, g)
+    assert wa != wb
+    got = [check_ef1(a, g), check_ts(b, g), bundle_values(a, g), check_wts(b, g),
+           check_ef(a, g), bundle_values(b, g), check_ts(a, g), check_ef1(b, g)]
+    assert got == [wa[2], wb[3], wa[0], wb[4], wa[1], wb[0], wa[3], wb[2]]
+    assert bundle_values(a, g) == fresh_values(a, g)
+
+
+def test_bundle_values_returns_a_copy():
+    g = gen_fig1().graph
+    a = Allocation.of([{0, 1, 2}, {3, 4}, {5, 6, 7}])
+    want = fresh_reports(a, g)
+    values = bundle_values(a, g)
+    values[0] += 100
+    values.append(5)
+    assert bundle_values(a, g) == fresh_values(a, g)
+    assert reports(a, g) == want
+
+
+def test_allocation_freezes_bundles_built_directly():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    sets = [{0, 1}, {2}]
+    a = Allocation(sets)
+    assert type(a.bundles) is tuple and all(type(b) is frozenset for b in a.bundles)
+    assert bundle_values(a, g) == fresh_values(a, g) == [1, 2]
+    sets[0].add(3)
+    sets.append({3})
+    assert a.bundles == (frozenset({0, 1}), frozenset({2}))
+    assert bundle_values(a, g) == fresh_values(a, g) == [1, 2]
 
 
 def test_potential_ordering_and_guard():

@@ -4,7 +4,8 @@ The corpora are written by benchmarks/make_golden.py; each case stores its
 input graph, so these tests re-run the solver and compare bundles,
 iterations, case counts, histories, guarantee and the snapshot digest, and
 re-run the oracle call and compare its witnesses, counts, lists, verdicts or
-the error it raised, on the active kernel and on the compiled one.
+the error it raised, on the active kernel and on the compiled one, and
+re-run every checker on each stored allocation and compare its full report.
 """
 
 import importlib.util
@@ -44,6 +45,20 @@ def test_solvers_match_golden_corpus():
         if got != case["expect"]:
             diff = sorted(key for key in got if got[key] != case["expect"][key])
             mismatches.append((k, case["graph"], case["solver"], case["n"], diff))
+    assert not mismatches, mismatches[:10]
+
+
+def test_checkers_match_golden_corpus():
+    make_golden = _make_golden()
+    graphs, cases = _load("checkers.json")
+    assert len(cases) > 500
+    # the corpus pins the listing of several EF1 violations, not only verdicts
+    assert any(len(case["expect"]["ef1"].get("violations", ())) >= 3 for case in cases)
+    mismatches = [
+        (k, case["graph"], sorted(key for key, rep in got.items() if rep != case["expect"][key]))
+        for k, case in enumerate(cases)
+        if (got := make_golden.checker_record(graphs[case["graph"]], case)) != case["expect"]
+    ]
     assert not mismatches, mismatches[:10]
 
 
