@@ -11,6 +11,9 @@ Isolated vertices have zero marginal value everywhere, so they are stripped
 before solving and re-appended round-robin afterwards (empty bundles first);
 this changes no bundle's cut-value and preserves every checker verdict.
 
+One pass, _drain, reaches TS and wTS: it moves chores (weak for TS, strict
+for wTS) to the first bundle in value order that they raise.
+
 Solver state lives in BundleStats, whose own-bundle neighbor counts, member
 sets, cached removal floors and chore heaps keep a move at
 O(deg + |A_src| + |A_dst|) (times log V for the heaps) instead of a rescan
@@ -168,23 +171,46 @@ def _first_receiver(stats, order, o, exclude) -> Optional[int]:
     return None
 
 
-def _find_chore(stats: BundleStats, order: list[int], strict: bool):
-    """Least (position, item) whose removal does not hurt its bundle (strict:
-    strictly helps it), read from the chore sets and heaps.
+# ---------------------------------------------------------------------------
+# one stability pass: TS drains weak chores, wTS strict ones
 
-    Degree-0 items are left out of the weak chores: no transfer involving
-    them changes any value, so they cannot violate stability.
+
+def _drain(stats: BundleStats, order: list[int], trace: SolveTrace, strict: bool, special=None):
+    """Move chores until none is left: weak ones (removal does not hurt the
+    bundle) for TS, strict ones (removal strictly helps it) for wTS.
+
+    Each move takes the least chore of the first bundle in value order that
+    holds one to the first other bundle, not special, that it raises.  A
+    weak move raises the welfare by >= 1 and never lowers the potential; a
+    strict chore has under half its neighbours in any other bundle, so its
+    move raises the welfare by >= 2 and the potential strictly.  As the
+    welfare is at most 2|E|, 2|E| moves bound both passes.
     """
+    budget = max(1, 2 * stats.graph.num_edges)
+    moves = 0
     index = stats.chores()[strict]
-    for pos, b in enumerate(order):
-        if index[b]:
-            return pos, b, stats.least_chore(b, strict)
-    return None
+    while (b := next((b for b in order if index[b]), None)) is not None:
+        o = stats.least_chore(b, strict)
+        receiver = _first_receiver(stats, order, o, exclude={b, special})
+        if receiver is None:
+            raise SolverInvariantError(f"no receiver values item {o} positively")
+        stats.apply_move(o, b, receiver)
+        moves += 1
+        if moves > budget:
+            raise BudgetExceededError("stability pass exceeded 2|E| moves")
+        _step(stats, order, trace)
+        if trace.welfare_history[-1] <= trace.welfare_history[-2]:
+            raise SolverInvariantError("welfare did not rise on a chore transfer")
+        phi_before, phi = trace.potential_history[-2:]
+        if phi < phi_before or (strict and phi == phi_before):
+            raise SolverInvariantError("potential fell in a stability pass")
 
 
-def _stabilise(a: Allocation, g: Graph, min_bundles: int, drain) -> tuple[Allocation, SolveTrace]:
-    """Sort a complete allocation's bundles by value, run a stability pass on
-    it and return the sorted result."""
+def _stabilise(
+    a: Allocation, g: Graph, min_bundles: int, strict: bool, special=None
+) -> tuple[Allocation, SolveTrace]:
+    """Sort a complete allocation's bundles by value, drain its chores and
+    return the sorted result."""
     if a.n < min_bundles:
         raise ValueError(f"needs at least {min_bundles} bundles")
     if not a.is_complete(g):
@@ -193,9 +219,23 @@ def _stabilise(a: Allocation, g: Graph, min_bundles: int, drain) -> tuple[Alloca
     order = list(range(a.n))
     trace = SolveTrace()
     _step(stats, order, trace)
-    drain(stats, order, trace)
+    _drain(stats, order, trace, strict, special)
     trace.iterations = len(trace.welfare_history) - 1
     return Allocation.of([stats.members[b] for b in order]), trace
+
+
+def ts_subroutine(
+    a: Allocation, g: Graph, special: Optional[int] = None
+) -> tuple[Allocation, SolveTrace]:
+    """Public wrapper: resort the input, drain weak chores, return sorted result.
+
+    special names a bundle by its index in the input allocation.
+    """
+    return _stabilise(a, g, 4, False, special)
+
+
+def wts_subroutine(a: Allocation, g: Graph) -> tuple[Allocation, SolveTrace]:
+    return _stabilise(a, g, 2, True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,52 +295,6 @@ def greedy_two_agents(g: Graph) -> tuple[Allocation, SolveTrace]:
 
 
 # ---------------------------------------------------------------------------
-# strong transfer-stability subroutine (used by the n >= 4 solver)
-
-
-def _ts_pass(stats: BundleStats, order: list[int], special: Optional[int], trace: SolveTrace):
-    """Drain weak chores until no transfer weakly helps both sides.
-
-    A chore goes to the first bundle in value order that it raises, other
-    than its own; the special bundle never receives.  Each move raises
-    welfare by >= 1 and never lowers the potential.
-    """
-    budget = max(1, 2 * stats.graph.num_edges)
-    moves = 0
-    while True:
-        found = _find_chore(stats, order, strict=False)
-        if found is None:
-            return
-        _, b, o = found
-        receiver = _first_receiver(stats, order, o, exclude={b, special})
-        if receiver is None:
-            raise SolverInvariantError(
-                f"no receiver values item {o} positively; impossible for n >= 4"
-            )
-        sw_before = sum(stats.bundle_value)
-        phi_before = trace.potential_history[-1]
-        stats.apply_move(o, b, receiver)
-        moves += 1
-        if moves > budget:
-            raise BudgetExceededError("stability subroutine exceeded 2|E| moves")
-        _step(stats, order, trace)
-        if trace.welfare_history[-1] <= sw_before:
-            raise SolverInvariantError("welfare did not rise on a chore transfer")
-        if trace.potential_history[-1] < phi_before:
-            raise SolverInvariantError("potential decreased in stability subroutine")
-
-
-def ts_subroutine(
-    a: Allocation, g: Graph, special: Optional[int] = None
-) -> tuple[Allocation, SolveTrace]:
-    """Public wrapper: resort the input, drain weak chores, return sorted result.
-
-    special names a bundle by its index in the input allocation.
-    """
-    return _stabilise(a, g, 4, lambda stats, order, trace: _ts_pass(stats, order, special, trace))
-
-
-# ---------------------------------------------------------------------------
 # n >= 4 solver: EF1 + TS
 
 
@@ -314,7 +308,7 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     stats = _round_robin(core, n)
     order = list(range(n))
     _step(stats, order, trace)
-    _ts_pass(stats, order, None, trace)
+    _drain(stats, order, trace, False)
     budget = max(1, 8 * core.num_vertices * core.num_vertices * n)
     violators = _violator_positions(stats, order)  # recomputed after every move
     while violators:
@@ -328,7 +322,7 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             stats.apply_move(o, src, order[0])
             trace.case_history.append("I")
             _step(stats, order, trace)
-            _ts_pass(stats, order, None, trace)
+            _drain(stats, order, trace, False)
             trace.snapshots.append(("I", trace.potential_history[-1]))
             violators = _violator_positions(stats, order)
         if not violators:
@@ -356,42 +350,14 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
             stats.apply_move(o, i_star, receiver)
         trace.case_history.append("II")
         _step(stats, order, trace)
-        _ts_pass(stats, order, i_star, trace)
+        _drain(stats, order, trace, False, i_star)
         trace.snapshots.append(("II", trace.potential_history[-1]))
         violators = _violator_positions(stats, order)
     return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace
 
 
 # ---------------------------------------------------------------------------
-# weak transfer-stability subroutine and the general-n solver
-
-
-def _wts_pass(stats: BundleStats, order: list[int], trace: SolveTrace):
-    """Drain strict chores; each move strictly improves the potential."""
-    budget = max(1, 2 * stats.graph.num_edges * len(order))
-    moves = 0
-    while True:
-        found = _find_chore(stats, order, strict=True)
-        if found is None:
-            return
-        pos, b, o = found
-        receiver = order[1] if pos == 0 else order[0]
-        if stats.marginal_add(receiver, o) <= 0:
-            raise SolverInvariantError(
-                f"item {o} is a strict chore in two bundles at once"
-            )
-        phi_before = trace.potential_history[-1]
-        stats.apply_move(o, b, receiver)
-        moves += 1
-        if moves > budget:
-            raise BudgetExceededError("weak-stability subroutine exceeded its budget")
-        _step(stats, order, trace)
-        if trace.potential_history[-1] <= phi_before:
-            raise SolverInvariantError("potential did not strictly improve")
-
-
-def wts_subroutine(a: Allocation, g: Graph) -> tuple[Allocation, SolveTrace]:
-    return _stabilise(a, g, 2, _wts_pass)
+# general-n solver: EF1 + wTS
 
 
 def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
@@ -406,7 +372,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     stats = _round_robin(core, n)
     order = list(range(n))
     _step(stats, order, trace)
-    _wts_pass(stats, order, trace)
+    _drain(stats, order, trace, True)
     budget = max(1, 8 * core.num_vertices * core.num_vertices * n)
     while True:
         violators = _violator_positions(stats, order)
@@ -452,7 +418,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                 stats.apply_move(o, i, j)
             trace.case_history.append("2")
         _step(stats, order, trace)
-        _wts_pass(stats, order, trace)
+        _drain(stats, order, trace, True)
         trace.snapshots.append((trace.case_history[-1], trace.potential_history[-1]))
     out = _reattach([stats.members[b] for b in order], keep, iso, n)
     if not all(out):

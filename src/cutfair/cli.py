@@ -108,7 +108,7 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _query(args, **options) -> oracle.OracleQuery:
+def _query(args) -> oracle.OracleQuery:
     """The --pred, --alpha and --max-states flags as an oracle query, which
     validates the predicate names and alpha."""
     names = {p.strip().replace("-", "_") for p in args.pred.split(",") if p.strip()}
@@ -119,7 +119,7 @@ def _query(args, **options) -> oracle.OracleQuery:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--alpha must be a fraction p/q, got {args.alpha!r}") from exc
     try:
-        return oracle.OracleQuery.of(names, alpha=alpha, max_states=_max_states(args), **options)
+        return oracle.OracleQuery.of(names, alpha=alpha, max_states=_max_states(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -182,7 +182,7 @@ def cmd_oracle(args) -> int:
         note = "completable" if found else "not-completable"
         doc = {"query": "complete-partial-ef1", "verdict": note}
     else:
-        query = _query(args, symmetry=args.symmetry)
+        query = _query(args)
         doc = {"query": sorted(query.predicates)}
         if args.count:
             found = oracle.oracle_count(g, n, query)
@@ -251,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--complete-partial",
         action="store_true",
         help="test whether the instance's partial allocation extends to EF1",
-    )
-    p.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="pin vertex 0 to bundle 0: the witness is unchanged, with --count the verdict is "
-        "the pinned sub-count (the number of allocations divided by n), and no query gets cheaper",
     )
     p.set_defaults(fn=cmd_oracle)
 

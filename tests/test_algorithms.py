@@ -107,6 +107,10 @@ def test_ts_subroutine_worked_example():
     sws = trace.welfare_history
     assert all(sws[i + 1] > sws[i] for i in range(len(sws) - 1))
     assert check_ts(out, g).holds
+    assert {0, 5} in out.bundles
+    # a special bundle never receives: with {5} special, hub 0 goes to {6}
+    out, _ = ts_subroutine(a, g, special=1)
+    assert sorted(map(sorted, out.bundles)) == [[0, 6], [1, 2, 3, 4], [5], [7]]
 
 
 def test_ts_subroutine_fixed_point():

@@ -16,7 +16,7 @@ from cutfair.allocation import (
     check_wts,
     social_welfare,
 )
-from cutfair.algorithms import solve_ef1_wts
+from cutfair.algorithms import solve_ef1_wts, ts_subroutine, wts_subroutine
 from cutfair.graph import Graph
 from cutfair.valuation import BundleStats, cut_value
 
@@ -118,6 +118,20 @@ def test_general_solver_always_delivers(g, n):
     assert check_ef1(a, g).holds
     if n >= 2:
         assert check_wts(a, g).holds
+
+
+@settings(deadline=None)
+@given(graph_states(max_bundles=5))
+def test_every_stability_move_raises_the_welfare(state):
+    # a wTS move raises the welfare by >= 2 and a TS move by >= 1; the
+    # welfare is at most 2|E|, which is why one budget serves both passes
+    g, a = state
+    passes = [(wts_subroutine, 2)] + ([(ts_subroutine, 1)] if a.n >= 4 else [])
+    for subroutine, least_gain in passes:
+        _, trace = subroutine(a, g)
+        sws = trace.welfare_history
+        assert all(after - before >= least_gain for before, after in zip(sws, sws[1:]))
+        assert trace.iterations <= 2 * g.num_edges // least_gain
 
 
 @st.composite
