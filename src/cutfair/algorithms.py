@@ -7,9 +7,10 @@ iteration budget sized from the proven complexity bound.  Blowing a budget or
 hitting a structurally impossible state raises an error (it means the
 implementation is wrong), never a silent best-effort return.
 
-Isolated vertices have zero marginal value everywhere, so they are stripped
-before solving and re-appended round-robin afterwards (empty bundles first);
-this changes no bundle's cut-value and preserves every checker verdict.
+Solvers work on the caller's graph and vertex ids.  Isolated vertices have
+zero marginal value everywhere, so they stay unassigned while a solver runs
+and are appended round-robin at the end (empty bundles first); this changes
+no bundle's cut-value and preserves every checker verdict.
 
 One pass, _drain, reaches TS and wTS: it moves chores (weak for TS, strict
 for wTS) to the first bundle in value order that they raise.
@@ -109,28 +110,24 @@ class SolveTrace:
 
 
 def _split_isolated(g: Graph):
+    """g's non-isolated vertices and its isolated ones, each in index order."""
     keep = [v for v, nbrs in enumerate(g.adjacency) if nbrs]
-    iso = [v for v, nbrs in enumerate(g.adjacency) if not nbrs]
+    return keep, [v for v, nbrs in enumerate(g.adjacency) if not nbrs]
+
+
+def _reattach(bundles, iso, n):
     if not iso:
-        return g, keep, iso
-    remap = {v: i for i, v in enumerate(keep)}
-    core = Graph.from_edges(len(keep), [(remap[u], remap[v]) for u, v in g.edges])
-    return core, keep, iso
-
-
-def _reattach(bundles, keep, iso, n):
-    if not iso:  # keep is then the identity
         return bundles
-    out = [set(keep[o] for o in b) for b in bundles]
+    out = [set(b) for b in bundles]
     slots = sorted(range(n), key=lambda i: (len(out[i]), i))
     for t, v in enumerate(iso):
         out[slots[t % n]].add(v)
     return out
 
 
-def _round_robin(core: Graph, n: int) -> BundleStats:
-    """The general solvers' start: vertex v in bundle v mod n."""
-    return BundleStats.from_bundles(core, [range(i, core.num_vertices, n) for i in range(n)])
+def _round_robin(g: Graph, keep: list[int], n: int) -> BundleStats:
+    """The general solvers' start: the k-th non-isolated vertex in bundle k mod n."""
+    return BundleStats.from_bundles(g, [keep[i::n] for i in range(n)])
 
 
 def _step(stats: BundleStats, order: list[int], trace: SolveTrace) -> None:
@@ -252,18 +249,18 @@ def greedy_two_agents(g: Graph) -> tuple[Allocation, SolveTrace]:
     """
     if g.num_vertices < 2:
         raise ValueError("need at least 2 vertices")
-    core, keep, iso = _split_isolated(g)
+    keep, iso = _split_isolated(g)
     trace = SolveTrace(guarantee="EF+TS")
-    adj = core.adjacency
+    adj = g.adjacency
     deg = [len(nbrs) for nbrs in adj]
-    side = [0] * core.num_vertices
+    side = [0] * g.num_vertices
     same = list(deg)  # neighbors on the same side; flipping v gains 2 * same[v] - deg[v]
-    heap = [v for v in range(core.num_vertices) if 2 * same[v] > deg[v]]  # sorted, so a heap
-    queued = [False] * core.num_vertices
+    heap = [v for v in keep if 2 * same[v] > deg[v]]  # sorted, so a heap
+    queued = [False] * g.num_vertices
     for v in heap:
         queued[v] = True
     cut = 0
-    budget = max(1, 2 * core.num_edges)
+    budget = max(1, 2 * g.num_edges)
     moves = 0
     while heap:
         v = heapq.heappop(heap)
@@ -288,10 +285,8 @@ def greedy_two_agents(g: Graph) -> tuple[Allocation, SolveTrace]:
             raise BudgetExceededError("hill climb exceeded its move budget")
         trace.welfare_history.append(2 * cut)
     trace.iterations = moves
-    bundles = [
-        {v for v in range(core.num_vertices) if side[v] == s} for s in (0, 1)
-    ]
-    return Allocation.of(_reattach(bundles, keep, iso, 2)), trace
+    bundles = [{v for v in keep if side[v] == s} for s in (0, 1)]
+    return Allocation.of(_reattach(bundles, iso, 2)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +298,13 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         raise ValueError("this solver needs n >= 4")
     if g.num_vertices < n:
         raise ValueError("need at least as many vertices as bundles")
-    core, keep, iso = _split_isolated(g)
+    keep, iso = _split_isolated(g)
     trace = SolveTrace(guarantee="EF1+TS")
-    stats = _round_robin(core, n)
+    stats = _round_robin(g, keep, n)
     order = list(range(n))
     _step(stats, order, trace)
     _drain(stats, order, trace, False)
-    budget = max(1, 8 * core.num_vertices * core.num_vertices * n)
+    budget = max(1, 8 * len(keep) * len(keep) * n)
     violators = _violator_positions(stats, order)  # recomputed after every move
     while violators:
         trace.iterations += 1
@@ -353,7 +348,7 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         _drain(stats, order, trace, False, i_star)
         trace.snapshots.append(("II", trace.potential_history[-1]))
         violators = _violator_positions(stats, order)
-    return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace
+    return Allocation.of(_reattach([stats.members[b] for b in order], iso, n)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +363,12 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     trace = SolveTrace(guarantee="EF1+wTS")
     if n == 1:
         return Allocation.of([set(range(g.num_vertices))]), trace
-    core, keep, iso = _split_isolated(g)
-    stats = _round_robin(core, n)
+    keep, iso = _split_isolated(g)
+    stats = _round_robin(g, keep, n)
     order = list(range(n))
     _step(stats, order, trace)
     _drain(stats, order, trace, True)
-    budget = max(1, 8 * core.num_vertices * core.num_vertices * n)
+    budget = max(1, 8 * len(keep) * len(keep) * n)
     while True:
         violators = _violator_positions(stats, order)
         if not violators:
@@ -410,7 +405,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
                         "subset building stalled below the minimum value"
                     )
                 vs += deg[o] - 2 * rest.pop(o)
-                for u in core.adjacency[o]:
+                for u in g.adjacency[o]:
                     if u in rest:
                         rest[u] += 1
             j = next(b for b in order if b not in (a1, i))
@@ -420,7 +415,7 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         _step(stats, order, trace)
         _drain(stats, order, trace, True)
         trace.snapshots.append((trace.case_history[-1], trace.potential_history[-1]))
-    out = _reattach([stats.members[b] for b in order], keep, iso, n)
+    out = _reattach([stats.members[b] for b in order], iso, n)
     if not all(out):
         raise SolverInvariantError("an empty bundle survived round-robin start")
     return Allocation.of(out), trace
@@ -431,13 +426,13 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
 
 
 def _forest_parts(g: Graph):
-    """g's core (its non-isolated vertices), the maps back to g and the
-    core's connected components, or None if g has a cycle."""
-    core, keep, iso = _split_isolated(g)
-    components = core.connected_components()
-    if core.num_edges != core.num_vertices - len(components):
+    """g's isolated vertices and its trees (the components of two or more
+    vertices), each in index order, or None if g has a cycle."""
+    components = g.connected_components()
+    if g.num_edges != g.num_vertices - len(components):
         return None
-    return core, keep, iso, components
+    iso = [min(comp) for comp in components if len(comp) == 1]
+    return iso, [comp for comp in components if len(comp) >= 2]
 
 
 def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
@@ -447,19 +442,19 @@ def solve_forest_ef1_so(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
     return _peel_forest(g, n, *parts)
 
 
-def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
+def _peel_forest(g: Graph, n: int, iso, trees):
     """solve_forest_ef1_so on the parts of the forest g."""
     if n < 2:
         raise ValueError("need n >= 2")
     if g.num_vertices < n:
         raise ValueError("need at least as many vertices as bundles")
     trace = SolveTrace(guarantee="EF1+SO+TS")
-    if core.num_vertices == 0:
-        return Allocation.of(_reattach([set() for _ in range(n)], keep, iso, n)), trace
-    adj = core.adjacency
+    if not trees:
+        return Allocation.of(_reattach([set() for _ in range(n)], iso, n)), trace
+    adj = g.adjacency
     if n == 2:
-        color = [None] * core.num_vertices
-        for comp in components:  # depth parity from the tree's least vertex
+        color = [None] * g.num_vertices
+        for comp in trees:  # depth parity from the tree's least vertex
             r = min(comp)
             color[r] = 0
             stack = [r]
@@ -469,10 +464,10 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
                     if color[u] is None:
                         color[u] = 1 - color[v]
                         stack.append(u)
-        bundles = [{v for v in range(core.num_vertices) if color[v] == c} for c in (0, 1)]
-        return Allocation.of(_reattach(bundles, keep, iso, 2)), trace
+        bundles = [{v for v, c in enumerate(color) if c == side} for side in (0, 1)]
+        return Allocation.of(_reattach(bundles, iso, 2)), trace
 
-    stats = BundleStats(core, n)
+    stats = BundleStats(g, n)
     deg = stats.degree
     order = list(range(n))
     # A vertex is placed only as a frontier root or as a child of a placed
@@ -483,7 +478,7 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
     # the latter packed into one int, -deg * size + index; the root of an
     # entry of either is entry % size.  An entry is stale once its root
     # leaves the frontier, and a root never re-enters it.
-    size = core.num_vertices
+    size = g.num_vertices
     frontier = set()
     by_index = [[] for _ in range(n + 1)]
     by_degree = [[] for _ in range(n + 1)]
@@ -506,14 +501,14 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
                 best = heap[0]
         return None if best is None else best % size
 
-    for comp in components:  # a tree of three or more vertices is rooted at its least inner vertex
+    for comp in trees:  # a tree of three or more vertices is rooted at its least inner vertex
         add_root(min(v for v in comp if deg[v] >= 2) if len(comp) >= 3 else min(comp), n)
-    budget = max(1, 4 * core.num_vertices)
+    budget = max(1, 4 * (g.num_vertices - len(iso)))
     placements = trace.placements
 
     def allocate(v, b):
         stats.apply_move(v, None, b)
-        placements.append((keep[v], b))
+        placements.append((v, b))
         frontier.remove(v)
         for c in adj[v]:
             if stats.assignment[c] is None:
@@ -592,9 +587,9 @@ def _peel_forest(g: Graph, n: int, core: Graph, keep, iso, components):
         trace.peel_steps.append((tag, tuple(order), len(placements)))
 
     _step(stats, order, trace)
-    if any(x is None for x in stats.assignment):
+    if len(placements) != g.num_vertices - len(iso):
         raise SolverInvariantError("peeling terminated with unallocated items")
-    return Allocation.of(_reattach([stats.members[b] for b in order], keep, iso, n)), trace
+    return Allocation.of(_reattach([stats.members[b] for b in order], iso, n)), trace
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ class Allocation:
         return frozenset().union(*self.bundles) if self.bundles else frozenset()
 
     def is_complete(self, g: Graph) -> bool:
-        return len(self.assigned()) == g.num_vertices
+        """True iff the bundles hold exactly g's vertices."""
+        return self.assigned() == frozenset(range(g.num_vertices))
 
     def all_nonempty(self) -> bool:
         return all(self.bundles)
@@ -179,9 +180,12 @@ def check_alpha_ef1(a: Allocation, g: Graph, alpha: Fraction) -> FairnessReport:
     return _ef1(a, g, f"{alpha}-EF1", alpha.numerator, alpha.denominator)
 
 
-def _require_complete(a: Allocation, g: Graph, predicate: str) -> None:
-    if not a.is_complete(g):
+def _complete_stats(a: Allocation, g: Graph, predicate: str) -> BundleStats:
+    """a's shared BundleStats on g; raises unless a assigns every vertex."""
+    stats = _stats(a, g)
+    if None in stats.assignment:
         raise ValueError(f"{predicate} requires a complete allocation")
+    return stats
 
 
 def _transfers(a: Allocation, g: Graph, name: str, least: int) -> FairnessReport:
@@ -189,8 +193,7 @@ def _transfers(a: Allocation, g: Graph, name: str, least: int) -> FairnessReport
     endpoint's value by at least ``least`` and their sum above 0: TS with
     least 0 (both weakly better, one strictly), wTS with least 1 (both
     strictly better)."""
-    _require_complete(a, g, name)
-    stats = _stats(a, g)
+    stats = _complete_stats(a, g, name)
     violations = []
     for o, i in enumerate(stats.assignment):
         drop = stats.marginal_remove(i, o)
@@ -227,17 +230,17 @@ def check_so(a: Allocation, g: Graph, max_states: Optional[int] = None) -> Fairn
     3. otherwise defer to exhaustive welfare maximization when the instance
        fits the oracle cap, else report unknown (holds=None).
     """
-    _require_complete(a, g, "SO")
-    sw = social_welfare(a, g)
+    stats = _complete_stats(a, g, "SO")
+    sw = sum(stats.bundle_value)
     top = 2 * g.num_edges
     if sw == top:
         return FairnessReport("SO", True)
     if g.is_forest() and a.n >= 2:
+        owner = stats.assignment
         violations = [
-            {"i": i, "j": i, "item": [u, v], "values": [sw, top]}
-            for u, v in monochromatic_edges(a, g)
-            for i, bundle in enumerate(a.bundles)
-            if u in bundle
+            {"i": owner[u], "j": owner[u], "item": [u, v], "values": [sw, top]}
+            for u, v in g.edges
+            if owner[u] == owner[v]
         ]
         return FairnessReport("SO", not violations, violations)
     from . import oracle  # deferred: oracle depends on this module

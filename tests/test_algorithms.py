@@ -51,7 +51,7 @@ def start_from(monkeypatch, bundles):
     No start state the solvers reach on their own runs case II of the n >= 4
     solver or case 2 of the general-n solver."""
     monkeypatch.setattr(
-        algorithms, "_round_robin", lambda core, n: BundleStats.from_bundles(core, bundles)
+        algorithms, "_round_robin", lambda g, keep, n: BundleStats.from_bundles(g, bundles)
     )
 
 
@@ -375,13 +375,13 @@ def frontier_scan_peeling(g, n):
     searched by full scans, as before it was indexed by heaps: feasible_roots
     lists every root whose parent is not in a bundle, case 1 takes the least
     of them and cases 2 and 3 the best by (-degree, index)."""
-    core, keep, _, components = algorithms._forest_parts(g)
-    stats = BundleStats(core, n)
-    adj, deg = core.adjacency, stats.degree
+    _, trees = algorithms._forest_parts(g)
+    stats = BundleStats(g, n)
+    adj, deg = g.adjacency, stats.degree
     order = list(range(n))
     frontier = {
         (min(v for v in comp if deg[v] >= 2) if len(comp) >= 3 else min(comp)): None
-        for comp in components
+        for comp in trees
     }
     placements, tags = [], []
 
@@ -393,7 +393,7 @@ def frontier_scan_peeling(g, n):
 
     def allocate(v, b):
         stats.apply_move(v, None, b)
-        placements.append((keep[v], b))
+        placements.append((v, b))
         del frontier[v]
         for c in adj[v]:
             if stats.assignment[c] is None:
@@ -587,3 +587,56 @@ def test_dispatch_infeasible_goals():
         dispatch_solve(dense, 3, SolveGoal.EF1_SO_FOREST)
     with pytest.raises(ValueError):
         dispatch_solve(dense, 3, "no-such-goal")
+
+
+# -- isolated vertices ---------------------------------------------------------
+
+
+def insert_isolated(rng, g, extra):
+    """g with `extra` isolated vertices inserted at random positions, and the
+    increasing map from g's vertices to their new ids."""
+    m = g.num_vertices + extra
+    inserted = set()
+    while len(inserted) < extra:
+        inserted.add(rng.below(m))
+    label = [v for v in range(m) if v not in inserted]
+    return Graph.from_edges(m, [(label[u], label[v]) for u, v in g.edges]), label
+
+
+def test_isolated_vertices_change_only_where_they_land(monkeypatch):
+    """Inserting isolated vertices changes nothing a solver does with the other
+    vertices: their bundles, mapped back, and the whole trace (potentials,
+    welfare, cases, iterations and forest placements) equal the solve without
+    them.  The solvers work on the given graph and build no other one."""
+    rng = SplitMix64(57)
+    runs = []
+    for t in range(40):
+        n = 2 + rng.below(5)
+        if t % 2:
+            base = gen_random_forest(max(n, 4) + rng.below(14), 1 + rng.below(2), rng.next_u64()).graph
+            solvers = [("forest", lambda g, n=n: solve_forest_ef1_so(g, n))]
+        else:
+            base = gen_random_graph(n + rng.below(12), (30 + rng.below(41)) / 100, rng.next_u64()).graph
+            solvers = [
+                ("two", greedy_two_agents),
+                ("wts", lambda g, n=n: solve_ef1_wts(g, n)),
+                ("equitable", lambda g, n=n: equitable_cut(g, n)),
+            ]
+            if n >= 4:
+                solvers.append(("ts", lambda g, n=n: solve_ef1_ts_n4(g, n)))
+        g, label = insert_isolated(rng, base, 1 + rng.below(3))
+        for name, solve in solvers:
+            runs.append((name, base, g, label, solve, solve(base)))
+
+    def no_second_graph(*args):
+        raise AssertionError("a solver built a second graph")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(no_second_graph))
+    for name, base, g, label, solve, (base_a, base_trace) in runs:
+        a, trace = solve(g)
+        assert a.is_complete(g), name
+        assert [{v for v in b if g.adjacency[v]} for b in a.bundles] == [
+            {label[v] for v in b if base.adjacency[v]} for b in base_a.bundles
+        ], name
+        moved = [(label[v], b) for v, b in base_trace.placements]
+        assert trace == dataclasses.replace(base_trace, placements=moved), name

@@ -18,7 +18,7 @@ from cutfair.allocation import (
     social_welfare,
 )
 from cutfair.graph import Graph
-from cutfair.instances import SplitMix64, gen_cycle, gen_fig1, gen_random_graph
+from cutfair.instances import SplitMix64, gen_cycle, gen_fig1, gen_path, gen_random_graph
 from cutfair.valuation import BundleStats
 
 
@@ -44,6 +44,8 @@ def test_allocation_accessors():
     g = Graph.from_edges(3, [(0, 1)])
     assert a.is_complete(g)
     assert not Allocation.of([{0}]).is_complete(g)
+    # as many vertices as g has, but vertex 2 unassigned and vertex 7 not in g
+    assert not Allocation.of([{0, 1}, {7}]).is_complete(gen_path(3).graph)
 
 
 def test_bundle_values_and_welfare_on_joined_stars():
@@ -118,6 +120,8 @@ def test_ts_and_wts_require_complete():
         check_ts(a, g)
     with pytest.raises(ValueError, match="complete"):
         check_wts(a, g)
+    with pytest.raises(ValueError, match="SO requires a complete"):
+        check_so(a, g)
 
 
 def test_ts_wts_on_six_cycle():
