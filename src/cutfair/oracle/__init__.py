@@ -28,7 +28,10 @@ undominated vector.
 With the SO bit a state matches only at the scan's top welfare: the
 kernel prunes by a cut bound every prefix that no completion lifts to the
 top welfare seen so far (see ``_scan_py``), and resets its matches when the
-top rises.  The test is strict, so ``top_welfare`` stays exact, and so do
+top rises.  The bound counts every edge among the unplaced vertices as cut
+but one per clique of an edge-disjoint packing of (n + 1)-cliques among
+them (``_clique_slack``, the kernels' ``slack``): n bundles leave an edge of
+each uncut.  The test is strict, so ``top_welfare`` stays exact, and so do
 ``matched``, ``first_index`` and the listed matches; an SO scan collects no
 table.  The scans of SO queries, ``max_welfare`` and ``oracle_max_cut``
 carry the SO bit.  ``oracle_exists``, ``max_welfare`` and ``oracle_max_cut``
@@ -224,20 +227,72 @@ def _local_optimum(g: Graph, n: int) -> tuple[int, list[int]]:
     return sum(len(nbrs) - row[b] for nbrs, row, b in zip(adjacency, counts, assign)), assign
 
 
+def _clique(k: int, cand: int, joined: list[int]) -> int:
+    """The bitmask of the lex-least k >= 1 vertices of the bitmask cand that
+    ``joined`` joins pairwise (joined[u]: a bitmask of later vertices), or 0."""
+    while cand.bit_count() >= k:
+        low = cand & -cand
+        if k == 1:
+            return low
+        cand ^= low
+        rest = _clique(k - 1, cand & joined[low.bit_length() - 1], joined)
+        if rest:
+            return low | rest
+    return 0
+
+
+def _clique_slack(g: Graph, n: int, fixed) -> list[int]:
+    """slack[p]: twice the number of edge-disjoint (n + 1)-cliques of a
+    greedy packing among the free vertices free[p:], 0 at p = f.  It is
+    built from the last free vertex backwards, so each suffix's packing
+    holds the next one's: each vertex adds, least vertices first, the
+    cliques through it and its later neighbours that use no edge taken
+    before.  n + 1 pairwise adjacent vertices in n bundles leave an edge
+    uncut, and edge-disjoint cliques leave distinct ones, so no allocation
+    cuts more than |E(free[p:])| - slack[p] / 2 of the edges among free[p:].
+    With n = 1 the cliques are the edges, so the SO bound becomes exact."""
+    free = [v for v in range(g.num_vertices) if fixed[v] < 0]
+    slack = [0] * (len(free) + 1)
+    joined = [0] * g.num_vertices  # joined[u]: u's later neighbours by an edge no clique took
+    later = 0  # the bitmask of free[p + 1:]
+    for p in reversed(range(len(free))):
+        v = free[p]
+        cand = 0
+        for u in g.adjacency[v]:
+            cand |= 1 << u
+        cand &= later
+        packed = 0
+        while clique := _clique(n, cand, joined):
+            packed += 1
+            cand &= ~clique  # v's edges to the clique are taken
+            rest = clique
+            while rest:  # and so are the edges among it
+                low = rest & -rest
+                rest ^= low
+                joined[low.bit_length() - 1] &= ~clique
+        joined[v] = cand
+        slack[p] = slack[p + 1] + 2 * packed
+        later |= 1 << v
+    return slack
+
+
 def _kernel_args(
     g, n, fixed, mask=0, alpha=1, first_only=False, collect=False, list_matches=False, floor=-1
 ):
-    """The positional arguments of a kernel scan on g."""
+    """The positional arguments of a kernel scan on g; an SO scan's slack is
+    the clique packing of ``_clique_slack``, any other's all zeros."""
     indptr = [0]
     indices = []
     for nbrs in g.adjacency:
         indices.extend(nbrs)
         indptr.append(len(indices))
     degrees = [len(nbrs) for nbrs in g.adjacency]
+    fixed = list(fixed)
+    slack = _clique_slack(g, n, fixed) if mask & SO and n >= 1 else [0] * (fixed.count(-1) + 1)
     return (
-        g.num_vertices, n, indptr, indices, degrees, list(fixed),
+        g.num_vertices, n, indptr, indices, degrees, fixed,
         mask, alpha.numerator, alpha.denominator,
-        first_only, collect, list_matches, floor,
+        first_only, collect, list_matches, slack, floor,
     )
 
 

@@ -37,13 +37,17 @@
  * scan is pruned by the cut bound of _scan_py: ub[p] is twice the cut edges
  * among the placed vertices (the fixed ones and digits 0..p-1), plus the
  * edges among the unplaced ones, plus, for each unplaced u, its placed
- * neighbours outside its fewest bundle.  pcnt holds those per-bundle counts for the first `placed`
- * free vertices: placing a free vertex adds it to its later neighbours' counts,
- * and a step that moves digit k takes the vertices at k and after out again.
- * At the first p >= k with ub[p + 1] < top_welfare the scan advances digit p
- * without visiting the state, at the same positions as _scan_py, so both visit
- * the same states in the same steps, one per placement from k on.  The test
- * is strict, so every state at the top welfare is visited: top_welfare is as
+ * neighbours outside its fewest bundle, less slack[p], twice the edges among
+ * the unplaced ones that a packing of edge-disjoint (n + 1)-cliques shows no
+ * completion cuts (all zeros without SO; read and checked to be f + 1
+ * non-negative ints before the scan starts).  pcnt holds the per-bundle
+ * counts for the first `placed` free vertices: placing a free vertex adds it
+ * to its later neighbours' counts, and a step that moves digit k takes the
+ * vertices at k and after out again.  At the first p >= k with
+ * ub[p + 1] - slack[p + 1] < top_welfare the scan advances digit p without
+ * visiting the state, at the same positions as _scan_py, so both visit the
+ * same states in the same steps, one per placement from k on.  The test is
+ * strict, so every state at the top welfare is visited: top_welfare is as
  * without SO.  Every visited state is at least at the top so far, so when the
  * top rises the scan resets matched, first_index and the listed matches
  * (PyList_SetSlice), which are then exact at the top welfare.  With SO,
@@ -165,11 +169,11 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
     int m, n, require_mask, first_only, collect_vectors, list_matches;
     long long alpha_num, alpha_den, floor_welfare; /* the floor argument (floor() is math.h's) */
-    PyObject *indptr_obj, *indices_obj, *degrees_obj, *fixed_obj;
-    if (!PyArg_ParseTuple(args, "iiOOOOiLLpppL:scan", &m, &n, &indptr_obj,
+    PyObject *indptr_obj, *indices_obj, *degrees_obj, *fixed_obj, *slack_obj;
+    if (!PyArg_ParseTuple(args, "iiOOOOiLLpppOL:scan", &m, &n, &indptr_obj,
                           &indices_obj, &degrees_obj, &fixed_obj, &require_mask,
                           &alpha_num, &alpha_den, &first_only, &collect_vectors,
-                          &list_matches, &floor_welfare))
+                          &list_matches, &slack_obj, &floor_welfare))
         return NULL;
     if (m < 0 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "num_vertices must be >= 0 and n >= 1");
@@ -188,7 +192,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         return NULL;
 
     PyObject *result = NULL, *matches = NULL, *vectors = NULL;
-    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)12 * m + 2 + (size_t)num_arcs));
+    int *ibuf = PyMem_Malloc(sizeof(int) * ((size_t)13 * m + 3 + (size_t)num_arcs));
     long long *lbuf = PyMem_Malloc(sizeof(long long) * ((size_t)2 * m * n + (size_t)4 * n + m + 1));
     if (ibuf == NULL || lbuf == NULL) {
         PyErr_NoMemory();
@@ -197,7 +201,8 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
     int *indptr = ibuf, *indices = indptr + m + 1, *degrees = indices + num_arcs,
         *assign = degrees + m, *freev = assign + m, *digits = freev + m, *top = digits + m,
         *crowded = top + m, *position = crowded + m, *closing = position + m,
-        *order = closing + m, *tails = order + m, *placedin = tails + m + 1;
+        *order = closing + m, *tails = order + m, *placedin = tails + m + 1,
+        *slack = placedin + m;
     long long *cnt = lbuf, *values = cnt + (size_t)m * n, *sizes = values + n,
               *minrem = sizes + n, *sortbuf = minrem + n, *pcnt = sortbuf + n,
               *ub = pcnt + (size_t)m * n;
@@ -229,6 +234,14 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         if (assign[i] < 0)
             freev[f++] = i;
     int canonical = f == m; /* a scan that fixes no vertex */
+    if (read_ints(slack_obj, (Py_ssize_t)f + 1, slack, "slack") < 0)
+        goto done;
+    for (k = 0; k <= f; k++) {
+        if (slack[k] < 0) {
+            PyErr_Format(PyExc_ValueError, "slack[%d] is %d, not a non-negative int", k, slack[k]);
+            goto done;
+        }
+    }
     for (k = 0; k < f; k++) {
         digits[k] = assign[freev[k]] = 0;
         /* the largest label digit k may take */
@@ -337,7 +350,7 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
                 }
                 placedin[placed] = b;
                 ub[placed + 1] = ub[placed] + 2 * r;
-                if (ub[placed + 1] < bar) {
+                if (ub[placed + 1] - slack[placed + 1] < bar) {
                     last = placed++; /* every completion of digits 0..last is below the bar */
                     break;
                 }
@@ -495,7 +508,8 @@ done:
 
 PyDoc_STRVAR(scan_doc,
 "scan(num_vertices, n, indptr, indices, degrees, fixed, require_mask,\n"
-"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, floor, /)\n"
+"     alpha_num, alpha_den, first_only, collect_vectors, list_matches, slack,\n"
+"     floor, /)\n"
 "--\n\n"
 "Scan every global assignment index, or only the canonical ones when no\n"
 "vertex is fixed; see _scan_py.scan.");

@@ -54,26 +54,35 @@ close at or after the lowest digit moved since the last visited state: one
 that closes earlier kept its count, and it passed, for a failure would have
 sent the scan past it.
 
-With the mask bit SO a state matches only at the scan's top welfare, and
-the scan is pruned by a cut bound (branch and bound: Land and Doig,
-Econometrica 1960).  Place digits 0 to p-1 and the fixed vertices, and let
-c_b(u) count the placed neighbours in bundle b of an unplaced vertex u.  A
-completion cuts at most the cut edges among the placed vertices, every edge
-among the unplaced ones and, of the edges from u to the placed ones, all but
-its fewest in one bundle, sum_b c_b(u) - min_b c_b(u).  Twice that sum is
-``ub[p]``; it never rises with p, and ``ub[f]`` is the welfare.  Placing v = free[p] in bundle b changes it by
-2 * (min_b' c_b'(v) - c_b(v) - the number of v's later neighbours u for which b
-was the one fewest bundle), every count taken over the prefix.  After a step
-whose lowest moved digit is k, the scan recomputes ``ub[k + 1:]`` in order,
-one step per placement (``steps``, 0 without SO), and at the first p with
-``ub[p + 1] < top_welfare`` it advances digit p through the normal carry
-without visiting the state.  The test is strict, so every state at the top
-welfare is visited: ``top_welfare`` is as without SO.  Every visited state
-is at least at the top so far, as the tests skip the rest, so when the top
-rises the scan resets ``matched``, ``first_index`` and the listed matches,
-and they are exact at the top welfare (0, -1 and none when no state that
-passes the other bits reaches it).  With SO ``vectors`` is undefined, and a
-scan that is ``collect_vectors`` is refused.
+With the mask bit SO a state matches only at the scan's top welfare, and the
+scan is pruned by a cut bound (branch and bound: Land and Doig, Econometrica
+1960).  Place digits 0 to p-1 and the fixed vertices, and let c_b(u) count
+the placed neighbours in bundle b of an unplaced vertex u.  A completion
+cuts at most the cut edges among the placed vertices, every edge among the
+unplaced ones and, of the edges from u to the placed ones, all but its
+fewest in one bundle, sum_b c_b(u) - min_b c_b(u).  Twice that sum is
+``ub[p]``; it never rises with p, and ``ub[f]`` is the welfare.  Placing
+v = free[p] in bundle b changes it by 2 * (min_b' c_b'(v) - c_b(v) - the
+number of v's later neighbours u for which b was the one fewest bundle),
+every count taken over the prefix.  ``slack[p]`` (f + 1 non-negative ints,
+``slack[f]`` = 0) is twice a number of edges among the unplaced vertices
+free[p:] that every completion leaves uncut; the oracle passes a packing of
+edge-disjoint (n + 1)-cliques among them, each of which leaves one edge
+uncut in n bundles, and zeros without SO.  So the bound on a prefix is
+``ub[p] - slack[p]``, which may rise with p: placing free[p] drops the
+cliques through it from the packing.  After a step whose lowest moved digit
+is k, the scan recomputes ``ub[k + 1:]`` in order, one step per placement
+(``steps``, 0 without SO), and at the first p with
+``ub[p + 1] - slack[p + 1] < top_welfare`` it advances digit p through the
+normal carry without visiting the state; the digits after p are 0, so the
+carry starts at p.  The test is strict, so every state at the top welfare is
+visited: ``top_welfare`` is as without SO, and a larger valid slack changes
+only ``states`` and ``steps``.  Every visited state is at least at the top
+so far, as the tests skip the rest, so when the top rises the scan resets
+``matched``, ``first_index`` and the listed matches, and they are exact at
+the top welfare (0, -1 and none when no state that passes the other bits
+reaches it).  With SO ``vectors`` is undefined, and a scan that is
+``collect_vectors`` is refused.
 
 An SO scan that is ``first_only`` reads only ``top_welfare`` and
 ``first_index``; ``matched`` and the matches are undefined.  It does not stop
@@ -123,11 +132,14 @@ def scan(
     first_only,
     collect_vectors,
     list_matches,
+    slack,
     floor,
 ):
     """Scan global assignment indices from 0 to n**free - 1; when no vertex
     is fixed, only the restricted growth strings.  The EF1 bit of
     require_mask tests alpha-EF1 at alpha_num / alpha_den (EF1 at 1 / 1).
+    slack is the SO bound's f + 1 non-negative ints (see the module
+    docstring); ValueError otherwise.
 
     Returns a dict with:
       states          -- number of states visited
@@ -153,6 +165,8 @@ def scan(
         raise ValueError("an SO scan collects no value vectors")
     free = [v for v in range(num_vertices) if fixed[v] < 0]
     f = len(free)
+    if len(slack) != f + 1 or min(slack) < 0:
+        raise ValueError(f"slack must be {f + 1} non-negative ints, one per free vertex and one more")
     canonical = f == num_vertices
     assign = [max(b, 0) for b in fixed]  # every free vertex starts in bundle 0
     digits = [0] * f
@@ -239,6 +253,7 @@ def scan(
 
     while True:
         last = f  # the step advances no digit after last
+        start = f - 1  # the step's carry starts at digit start
         if bound:
             while placed > k:
                 placed -= 1
@@ -247,18 +262,24 @@ def scan(
                     row[b] -= 1
             for p in range(k, f - 1):
                 b = digits[p]
+                nb = b + 1 if b < n1 else 0
                 own = rows[p]
                 delta = min(own) - own[b]
                 for row in laters[p]:
                     c = row[b]
-                    if c == min(row) and row.count(c) == 1:  # b was u's one fewest bundle
+                    # is b u's one fewest bundle?  With n = 2, exactly when c < row[nb]
+                    if c < row[nb]:
+                        if n == 2 or c == min(row) and row.count(c) == 1:
+                            delta -= 1
+                    elif n == 1:
                         delta -= 1
                     row[b] = c + 1
                 placedin[p] = b
                 placed = p + 1
                 ub[placed] = ub[p] + 2 * delta
-                if ub[placed] < bar:
-                    last = p  # every completion of digits 0..p is below the bar
+                if ub[placed] - slack[placed] < bar:
+                    # every completion of digits 0..p is below the bar, and the digits after p are 0
+                    last = start = p
                     break
             else:
                 if welfare < bar:
@@ -331,7 +352,7 @@ def scan(
                 # later tie has a larger index
                 bar = welfare + 1
 
-        k = f - 1
+        k = start
         while k >= 0:
             d = digits[k]
             v = free[k]

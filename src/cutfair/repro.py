@@ -61,11 +61,14 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    elapsed: Optional[float] = None  # seconds, set by timed
 
     def verdict(self) -> str:
-        """The one-line report: number, PASS or FAIL, name and detail."""
+        """The one-line report: number, PASS or FAIL, name and detail, and
+        the criterion's elapsed time once it is timed."""
         status = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.number:2d} {status}  {self.name}: {self.detail}"
+        line = f"criterion {self.number:2d} {status}  {self.name}: {self.detail}"
+        return line if self.elapsed is None else f"{line} [{self.elapsed:.2f}s]"
 
 
 def _random_graph(rng: SplitMix64, m: int) -> Graph:
@@ -461,13 +464,21 @@ def select(only: Optional[str] = None) -> list[tuple[int, Callable]]:
     return selected
 
 
+def timed(fn: Callable, ctx: ReproContext) -> CriterionResult:
+    """Run one criterion and record its elapsed time in its result."""
+    t0 = time.perf_counter()
+    result = fn(ctx)
+    result.elapsed = time.perf_counter() - t0
+    return result
+
+
 def run_all(only: Optional[str] = None, report=print) -> list[CriterionResult]:
-    """Run the criteria that ``select(only)`` picks."""
+    """Run the criteria that ``select(only)`` picks, each timed."""
     selected = select(only)
     ctx = ReproContext()
     results = []
     for number, fn in selected:
-        result = fn(ctx)
+        result = timed(fn, ctx)
         results.append(result)
         report(result.verdict())
     return results

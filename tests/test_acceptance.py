@@ -1,6 +1,7 @@
 """End-to-end acceptance gate: one test per numbered reproduction criterion.
 
-Each test prints the criterion's one-line verdict and asserts it passed.
+Each test prints the criterion's one-line verdict, which ends with its
+elapsed time, and asserts it passed.
 Expensive sweeps are shared through a session-scoped context, so the suite
 solves each random instance family once.
 """
@@ -16,7 +17,7 @@ def ctx():
 
 
 def run(fn, ctx):
-    result = fn(ctx)
+    result = repro.timed(fn, ctx)
     line = result.verdict()
     print(line)
     assert result.passed, line

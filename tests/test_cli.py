@@ -1,7 +1,10 @@
 import json
+import re
+import time
 
 import pytest
 
+from cutfair import repro
 from cutfair.allocation import Allocation
 from cutfair.cli import main
 from cutfair.instances import gen_fig3, write_allocation, write_instance
@@ -157,6 +160,19 @@ def test_repro_single_criterion(capsys):
     code, out, _ = run(capsys, "repro", "--only", "11")
     assert code == 0
     assert "criterion 11 PASS" in out
+
+
+def test_repro_verdicts_end_with_the_elapsed_time(capsys):
+    """Every criterion's line ends with its elapsed time in seconds, and the
+    criteria's times sum to at most the whole run's."""
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "repro")
+    total = time.perf_counter() - t0
+    lines = out.strip().splitlines()
+    assert code == 0 and len(lines) == len(repro.CRITERIA)
+    times = [re.fullmatch(r"criterion +\d+ PASS .* \[(\d+\.\d\d)s\]", line) for line in lines]
+    assert all(times), lines
+    assert sum(float(t[1]) for t in times) <= total + 0.01 * len(lines)
 
 
 def test_unknown_label_and_bad_args(capsys):

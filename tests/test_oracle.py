@@ -621,7 +621,8 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     was visited and the top started at -1.  The three cut-bound-pruned scans
     take these many prefix steps, the others none: a bound tested against
     the top welfare instead of the bar, which is above the top once a
-    first_only scan has a match, visits the same states in more steps."""
+    first_only scan has a match, visits the same states in more steps.  The
+    max cut took 257 steps before the bound subtracted the clique packing."""
     scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
     g = gen_fig3(9).graph
     visited = [
@@ -645,13 +646,98 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     oracle.oracle_find_all(gen_fig3(5).graph, 3, query("ef1", "wts"))
     full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices)) for g, n in cases[:3]]
     assert [r["states"] for r in results] == [1, 1_425, 3_222, 1, 16, 275]
-    assert [r["steps"] for r in results] == [257, 0, 0, 38, 46, 0]
+    assert [r["steps"] for r in results] == [159, 0, 0, 38, 46, 0]
     assert [r["states"] for r in full] == [32_768, 4_139, 9_842]
     stable = [
         scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, TS)) for g, n in cases[::3]
     ]
     assert [r["states"] for r in stable] == [3_880, 188_138]
     assert [r["top_welfare"] for r in stable] == [r["top_welfare"] for r in results[::3]]
+
+
+def least_uncut(g, vertices, n):
+    """The fewest edges among the vertices that an n-partition of them leaves
+    uncut, by brute force over their partitions into at most n blocks."""
+    nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+
+    def least(i, blocks):
+        if i == len(vertices):
+            return 0
+        v = vertices[i]
+        best = least(i + 1, blocks + [1 << v]) if len(blocks) < n else float("inf")
+        for k, b in enumerate(blocks):
+            blocks[k] = b | 1 << v
+            best = min(best, (nbr[v] & b).bit_count() + least(i + 1, blocks))
+            blocks[k] = b
+        return best
+
+    return least(0, [])
+
+
+def test_clique_slack_is_a_valid_packing():
+    """On seeded random graphs and complete graphs with 1-8 vertices and 1-4
+    bundles, with and without fixed vertices, slack[p] / 2 (n + 1)-cliques
+    fit edge-disjointly in the edges among free[p:], and their number is at
+    most the fewest of those edges that an n-partition of free[p:] leaves
+    uncut (the edge count with n = 1, where the cliques are the edges);
+    slack never rises with p, and is 0 at p = f."""
+    rng = SplitMix64(2027)
+    cases = [(gen_complete(m).graph, n) for m in range(4, 9) for n in range(1, 5)]
+    for trial in range(60):
+        m = 1 + rng.below(8)
+        g = gen_random_graph(m, 0.3 + 0.6 * rng.below(100) / 100, rng.next_u64()).graph
+        cases.append((g, 1 + trial % 4))
+    packed = 0
+    for trial, (g, n) in enumerate(cases):
+        m = g.num_vertices
+        fixed = [-1] * m
+        if trial % 3 == 2:
+            fixed = [rng.below(n) if rng.below(3) == 0 else -1 for _ in range(m)]
+        free = [v for v in range(m) if fixed[v] < 0]
+        slack = oracle._clique_slack(g, n, fixed)
+        assert len(slack) == len(free) + 1 and slack[-1] == 0
+        assert all(a >= b for a, b in zip(slack, slack[1:])), (trial, slack)
+        for p in range(len(free)):
+            rest = set(free[p:])
+            edges = sum(u in rest for v in rest for u in g.adjacency[v]) // 2
+            cliques = slack[p] // 2
+            assert slack[p] % 2 == 0 and cliques * (n + 1) * n // 2 <= edges, (trial, p)
+            assert cliques <= least_uncut(g, free[p:], n), (trial, p)
+            if n == 1:
+                assert cliques == edges
+        packed += slack[0] > 0 and n > 1
+    assert packed >= 10  # the packings are not all empty
+
+
+def test_the_slack_changes_only_states_and_steps(compiled_scan):
+    """Both kernels' SO scans (alone and with TS, EF1 or NONEMPTY, first_only
+    or counting, listing their matches, from no floor or a local optimum's,
+    canonical or with a fixed vertex) return the same with the clique slack
+    as with an all-zero one, apart from ``states`` and ``steps``, which are
+    no larger; the kernels agree with each other, and the slack saves steps
+    in all."""
+    rng = SplitMix64(77)
+    saved = 0
+    masks = (SO, TS | SO, EF1 | TS | SO, NONEMPTY | SO)
+    for trial in range(16):
+        n = 1 + trial % 4
+        m = (9, 9, 8, 7)[n - 1]
+        g = gen_random_graph(m, 0.4 + 0.4 * rng.below(100) / 100, rng.next_u64()).graph
+        for fixed, mask, first_only in itertools.product(
+            ([-1] * m, [-1] * (m - 1) + [n - 1]), masks, (False, True)
+        ):
+            floor = oracle._local_optimum(g, n)[0] if fixed.count(-1) == m and trial % 2 else -1
+            call = oracle._kernel_args(g, n, fixed, mask, 1, first_only, False, True, floor)
+            zero = call[:12] + ([0] * len(call[12]),) + call[13:]
+            results = [kernel(*args) for args in (call, zero) for kernel in (scan_python, compiled_scan)]
+            assert results[0] == results[1] and results[2] == results[3], (trial, mask, first_only)
+            slacked, plain = results[0], results[2]
+            assert slacked["states"] <= plain["states"] and slacked["steps"] <= plain["steps"]
+            saved += plain["steps"] - slacked["steps"]
+            for result in (slacked, plain):
+                del result["states"], result["steps"]
+            assert slacked == plain, (trial, mask, first_only)
+    assert saved > 0
 
 
 def test_welfare_scans_add_the_ts_bit(monkeypatch):
@@ -806,9 +892,10 @@ def test_canonical_scan_visits_one_labelling_per_partition():
 def test_kernels_reject_bad_scans_and_sizes(compiled_scan):
     """Both kernels refuse an SO scan that collects value vectors, a mask bit
     they do not know (8, the old ALPHA_EF1, or 128 and up) and a scan into no
-    bundle, so an oracle query with n = 0 raises ValueError; the compiled one
-    refuses a short ``fixed`` list instead of reading past it.  A labelled
-    scan, which fixes a vertex, visits the whole range."""
+    bundle, so an oracle query with n = 0 raises ValueError, and a slack
+    that is not f + 1 non-negative ints; the compiled one refuses a short
+    ``fixed`` list instead of reading past it.  A labelled scan, which fixes
+    a vertex, visits the whole range."""
     g = gen_random_graph(4, 0.5, 5).graph
 
     def args(fixed, n=3):
@@ -825,6 +912,10 @@ def test_kernels_reject_bad_scans_and_sizes(compiled_scan):
                 kernel(*oracle._kernel_args(g, 3, [-1] * 4, EF1 | bad))
         assert kernel(*args([0, -1, -1, -1]))["states"] == 3**3
         assert kernel(*args([0, 1, 2, 0]))["states"] == 1
+        so = oracle._kernel_args(g, 3, [0, -1, -1, -1], TS | SO)
+        for slack in ([0] * 3, [0] * 5, [], [2, 2, -2, 0], [0, 0, 0, -1]):
+            with pytest.raises(ValueError, match="slack"):
+                kernel(*so[:12], slack, *so[13:])
     with pytest.raises(ValueError, match="n >= 1"):
         oracle.oracle_exists(gen_path(3).graph, 0, query("ef1"))
     with pytest.raises(ValueError, match="fixed"):
@@ -858,9 +949,11 @@ def test_oracle_entry_points_on_the_compiled_kernel(compiled_scan, monkeypatch):
 
 def test_both_kernels_share_one_signature(compiled_scan):
     """The compiled kernel's text signature, from its docstring, names the
-    Python kernel's parameters in the same order."""
+    Python kernel's parameters in the same order, the SO bound's slack
+    before the floor, last."""
     names = [list(inspect.signature(kernel).parameters) for kernel in (compiled_scan, scan_python)]
     assert names[0] == names[1]
+    assert names[0][-2:] == ["slack", "floor"]
 
 
 def test_compiled_collect_scans_do_not_leak(compiled_scan):
