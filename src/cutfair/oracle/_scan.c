@@ -33,6 +33,17 @@
  * the lowest digit moved since the last visited state; the others kept their
  * counts, and they passed.
  *
+ * With NONEMPTY, a canonical scan that does not collect_vectors walks only
+ * the strings that use all n labels (see _scan_py): none when f < n, and
+ * otherwise from zeros followed by labels 1 to n - 1.  Digits jf to f - 1
+ * are the forced suffix, digit j holding label n - f + j; the carry starts
+ * at jf - 1, and after digit k advances to nd, with L labels before it (top[k],
+ * or n when top[k] = n - 1 and peak, the first digit holding n - 1, is below
+ * k), the suffix starts at nf = f - n + L + (nd == L).  The next pass first
+ * moves the digits between jf and nf (shift, as the step does), which lowers
+ * no changed, so the first state tests every vertex.  Collect scans and scans
+ * that fix a vertex test NONEMPTY state by state.
+ *
  * With the mask bit SO a state matches only at the scan's top welfare, and the
  * scan is pruned by the cut bound of _scan_py: ub[p] is twice the cut edges
  * among the placed vertices (the fixed ones and digits 0..p-1), plus the
@@ -44,8 +55,9 @@
  * counts for the first `placed` free vertices: placing a free vertex adds it
  * to its later neighbours' counts, and a step that moves digit k takes the
  * vertices at k and after out again.  At the first p >= k with
- * ub[p + 1] - slack[p + 1] < top_welfare the scan advances digit p without
- * visiting the state, at the same positions as _scan_py, so both visit the
+ * ub[p + 1] - slack[p + 1] < top_welfare the scan advances digit p (or
+ * digit jf - 1 when p is in a walk's forced suffix) without visiting the
+ * state, at the same positions as _scan_py, so both visit the
  * same states in the same steps, one per placement from k on.  The test is
  * strict, so every state at the top welfare is visited: top_welfare is as
  * without SO.  Every visited state is at least at the top so far, so when the
@@ -164,6 +176,25 @@ done:
     return rc;
 }
 
+/* Move vertex v from bundle d to bundle nd: update the neighbour counts cnt,
+ * the bundle values and sizes and assign; return the change in welfare. */
+static inline long long
+shift(int v, int d, int nd, int n, const int *indptr, const int *indices, const int *degrees,
+      long long *cnt, long long *values, long long *sizes, int *assign)
+{
+    long long gain = 2 * (cnt[v * n + d] - cnt[v * n + nd]);
+    values[d] += 2 * cnt[v * n + d] - degrees[v];
+    sizes[d] -= 1;
+    for (int p = indptr[v]; p < indptr[v + 1]; p++) {
+        cnt[indices[p] * n + d] -= 1;
+        cnt[indices[p] * n + nd] += 1;
+    }
+    values[nd] += degrees[v] - 2 * cnt[v * n + nd];
+    sizes[nd] += 1;
+    assign[v] = nd;
+    return gain;
+}
+
 static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -234,6 +265,9 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         if (assign[i] < 0)
             freev[f++] = i;
     int canonical = f == m; /* a scan that fixes no vertex */
+    /* a canonical NONEMPTY scan that collects no table walks only the strings
+     * that use all n labels */
+    int walk = (require_mask & NONEMPTY) && canonical && !collect_vectors;
     if (read_ints(slack_obj, (Py_ssize_t)f + 1, slack, "slack") < 0)
         goto done;
     for (k = 0; k <= f; k++) {
@@ -242,6 +276,8 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             goto done;
         }
     }
+    if (walk && f < n) /* no string uses all n labels */
+        goto finish;
     for (k = 0; k < f; k++) {
         digits[k] = assign[freev[k]] = 0;
         /* the largest label digit k may take */
@@ -320,9 +356,21 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
         ub[0] = r;
     }
 
+    /* digits jf to f - 1 are forced, digit j holding label n - f + j; a
+     * walk's first pass moves them from zeros to its first string, zeros up
+     * to nf and then labels 1 to n - 1.  peak: the first digit that holds
+     * label n - 1 (unread with n = 1) */
+    int jf = f, nf = walk ? f - n + 1 : f, peak = f - 1;
     k = 0;       /* the lowest digit the last step moved: ub[k + 1..] are stale */
     changed = f; /* the lowest digit moved since the last visited state */
     for (;;) {
+        for (j = nf < jf ? nf : jf; j < (nf < jf ? jf : nf); j++) { /* move the forced suffix to nf */
+            d = digits[j];
+            nd = n - f + j - d; /* 0 <-> the forced label */
+            welfare += shift(freev[j], d, nd, n, indptr, indices, degrees, cnt, values, sizes, assign);
+            digits[j] = nd;
+        }
+        jf = nf;
         last = f - 1; /* the step advances digit last; the digits after it reset to 0 */
         if (bound) {
             for (; placed > k; placed--) {
@@ -455,28 +503,17 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             bar = welfare + 1;
         }
 
-        /* Step to the next index: increment the digits of the free vertices,
-         * digit k up to top[k], moving each changed vertex from bundle d to
-         * nd. */
+        /* Step to the next index: increment the digits of the free vertices
+         * below the forced suffix, digit k up to top[k], moving each changed
+         * vertex from bundle d to nd. */
 step:
-        for (k = f - 1; k >= 0; k--) {
+        for (k = jf - 1; k >= 0; k--) {
             d = digits[k];
-            v = freev[k];
             t = top[k];
             nd = d < t && k <= last ? d + 1 : 0;
             if (nd == d) /* a digit that stays at 0 */
                 continue;
-            welfare += 2 * (cnt[v * n + d] - cnt[v * n + nd]);
-            values[d] += 2 * cnt[v * n + d] - degrees[v];
-            sizes[d] -= 1;
-            for (p = indptr[v]; p < indptr[v + 1]; p++) {
-                u = indices[p];
-                cnt[u * n + d] -= 1;
-                cnt[u * n + nd] += 1;
-            }
-            values[nd] += degrees[v] - 2 * cnt[v * n + nd];
-            sizes[nd] += 1;
-            assign[v] = nd;
+            welfare += shift(freev[k], d, nd, n, indptr, indices, degrees, cnt, values, sizes, assign);
             digits[k] = nd;
             if (nd != 0) {
                 if (t < n - 1) { /* canonical, and the digits after k reset to 0 */
@@ -491,7 +528,14 @@ step:
             break;
         if (k < changed)
             changed = k;
+        if (walk) {
+            int labels = top[k] + (top[k] == n - 1 && peak < k); /* the labels before digit k */
+            if (peak > k)
+                peak = nd == n - 1 ? k : f - 1;
+            nf = f - n + labels + (nd == labels); /* the suffix after digit k's new label nd */
+        }
     }
+finish:
 
     result = Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:O,s:O}", "states", states, "steps", steps,
                            "matched", matched, "first_index", first_index,

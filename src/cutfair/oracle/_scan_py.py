@@ -9,6 +9,31 @@ visited once, by its lex-least labelling, and a match counts for every
 labelling of its partition.  Semantically identical to the C kernel in
 _scan.c; the compiled one is preferred at import time when available.
 
+With the mask bit NONEMPTY, a canonical scan that collects no table walks
+only the strings that use all n labels, the S(f, n) partitions into exactly
+n blocks, and visits no state when f < n.  A collect scan and a scan that
+fixes a vertex test NONEMPTY state by state (PO compares each vector with
+those of all allocations, empty bundles included).  Digit j is forced when
+exactly n - f + j labels come before it: every later digit must then take a
+new label, so the forced digits form a suffix, from digit ``jf`` on, and
+digit j of it holds label n - f + j.  The walk starts at zeros followed by
+labels 1 to n - 1, and its carry starts at jf - 1, as forced digits never
+advance.  When digit k advances to label nd with L labels before it, the
+digits after it take the least completion: 0 up to the new suffix, which
+starts at f - n + L + (1 if nd == L else 0), and the forced labels from
+there.  The carry has set the digits below the old suffix to 0, so only the
+digits between the old and the new start move: the suffix loses digit jf
+when nd is a new label and gains a digit for each label the carry erased.
+L is top[k] unless top[k] = n - 1, where L is n when label n - 1 occurs
+before k; ``peak``, the first digit that holds n - 1, tells which, so the
+bookkeeping is O(1) per step.  A skipped string has an empty bundle and
+matches nothing, so every field but ``states``, ``steps`` and
+``top_welfare`` is as with the test state by state.  ``top_welfare``, the
+largest welfare over the visited states, is too when f >= n and the scan has
+SO or is not ``first_only``: some welfare maximum then uses every label, as
+a maximum with an empty bundle cuts every edge, and moving a vertex that
+shares its bundle into the empty one keeps it so.
+
 Vertex sets are int bitmasks: ``nbr[v]`` is v's neighbourhood and
 ``member[b]`` bundle b, so v has ``(nbr[v] & member[b]).bit_count()``
 neighbours in bundle b, and a move costs two popcounts instead of an update
@@ -38,7 +63,9 @@ or WTS tests TS/wTS first, walking the vertices in closing order, and at the
 first failing vertex, with closing position j, skips every completion of
 digits 0 to j: the digits after j reset to 0 and digit j advances through the
 normal carry (with n = 1 no vertex fails).  The failing state itself goes
-straight to the step.  Only failing states are skipped, so every field but
+straight to the step (with a NONEMPTY walk, a failure at a forced digit j
+skips every completion of the digits before jf).  Only failing states are
+skipped, so every field but
 ``states`` is unchanged, except ``top_welfare``, which stays the largest
 welfare over the visited states, and ``vectors``, which holds the vectors
 of the states that pass the TS/wTS test (every state's when the mask has
@@ -52,7 +79,8 @@ visits a global maximum and returns it, and its ``vectors`` still holds
 every undominated vector.  A visited state re-tests only the vertices that
 close at or after the lowest digit moved since the last visited state: one
 that closes earlier kept its count, and it passed, for a failure would have
-sent the scan past it.
+sent the scan past it.  The first state tests every vertex: the moves that
+place a walk's first forced suffix do not count as moved digits.
 
 With the mask bit SO a state matches only at the scan's top welfare, and the
 scan is pruned by a cut bound (branch and bound: Land and Doig, Econometrica
@@ -74,8 +102,9 @@ cliques through it from the packing.  After a step whose lowest moved digit
 is k, the scan recomputes ``ub[k + 1:]`` in order, one step per placement
 (``steps``, 0 without SO), and at the first p with
 ``ub[p + 1] - slack[p + 1] < top_welfare`` it advances digit p through the
-normal carry without visiting the state; the digits after p are 0, so the
-carry starts at p.  The test is strict, so every state at the top welfare is
+normal carry without visiting the state; the digits after p are 0 up to a
+walk's forced suffix, so the carry starts at p, or at jf - 1 when p >= jf.
+The test is strict, so every state at the top welfare is
 visited: ``top_welfare`` is as without SO, and a larger valid slack changes
 only ``states`` and ``steps``.  Every visited state is at least at the top
 so far, as the tests skip the rest, so when the top rises the scan resets
@@ -119,6 +148,29 @@ def _index(digits, n):
     return index
 
 
+def _resuffix(old, new, shift, free, digits, nbr, degrees, member, values, assign):
+    """Move a walk's forced suffix from digit old to digit new: digit j >= new
+    holds label j + shift, and a digit between them 0.  The change in
+    welfare."""
+    gain = 0
+    for j in range(min(old, new), max(old, new)):
+        d = digits[j]
+        nd = j + shift - d  # 0 <-> the forced label
+        v = free[j]
+        nv = nbr[v]
+        deg = degrees[v]
+        in_d = (nv & member[d]).bit_count()
+        in_nd = (nv & member[nd]).bit_count()
+        values[d] += 2 * in_d - deg
+        values[nd] += deg - 2 * in_nd
+        gain += 2 * (in_d - in_nd)
+        member[d] ^= 1 << v
+        member[nd] |= 1 << v
+        assign[v] = nd
+        digits[j] = nd
+    return gain
+
+
 def scan(
     num_vertices,
     n,
@@ -136,7 +188,9 @@ def scan(
     floor,
 ):
     """Scan global assignment indices from 0 to n**free - 1; when no vertex
-    is fixed, only the restricted growth strings.  The EF1 bit of
+    is fixed, only the restricted growth strings, and with NONEMPTY in
+    require_mask and not collect_vectors only those that use all n labels
+    (see the module docstring).  The EF1 bit of
     require_mask tests alpha-EF1 at alpha_num / alpha_den (EF1 at 1 / 1).
     slack is the SO bound's f + 1 non-negative ints (see the module
     docstring); ValueError otherwise.
@@ -168,6 +222,14 @@ def scan(
     if len(slack) != f + 1 or min(slack) < 0:
         raise ValueError(f"slack must be {f + 1} non-negative ints, one per free vertex and one more")
     canonical = f == num_vertices
+    # a canonical NONEMPTY scan that collects no table walks only the
+    # strings that use all n labels
+    walk = require_mask & NONEMPTY and canonical and not collect_vectors
+    if walk and f < n:  # no such string
+        matches = [] if list_matches else None
+        return dict(
+            states=0, steps=0, matched=0, first_index=-1, top_welfare=floor, matches=matches, vectors=None
+        )
     assign = [max(b, 0) for b in fixed]  # every free vertex starts in bundle 0
     digits = [0] * f
     n1 = n - 1
@@ -241,6 +303,13 @@ def scan(
         placedin = [0] * f
         placed = 0
 
+    # the scan's state, which _resuffix moves
+    state = (free, digits, nbr, degrees, member, values, assign)
+    jf = f  # digits jf to f - 1 are forced
+    if walk:  # the first string: zeros, then labels 1 to n - 1
+        welfare += _resuffix(f, f - n + 1, n - f, *state)
+        jf = f - n + 1
+        peak = f - 1  # the first digit that holds label n - 1 (unread with n = 1)
     matches = [] if list_matches else None
     vectors: dict = {}
     drops: dict = {}  # bundle bitmask -> its best removal drop
@@ -253,7 +322,7 @@ def scan(
 
     while True:
         last = f  # the step advances no digit after last
-        start = f - 1  # the step's carry starts at digit start
+        start = jf - 1  # the step's carry starts at digit start: forced digits never advance
         if bound:
             while placed > k:
                 placed -= 1
@@ -278,8 +347,11 @@ def scan(
                 placed = p + 1
                 ub[placed] = ub[p] + 2 * delta
                 if ub[placed] - slack[placed] < bar:
-                    # every completion of digits 0..p is below the bar, and the digits after p are 0
-                    last = start = p
+                    # every completion of digits 0..p is below the bar, and the
+                    # digits after p are 0 up to the forced suffix
+                    last = p
+                    if p < start:
+                        start = p
                     break
             else:
                 if welfare < bar:
@@ -382,6 +454,14 @@ def scan(
             break
         if k < changed:
             changed = k
+        if walk:
+            labels = t + (t == n1 and peak < k)  # the labels before digit k
+            if peak > k:
+                peak = k if nd == n1 else f - 1
+            nf = f - n + labels + (nd == labels)  # the suffix after digit k's new label nd
+            if nf != jf:
+                welfare += _resuffix(jf, nf, n - f, *state)
+                jf = nf
 
     return {
         "states": states,

@@ -2,10 +2,10 @@ import inspect
 import itertools
 import tracemalloc
 from fractions import Fraction
-from math import perm
+from math import factorial, perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutfair import oracle
@@ -417,13 +417,17 @@ def welfare_queries(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(welfare_queries())
+@example((Graph.from_edges(0, []), 1, {"nonempty"}, Fraction(1)))
 def test_welfare_fields_equal_brute_force(case):
     """Canonical and vertex-0-pinned scans at a query's mask with the SO bit
     return as top_welfare, first_index and matched the maximum welfare and
     the first and the number of the matches at it, over the allocations of
     enumerate_allocations that the exact checkers accept, and the pinned
     labelled scan lists those matches.  The pinned states are the first
-    n**(m - 1).  SO is the maximum welfare itself, not check_so."""
+    n**(m - 1).  SO is the maximum welfare itself, not check_so.  With
+    nonempty the canonical scans walk only the allocations with no empty
+    bundle, so their top welfare is the largest of those, or the scan's
+    floor when there is none."""
     g, n, preds, alpha = case
     q = query(*preds, alpha=alpha)
     mask, alpha = oracle._kernel_query(q)
@@ -434,12 +438,16 @@ def test_welfare_fields_equal_brute_force(case):
     ok = [all(oracle.PREDICATES[p].check(a, g, q).holds for p in preds - {"so"}) for a in allocations]
     pinned = [0] + [-1] * (m - 1) if m else []
     in_pin = n ** len(pinned[1:])
-    for result, states in (
-        (scan_python(*oracle._kernel_args(g, n, [-1] * m, mask, alpha)), n**m),
-        (scan_python(*oracle._kernel_args(g, n, pinned, mask, alpha, list_matches=True)), in_pin),
-        (oracle._scan(g, n, q.max_states, mask, pin=True, alpha=alpha), in_pin),
+    full = [a.all_nonempty() or not mask & NONEMPTY for a in allocations]
+    local = oracle._local_optimum(g, n)[0]
+    # the floor of each canonical scan (the pinned one is canonical when m = 0)
+    for result, states, floor in (
+        (scan_python(*oracle._kernel_args(g, n, [-1] * m, mask, alpha)), n**m, -1),
+        (scan_python(*oracle._kernel_args(g, n, pinned, mask, alpha, list_matches=True)), in_pin, None if m else -1),
+        (oracle._scan(g, n, q.max_states, mask, pin=True, alpha=alpha), in_pin, local),
     ):
-        top = max(welfare[:states])
+        seen = welfare[:states] if floor is None else [w for w, f in zip(welfare[:states], full) if f]
+        top = max(seen, default=floor)
         at_top = [i for i in range(states) if ok[i] and welfare[i] == top]
         assert (result["top_welfare"], result["first_index"], result["matched"]) == (
             top,
@@ -479,20 +487,25 @@ def pruned_scans(draw, so=False):
     first_only, list_matches, collect = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
     g = Graph.from_edges(m, edges)
     floor = -1
+    canonical = fixed.count(-1) == m
     if so:
         collect = False
         if max(fixed[1:], default=-1) < 0:
-            welfare = [sum(bundle_values(a, g)) for a in oracle.enumerate_allocations(g, n)]
-            floor = draw(st.sampled_from([-1, max(welfare), draw(st.sampled_from(welfare))]))
-    canonical = fixed.count(-1) == m
+            walk = canonical and mask & NONEMPTY  # then the floor is a full allocation's welfare
+            allocations = oracle.enumerate_allocations(g, n)
+            welfare = [sum(bundle_values(a, g)) for a in allocations if a.all_nonempty() or not walk]
+            if welfare:
+                floor = draw(st.sampled_from([-1, max(welfare), draw(st.sampled_from(welfare))]))
     return g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect, floor
 
 
-def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
+def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only, walk=False):
     """The fields of a scan from the exact checkers, state by state: every
     labelled index in range, decoded, in order (in canonical mode only the
-    restricted growth strings, each matching one counting its labellings),
-    up to the first match if first_only.  With SO in the mask a state
+    restricted growth strings, each matching one counting its labellings,
+    and with walk only the strings that use all n labels, those a canonical
+    NONEMPTY scan that collects no table walks), up to the first match if
+    first_only.  With SO in the mask a state
     matches only at the top welfare of the range, the largest over every
     labelled index in it.  ``vectors`` maps the sorted value vector of each
     state that passes the mask's TS and WTS bits to the least matching index
@@ -505,10 +518,11 @@ def unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only):
     stable = [p.check for p in oracle.PREDICATES.values() if p.bit & mask & (TS | WTS)]
     free = fixed.count(-1)
     decode = oracle._decoder(g, n, fixed)
-    top = max(sum(bundle_values(decode(i), g)) for i in range(n**free)) if mask & SO else -1
+    walked = [i for i in range(n**free) if not walk or decode(i).all_nonempty()]
+    top = max((sum(bundle_values(decode(i), g)) for i in walked), default=-1) if mask & SO else -1
     ref = {"matched": 0, "first_index": -1, "matches": [], "top_welfare": -1, "vectors": {}}
     states = 0
-    for index in range(n**free):
+    for index in walked:
         digits = [index // n ** (free - 1 - k) % n for k in range(free)]
         if canonical and any(d > max(digits[:k], default=-1) + 1 for k, d in enumerate(digits)):
             continue
@@ -542,9 +556,11 @@ def test_pruned_scans_equal_brute_force(compiled_scan, case):
     wTS, return the matches, counts, witnesses, top welfare and value
     vectors of the unpruned scan, and visit no more states.
     top_welfare is compared where it is defined: not first_only, and no
-    vertex fixed but vertex 0."""
+    vertex fixed but vertex 0.  A canonical NONEMPTY scan that collects no
+    table walks only the strings that use all n labels."""
     g, n, fixed, mask, alpha, canonical, first_only, list_matches, collect, _ = case
-    ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only)
+    walk = canonical and mask & NONEMPTY and not collect
+    ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, first_only, walk)
     fields = ["matched", "first_index"]
     if list_matches:
         fields.append("matches")
@@ -568,9 +584,11 @@ def test_so_scans_equal_brute_force(compiled_scan, case):
     steps, and return the unpruned scan's top welfare and its first match
     at that welfare and, unless first_only, its number of matches there and
     their list.  They are compared where top_welfare is defined: the mask
-    has no TS or WTS bit, or no vertex but vertex 0 is fixed."""
+    has no TS or WTS bit, or no vertex but vertex 0 is fixed.  A canonical
+    NONEMPTY scan walks only the strings that use all n labels."""
     g, n, fixed, mask, alpha, canonical, first_only, list_matches, _, floor = case
-    ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, False)
+    walk = canonical and mask & NONEMPTY
+    ref, states = unpruned_reference(g, n, fixed, mask, alpha, canonical, False, walk)
     call = oracle._kernel_args(g, n, fixed, mask, alpha, first_only, False, list_matches, floor)
     result = scan_python(*call)
     assert compiled_scan(*call) == result
@@ -610,19 +628,23 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     check (fig1, n = 7) and of an ef1+po count, and the TS- and
     cut-bound-pruned first_only scans of one oracle_max_cut call, of
     max_welfare on G(12, 0.4) with n = 4 and of the ef1+so witness on
-    appendixB with n = 4, and the canonical listing scan of the ef1+wts
+    appendixB with n = 4, the canonical listing scan of the ef1+wts
     matches on fig3 with d = 5 and n = 3 (which a labelled scan made in
-    1,647 states), visit these many states, against every restricted
-    growth string unpruned and, for the max cut and max_welfare, against the
-    scan pruned by TS alone, which finds the same top welfare.  The max cut
-    and max_welfare start at a floor that is already their top welfare, so
-    each visits the first state at the top alone; the appendixB scan, with
-    840 allocations at the top welfare, visited 1,246 states when every tie
-    was visited and the top started at -1.  The three cut-bound-pruned scans
-    take these many prefix steps, the others none: a bound tested against
-    the top welfare instead of the bar, which is above the top once a
-    first_only scan has a match, visits the same states in more steps.  The
-    max cut took 257 steps before the bound subtracted the clique packing."""
+    1,647 states), and the ef1+ts witness scan on G(7, 0.5) with n = 5, as
+    the n >= 4 sweep makes them, visit these many states, against every
+    restricted growth string unpruned and, for the max cut and max_welfare,
+    against the scan pruned by TS alone, which finds the same top welfare.
+    The max cut and max_welfare start at a floor that is already their top
+    welfare, so each visits the first state at the top alone; the appendixB
+    scan, with 840 allocations at the top welfare, visited 1,246 states when
+    every tie was visited and the top started at -1, and 16 before its
+    scan walked only the strings that use all 4 labels.  The ef1+ts witness
+    scan walks only those too, and visits 318 states when it tests NONEMPTY
+    state by state.  The three cut-bound-pruned scans take these many
+    prefix steps, the others none: a bound tested against the top welfare
+    instead of the bar, which is above the top once a first_only scan has a
+    match, visits the same states in more steps.  The max cut took 257 steps
+    before the bound subtracted the clique packing."""
     scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
     g = gen_fig3(9).graph
     visited = [
@@ -644,15 +666,20 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     oracle.max_welfare(*cases[3])
     oracle.oracle_exists(gen_appendix_b(4).graph, 4, query("ef1", "so", symmetry=True))
     oracle.oracle_find_all(gen_fig3(5).graph, 3, query("ef1", "wts"))
+    g5 = gen_random_graph(7, 0.5, 3).graph
+    oracle.oracle_exists(g5, 5, query("ef1", "ts"))
+    tested = scan(*oracle._kernel_args(g5, 5, [-1] * 7, EF1 | TS, first_only=True))
+    assert results[-1]["first_index"] == tested["first_index"] >= 0
+    assert (results[-1]["states"], tested["states"]) == (52, 318)
     full = [scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices)) for g, n in cases[:3]]
-    assert [r["states"] for r in results] == [1, 1_425, 3_222, 1, 16, 275]
-    assert [r["steps"] for r in results] == [159, 0, 0, 38, 46, 0]
+    assert [r["states"] for r in results] == [1, 1_425, 3_222, 1, 15, 275, 52]
+    assert [r["steps"] for r in results] == [159, 0, 0, 38, 46, 0, 0]
     assert [r["states"] for r in full] == [32_768, 4_139, 9_842]
     stable = [
         scan(*oracle._kernel_args(g, n, [-1] * g.num_vertices, TS)) for g, n in cases[::3]
     ]
     assert [r["states"] for r in stable] == [3_880, 188_138]
-    assert [r["top_welfare"] for r in stable] == [r["top_welfare"] for r in results[::3]]
+    assert [r["top_welfare"] for r in stable] == [r["top_welfare"] for r in results[:4:3]]
 
 
 def least_uncut(g, vertices, n):
@@ -887,6 +914,160 @@ def test_canonical_scan_visits_one_labelling_per_partition():
     for n, partitions in ((1, 1), (2, 16), (3, 41), (5, 52), (7, 52)):
         result = scan_python(*oracle._kernel_args(g, n, [-1] * 5))
         assert (result["states"], result["matched"]) == (partitions, n**5)
+
+
+def stirling2(m, n):
+    """The number of partitions of m items into exactly n blocks."""
+    row = [1] + [0] * n  # row[k]: the partitions of the items so far into k blocks
+    for _ in range(m):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
+    return row[n]
+
+
+def restricted_growth_strings(m, n):
+    """Every restricted growth string of length m with labels below n."""
+    if m == 0:
+        yield ()
+        return
+    for head in restricted_growth_strings(m - 1, n):
+        for d in range(min(n, max(head, default=-1) + 2)):
+            yield head + (d,)
+
+
+def test_nonempty_walk_visits_only_the_full_strings(compiled_scan):
+    """A canonical NONEMPTY scan that collects no table walks only the
+    restricted growth strings that use all n labels.  With NONEMPTY alone
+    both kernels visit S(m, n) states, the partitions into exactly n blocks,
+    each matching for its n! labellings, and none when m < n.  With TS, WTS,
+    EF1 and SO bits, first_only or not, listing the matches or not, they
+    return the same as each other and as the per-state NONEMPTY test: without
+    SO, the same scan collecting the value vectors, which tests NONEMPTY state
+    by state and visits at least as many states; with SO, which refuses a
+    table, the brute force.  top_welfare is compared unless first_only
+    without SO, where it depends on the states visited.  Collect scans and
+    scans with a fixed vertex visit the same states with NONEMPTY as
+    without.  The first full string of the path 2-3-4-5 and the edge 0-1 in
+    4 bundles, 0 0 0 1 2 3, is EF1 but breaks TS at vertices 0 and 1, which
+    close before its forced suffix 1 2 3: the walk tests them all the same."""
+    kernels = (scan_python, compiled_scan)
+    for m, n in itertools.product(range(9), range(1, 6)):
+        call = oracle._kernel_args(Graph.from_edges(m, []), n, [-1] * m, NONEMPTY)
+        for kernel in kernels:
+            result = kernel(*call)
+            assert (result["states"], result["matched"]) == (stirling2(m, n), factorial(n) * stirling2(m, n))
+    assert (stirling2(7, 3), factorial(3) * stirling2(7, 3), stirling2(3, 4)) == (301, 1_806, 0)
+
+    rng = SplitMix64(2028)
+    path = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    cases = [(path, 4)]
+    for trial in range(24):
+        n = 2 + trial % 4
+        m = n + rng.below(max(k for k in range(9) if n**k <= LABELLED_LIMIT) - n + 1)
+        p, seed, isolated = 0.2 + 0.6 * rng.below(100) / 100, rng.next_u64(), rng.below(3)
+        edges = gen_random_graph(m - isolated, p, seed).graph.edges if m > isolated else ()
+        cases.append((Graph.from_edges(m, edges), n))  # with 0-2 isolated vertices last
+    extras = (TS, WTS, EF1 | TS, EF1 | WTS, EF1 | TS | WTS, SO, TS | SO, EF1 | TS | SO, EF1 | SO)
+    for case, (g, n) in enumerate(cases):
+        m = g.num_vertices
+        alpha = (Fraction(1), Fraction(1, 2), Fraction(2, 3))[case % 3]
+        for extra in extras:
+            mask = NONEMPTY | extra
+            floor = oracle._local_optimum(g, n)[0] if extra & SO and case % 2 else -1
+            if extra & SO:
+                brute = unpruned_reference(g, n, [-1] * m, mask, alpha, True, False)[0]
+            for first_only, list_matches in itertools.product((False, True), (False, True)):
+                call = oracle._kernel_args(
+                    g, n, [-1] * m, mask, alpha, first_only, False, list_matches, floor
+                )
+                result = scan_python(*call)
+                assert compiled_scan(*call) == result, (case, mask, first_only)
+                fields = ["matched", "first_index"] + ["matches"] * list_matches
+                if extra & SO:
+                    ref = brute
+                    fields = ["top_welfare", "first_index"] + (fields if not first_only else [])
+                else:
+                    collect = oracle._kernel_args(g, n, [-1] * m, mask, alpha, first_only, True, list_matches)
+                    ref = scan_python(*collect)
+                    assert compiled_scan(*collect) == ref
+                    assert result["states"] <= ref["states"]
+                    fields += ["top_welfare"] * (not first_only)
+                assert {k: result[k] for k in fields} == {k: ref[k] for k in fields}, (case, mask, first_only)
+                if case == 0 and extra == EF1 | TS:
+                    assert 0 <= result["first_index"] != _scan_py._index([0, 0, 0, 1, 2, 3], 4)
+        for extra, kernel in itertools.product((TS, EF1 | WTS), kernels):
+            for fixed, collect in (([-1] * m, True), ([-1] * (m - 1) + [n - 1], False)):
+                states = [
+                    kernel(*oracle._kernel_args(g, n, fixed, mask, alpha, collect=collect))["states"]
+                    for mask in (NONEMPTY | extra, extra)
+                ]
+                assert states[0] == states[1], (case, extra, fixed)
+
+
+def test_no_ef1_ts_or_wts_allocation_leaves_a_bundle_empty():
+    """The lemma behind the oracle's NONEMPTY walk, by brute force over every
+    graph with at most 4 vertices and seeded random ones with 5-7, some with
+    isolated vertices, n = 2..5 and alpha 1, 1/2 and 2/3: on a graph with at
+    least n non-isolated vertices no alpha-EF1 allocation that is TS or wTS
+    leaves a bundle empty.  (With an empty bundle vmin = 0, so each bundle B
+    of positive value holds a vertex o with no edge leaving B - o, and a
+    vertex whose neighbours all share its bundle breaks TS and wTS; so each
+    bundle holds at most one non-isolated vertex, and the empty one none.)
+    Below that precondition it fails: one edge and an isolated vertex in 3
+    bundles, and a triangle and 2 isolated vertices in 4, have ef1+ts
+    allocations with an empty bundle, so nonempty changes their counts and
+    witnesses."""
+    graphs = []
+    for m in range(5):
+        pairs = list(itertools.combinations(range(m), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append(Graph.from_edges(m, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    rng = SplitMix64(1234)
+    for trial in range(30):
+        m, p, seed, isolated = 5 + trial % 3, 0.2 + 0.6 * rng.below(100) / 100, rng.next_u64(), rng.below(3)
+        graphs.append(Graph.from_edges(m, gen_random_graph(m - isolated, p, seed).graph.edges))
+    alphas = (Fraction(1), Fraction(1, 2), Fraction(2, 3))
+    stable = 0
+    for g, n in itertools.product(graphs, range(2, 6)):
+        m = g.num_vertices
+        if sum(map(bool, g.adjacency)) < n:
+            continue
+        # every allocation with an empty bundle, up to relabelling the bundles
+        for string in restricted_growth_strings(m, n - 1):
+            a = Allocation.of([{v for v in range(m) if string[v] == b} for b in range(n)])
+            if check_ts(a, g).holds or check_wts(a, g).holds:
+                stable += 1
+                assert not any(check_alpha_ef1(a, g, alpha).holds for alpha in alphas), (g, n, string)
+    assert stable > 1000  # the EF1 checks ran
+
+    edge = Graph.from_edges(3, [(0, 1)])
+    triangle = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])
+    for g, n, counts in ((edge, 3, (18, 6)), (triangle, 4, (384, 168))):
+        queries = (query("ef1", "ts"), query("ef1", "ts", "nonempty"))
+        assert tuple(oracle.oracle_count(g, n, q) for q in queries) == counts
+        witness, full = (oracle.oracle_exists(g, n, q) for q in queries)
+        assert not witness.all_nonempty() and full.all_nonempty()
+
+
+def test_ef1_stable_queries_add_the_nonempty_bit(monkeypatch):
+    """A query scan adds NONEMPTY where the lemma holds and n >= 4: the mask
+    has EF1 and TS or WTS, the scan collects no Pareto table, and at least n
+    vertices have a neighbour."""
+    masks = []
+    monkeypatch.setattr(oracle, "scan", lambda *args: masks.append(args[6]) or scan_python(*args))
+    g = gen_random_graph(7, 0.5, 3).graph
+    star = Graph.from_edges(7, [(0, v) for v in range(1, 4)])  # 4 non-isolated vertices
+    oracle.oracle_exists(g, 5, query("ef1", "ts"))
+    oracle.oracle_count(g, 4, query("alpha_ef1", "wts", alpha=Fraction(1, 2), symmetry=True))
+    oracle.oracle_exists(g, 4, query("ef1", "so"))
+    oracle.oracle_exists(star, 4, query("ef1", "ts"))
+    oracle.oracle_exists(star, 5, query("ef1", "ts"))
+    oracle.oracle_exists(g, 3, query("ef1", "ts"))
+    oracle.oracle_count(g, 4, query("ef1", "po"))
+    oracle.oracle_count(g, 4, query("ts"))
+    assert masks == [
+        NONEMPTY | EF1 | TS, NONEMPTY | EF1 | WTS, NONEMPTY | EF1 | TS | SO, NONEMPTY | EF1 | TS,
+        EF1 | TS, EF1 | TS, EF1 | TS, TS,
+    ]
 
 
 def test_kernels_reject_bad_scans_and_sizes(compiled_scan):
