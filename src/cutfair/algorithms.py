@@ -12,6 +12,12 @@ zero marginal value everywhere, so they stay unassigned while a solver runs
 and are appended round-robin at the end (empty bundles first); this changes
 no bundle's cut-value and preserves every checker verdict.
 
+A solver that keeps a BundleStats ends in _finish: the stats are relabelled
+into the returned bundle order, take the isolated vertices, and go to the
+checkers with the result, so checking a solver's output builds nothing.
+greedy_two_agents and the n = 2 forest colouring keep no BundleStats; the
+first check of their output builds one.
+
 One pass, _drain, reaches TS and wTS: it moves chores (weak for TS, strict
 for wTS) to the first bundle in value order that they raise.
 
@@ -35,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .allocation import Allocation, Potential, bundle_values, potential_from_values
+from .allocation import Allocation, Potential, _adopt, bundle_values, potential_from_values
 from .graph import Graph
 from .valuation import BundleStats
 
@@ -115,14 +121,32 @@ def _split_isolated(g: Graph):
     return keep, [v for v, nbrs in enumerate(g.adjacency) if not nbrs]
 
 
+def _slots(bundles) -> list[int]:
+    """Where isolated vertices go: the t-th to bundle slots[t % n], the
+    bundles listed smallest first, ties by index."""
+    return sorted(range(len(bundles)), key=lambda i: (len(bundles[i]), i))
+
+
 def _reattach(bundles, iso, n):
     if not iso:
         return bundles
     out = [set(b) for b in bundles]
-    slots = sorted(range(n), key=lambda i: (len(out[i]), i))
+    slots = _slots(out)
     for t, v in enumerate(iso):
         out[slots[t % n]].add(v)
     return out
+
+
+def _finish(stats: BundleStats, order: list[int], iso) -> Allocation:
+    """A solver's result: bundle k is its bundle order[k], and the isolated
+    vertices are dealt as _reattach deals them.  The stats go to the
+    checkers with the result, so checking it builds nothing."""
+    stats.relabel(order)
+    if iso:
+        slots = _slots(stats.members)
+        for t, v in enumerate(iso):
+            stats.apply_move(v, None, slots[t % stats.n])
+    return _adopt(stats)
 
 
 def _round_robin(g: Graph, keep: list[int], n: int) -> BundleStats:
@@ -218,7 +242,7 @@ def _stabilise(
     _step(stats, order, trace)
     _drain(stats, order, trace, strict, special)
     trace.iterations = len(trace.welfare_history) - 1
-    return Allocation.of([stats.members[b] for b in order]), trace
+    return _finish(stats, order, ()), trace
 
 
 def ts_subroutine(
@@ -348,7 +372,7 @@ def solve_ef1_ts_n4(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         _drain(stats, order, trace, False, i_star)
         trace.snapshots.append(("II", trace.potential_history[-1]))
         violators = _violator_positions(stats, order)
-    return Allocation.of(_reattach([stats.members[b] for b in order], iso, n)), trace
+    return _finish(stats, order, iso), trace
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +439,10 @@ def solve_ef1_wts(g: Graph, n: int) -> tuple[Allocation, SolveTrace]:
         _step(stats, order, trace)
         _drain(stats, order, trace, True)
         trace.snapshots.append((trace.case_history[-1], trace.potential_history[-1]))
-    out = _reattach([stats.members[b] for b in order], iso, n)
-    if not all(out):
+    a = _finish(stats, order, iso)
+    if not a.all_nonempty():
         raise SolverInvariantError("an empty bundle survived round-robin start")
-    return Allocation.of(out), trace
+    return a, trace
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +613,7 @@ def _peel_forest(g: Graph, n: int, iso, trees):
     _step(stats, order, trace)
     if len(placements) != g.num_vertices - len(iso):
         raise SolverInvariantError("peeling terminated with unallocated items")
-    return Allocation.of(_reattach([stats.members[b] for b in order], iso, n)), trace
+    return _finish(stats, order, iso), trace
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ bundle's cached removal floor: beyond the BundleStats build, O(V + n) when it
 holds, since a violation exists exactly when the poorest bundle has one, and
 O(V + n^2) to list every violating pair when it fails.  The checkers keep the
 BundleStats of the last allocation and graph they checked, so consecutive
-checks of one allocation share one O(V + n + E) build.
+checks of one allocation share one O(V + n + E) build.  The solvers that
+keep a BundleStats hand their final one to that slot with the allocation
+they return, so checking a solver's output builds nothing at all.
 """
 
 from __future__ import annotations
@@ -100,8 +102,10 @@ def _stats(a: Allocation, g: Graph) -> BundleStats:
 
     One slot, matched by identity: both objects are immutable, and the
     checkers only read the stats (a removal floor fills its own cache), so
-    a hit equals a fresh build.  Threads may share the slot: it is replaced
-    as one tuple, and a race costs at most one more build.
+    a hit equals a fresh build.  A solver's output arrives with its slot
+    already filled (_adopt), so checking it builds nothing.  Threads may
+    share the slot: it is replaced as one tuple, and a race costs at most
+    one more build.
     """
     global _last
     last_a, last_g, stats = _last
@@ -109,6 +113,20 @@ def _stats(a: Allocation, g: Graph) -> BundleStats:
         stats = BundleStats.from_bundles(g, a.bundles)
         _last = (a, g, stats)
     return stats
+
+
+def _adopt(stats: BundleStats) -> Allocation:
+    """The Allocation of stats' bundles, with stats put in the checkers' slot.
+
+    The solvers return their results through this.  The caller hands stats
+    over: they must be exact for these bundles on stats.graph, and the
+    caller never touches them again, so the checks that follow read them
+    as they would a fresh build.
+    """
+    global _last
+    a = Allocation(tuple(map(frozenset, stats.members)))
+    _last = (a, stats.graph, stats)
+    return a
 
 
 def bundle_values(a: Allocation, g: Graph) -> list[int]:

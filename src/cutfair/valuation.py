@@ -26,9 +26,10 @@ apply_move(o, src, dst):
 
 A move therefore costs O(deg(o)) (times log V once the chore indexes are
 built), plus O(|A_src| + |A_dst|) when the floors of both bundles are
-queried afterwards.  No structure has n * V entries: BundleStats(g, n) is
-O(V + n) and from_bundles O(V + n + E).  All arithmetic is exact integer
-arithmetic.
+queried afterwards.  relabel(order) reorders the bundles in O(V + n),
+keeping the floors and dropping the chore indexes.  No structure has n * V
+entries: BundleStats(g, n) is O(V + n) and from_bundles O(V + n + E).  All
+arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -109,6 +110,23 @@ class BundleStats:
                 own[o] = inside
                 value[b] += deg[o] - inside
         return stats
+
+    def relabel(self, order: Sequence[int]) -> None:
+        """Make bundle k the old bundle order[k], in O(V + n).
+
+        Member sets, values and cached removal floors move with their
+        bundles, and the assignment is remapped; the chore indexes are
+        dropped and rebuild on their next query.
+        """
+        n = self.n
+        if sorted(order) != list(range(n)):
+            raise ValueError(f"{list(order)} is not an order of the {n} bundles")
+        position = dict(zip(order, range(n)))  # old bundle -> new; None stays None
+        self.assignment[:] = map(position.get, self.assignment)
+        self.members[:] = [self.members[b] for b in order]
+        self.bundle_value[:] = [self.bundle_value[b] for b in order]
+        self._floor[:] = [self._floor[b] for b in order]
+        self._chores = self._heaps = None
 
     def neighbor_counts(self, o: int) -> list[int]:
         """Per bundle, the number of o's neighbors in it: O(deg(o) + n)."""

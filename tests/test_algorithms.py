@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cutfair.algorithms import (
 from cutfair.allocation import (
     Allocation,
     bundle_values,
+    check_alpha_ef1,
     check_ef,
     check_ef1,
     check_so,
@@ -640,3 +642,46 @@ def test_isolated_vertices_change_only_where_they_land(monkeypatch):
         ], name
         moved = [(label[v], b) for v, b in base_trace.placements]
         assert trace == dataclasses.replace(base_trace, placements=moved), name
+
+
+def test_checking_a_solver_output_builds_no_bundle_stats(monkeypatch):
+    """A solver that keeps a BundleStats hands it over with its output, so
+    the checks that follow build none; greedy_two_agents keeps none, so the
+    first check of its output builds one."""
+    builds = []
+    build = BundleStats.from_bundles
+
+    def counted(g, bundles):
+        builds.append(len(bundles))
+        return build(g, bundles)
+
+    monkeypatch.setattr(BundleStats, "from_bundles", staticmethod(counted))
+    rng = SplitMix64(61)
+    g = with_isolated(gen_random_graph(12, 0.4, rng.next_u64()).graph, 3)
+    forest = with_isolated(gen_random_forest(12, 2, rng.next_u64()).graph, 2)
+    start = Allocation.of([range(k, 15, 5) for k in range(5)])
+    runs = [
+        ("ts", g, lambda: solve_ef1_ts_n4(g, 5)),
+        ("wts", g, lambda: solve_ef1_wts(g, 3)),
+        ("equitable", g, lambda: equitable_cut(g, 4)),
+        ("ts_subroutine", g, lambda: ts_subroutine(start, g)),
+        ("wts_subroutine", g, lambda: wts_subroutine(start, g)),
+        ("forest3", forest, lambda: solve_forest_ef1_so(forest, 3)),
+        ("forest4", forest, lambda: solve_forest_ef1_so(forest, 4)),
+    ]
+
+    def check_all(a, g):
+        return [bundle_values(a, g), social_welfare(a, g), check_ef(a, g), check_ef1(a, g),
+                check_alpha_ef1(a, g, Fraction(1, 2)), check_ts(a, g), check_wts(a, g),
+                check_so(a, g, max_states=1)]
+
+    for name, graph, solve in runs:
+        a, _ = solve()
+        builds.clear()
+        check_all(a, graph)
+        assert builds == [], name
+    a, _ = greedy_two_agents(g)
+    builds.clear()
+    check_ef(a, g)
+    check_ts(a, g)
+    assert builds == [2]

@@ -62,6 +62,45 @@ def test_checkers_match_golden_corpus():
     assert not mismatches, mismatches[:10]
 
 
+def test_solver_outputs_check_like_fresh_copies():
+    """A solver hands its final BundleStats to the checkers with its output.
+    They must be exact: consistent, equal to a fresh build, and giving every
+    corpus checker the report it gives an equal but distinct copy."""
+    from cutfair import allocation
+    from cutfair.allocation import Allocation
+    from cutfair.valuation import BundleStats
+
+    make_golden = _make_golden()
+    graphs, cases = _load("solvers.json")
+    mismatches = []
+    for k, case in enumerate(cases):
+        g = graphs[case["graph"]]
+        a, _ = make_golden.run_case(g, case)
+        stats = allocation._stats(a, g)
+        stats.check_consistency()  # before any query fills a stale floor
+        got = [_report(check, a, g) for _, check in make_golden.CHECKERS]
+        assert allocation._stats(a, g) is stats
+        fresh = BundleStats.from_bundles(g, a.bundles)
+        fields = ("assignment", "own_neighbors", "bundle_value", "members")
+        diff = [name for name in fields if getattr(stats, name) != getattr(fresh, name)]
+        if any(stats.min_removal_value(i) != fresh.min_removal_value(i) for i in range(a.n)):
+            diff.append("min_removal_value")
+        copy = Allocation(a.bundles), Graph(g.num_vertices, g.adjacency, g.num_edges)
+        for (name, check), report in zip(make_golden.CHECKERS, got):
+            if report != _report(check, *copy):
+                diff.append(name)
+        if diff:
+            mismatches.append((k, case["graph"], case["solver"], case["n"], diff))
+    assert not mismatches, mismatches[:10]
+
+
+def _report(check, a, g):
+    try:
+        return check(a, g)
+    except ValueError as exc:
+        return type(exc).__name__
+
+
 def test_oracle_matches_golden_corpus():
     _check_oracle_corpus()
 

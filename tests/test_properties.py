@@ -185,6 +185,42 @@ def test_bundle_caches_survive_random_moves(state, steps):
         stats.check_consistency()
 
 
+@settings(deadline=None)
+@given(graph_states(max_bundles=5), st.data())
+def test_relabel_equals_a_build_of_the_permuted_bundles(state, data):
+    """Query floors and chores, move (n means: unassign), relabel: the stats
+    equal a fresh build of the bundles in their new order."""
+    g, a = state
+    stats = BundleStats.from_bundles(g, a.bundles)
+    n = stats.n
+    bundle = st.integers(min_value=0, max_value=n - 1)
+    for i in data.draw(st.lists(bundle, max_size=n)):
+        stats.min_removal_value(i)
+    if data.draw(st.booleans()):
+        stats.chores()
+    moves = st.tuples(st.integers(min_value=0, max_value=g.num_vertices - 1), st.integers(0, n))
+    for o, dst in data.draw(st.lists(moves, max_size=6)):
+        dst = None if dst == n else dst
+        if stats.assignment[o] != dst:
+            stats.apply_move(o, stats.assignment[o], dst)
+    for i in data.draw(st.lists(bundle, max_size=n)):
+        stats.min_removal_value(i)
+    order = data.draw(st.permutations(range(n)))
+    bundles = [set(stats.members[b]) for b in order]
+    stats.relabel(order)
+    stats.check_consistency()
+    fresh = BundleStats.from_bundles(g, bundles)
+    for name in ("assignment", "own_neighbors", "bundle_value", "members"):
+        assert getattr(stats, name) == getattr(fresh, name), name
+    assert [stats.min_removal_value(i) for i in range(n)] == [
+        fresh.min_removal_value(i) for i in range(n)
+    ]
+    assert stats.chores() == fresh.chores()
+    for i, strict in itertools.product(range(n), (False, True)):
+        assert stats.least_chore(i, strict) == fresh.least_chore(i, strict)
+    stats.check_consistency()
+
+
 @given(partial_states())
 def test_from_bundles_equals_a_build_by_moves(state):
     g, bundles = state

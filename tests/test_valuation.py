@@ -100,6 +100,23 @@ def test_min_removal_value_tie_breaks_low_index():
     assert BundleStats.from_bundles(g, [set(), {2}]).min_removal_value(0) is None
 
 
+def test_relabel_moves_bundles_and_rejects_a_non_order():
+    g = path(4)
+    stats = BundleStats.from_bundles(g, [{0}, {1, 2}, set()])
+    stats.apply_move(3, None, 1)
+    assert [stats.min_removal_value(i) for i in range(3)] == [(0, 0), (1, 1), None]
+    stats.relabel([2, 1, 0])
+    assert stats._floor == [None, (1, 1), (0, 0)]
+    assert stats.assignment == [2, 1, 1, 1]
+    assert stats.members == [set(), {1, 2, 3}, {0}]
+    assert stats.bundle_value == [0, 1, 1]
+    stats.check_consistency()
+    for bad in ([0, 1], [0, 1, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="not an order"):
+            stats.relabel(bad)
+    assert stats.members == [set(), {1, 2, 3}, {0}]
+
+
 def test_rejects_zero_bundles():
     with pytest.raises(ValueError):
         BundleStats(path(2), 0)
