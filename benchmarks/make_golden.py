@@ -9,9 +9,10 @@ of the two is always empty.  The oracle corpus records the witnesses and
 counts of every predicate pair (symmetry off and on), ``oracle_find_all``,
 ``max_welfare``, ``oracle_leximin``, ``oracle_max_cut``, ``oracle_pareto``
 and ``oracle_completable_ef1`` on the oracle instances of repro criteria 1,
-9, 10 and 11 and on seeded small graphs, and which calls exceed their state
-cap.  The checker corpus records the full report (predicate, holds and
-violations in order) of check_ef, check_ef1, check_alpha_ef1 at 1/2 and 2/3,
+9, 10 and 11 and on seeded small graphs, two-bundle max cuts and welfare on
+graphs of 9 to 17 vertices, and which calls exceed their state cap.  The
+checker corpus records the full report (predicate, holds and violations in
+order) of check_ef, check_ef1, check_alpha_ef1 at 1/2 and 2/3,
 check_ts, check_wts and check_so, or the error it raised, on every solver
 output of the solver corpus and on seeded random complete and partial
 allocations with up to 12 bundles.  Each input graph is stored as its edge
@@ -264,6 +265,16 @@ def oracle_inputs() -> tuple[dict[str, Graph], list[dict]]:
         query(name, n, ("ef1",), max_states=n**m - 1)
         query(name, n, ("ef1", "po"), max_states=n**m)
         case(name, "leximin", n, max_states=n**m - 1)
+    # two-bundle max cuts and welfare beyond m = 8, on graphs of fixed seeds
+    # (not drawn from rng), each also one state under its cap
+    for m in range(9, 18):
+        for p in (0.3, 0.6):
+            name = f"cut{m}:p={p}"
+            graphs[name] = gen_random_graph(m, p, 10 * m + round(10 * p)).graph
+            case(name, "max_cut", 2)
+            case(name, "max_welfare", 2)
+            case(name, "max_cut", 2, max_states=2 ** (m - 1) - 1)
+            case(name, "max_welfare", 2, max_states=2**m - 1)
     return graphs, cases
 
 

@@ -32,6 +32,7 @@ from cutfair.instances import (
     gen_fig3,
     gen_path,
     gen_random_graph,
+    gen_star,
 )
 from cutfair.oracle import CapExceededError, OracleQuery, _scan_py
 from cutfair.oracle._kernel import (
@@ -261,7 +262,9 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     collecting value vectors only for PO without SO, the Pareto check and
     leximin; oracle_find_all makes one canonical call, which with a PO
     filter also collects, whether or not that filter keeps a vector.  Only
-    completability makes a labelled scan."""
+    completability makes a labelled scan.  The max cut is taken on a graph
+    of 17 vertices, as one of at most 16 is read off bit-slices with no
+    kernel call (``test_bit_sliced_max_cut_equals_the_kernel_scan``)."""
     calls = []
 
     def counting(*args):
@@ -273,6 +276,7 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
     witness = oracle.oracle_exists(g, 3, query("ef1", "wts"))
     free = [-1] * g.num_vertices
     canonical, collect = (free, False), (free, True)
+    g17 = gen_fig3(15).graph
 
     def labelled(*bundles):  # the call of a partial allocation with vertex v in bundles[v]
         return list(bundles) + free[len(bundles) :], False
@@ -287,7 +291,7 @@ def test_every_entry_point_is_one_kernel_scan(monkeypatch):
         (lambda: oracle.max_welfare(g, 3), [canonical]),
         (lambda: oracle.oracle_pareto(witness, g, 3), [collect]),
         (lambda: oracle.oracle_leximin(g, 3), [collect]),
-        (lambda: oracle.oracle_max_cut(g), [canonical]),
+        (lambda: oracle.oracle_max_cut(g17), [([-1] * 17, False)]),
     ):
         calls.clear()
         run()
@@ -626,7 +630,9 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
     """The TS-pruned scans of ef1+ts on fig3 with d = 9 and n = 3, which no
     allocation satisfies, of the collect scans of the criterion-10 Pareto
     check (fig1, n = 7) and of an ef1+po count, and the TS- and
-    cut-bound-pruned first_only scans of one oracle_max_cut call, of
+    cut-bound-pruned first_only scans of the max cut of G(16, 0.3) (made
+    directly, at the mask and floor of ``oracle_max_cut``, which reads
+    a max cut of at most 16 vertices off bit-slices instead), of
     max_welfare on G(12, 0.4) with n = 4 and of the ef1+so witness on
     appendixB with n = 4, the canonical listing scan of the ef1+wts
     matches on fig3 with d = 5 and n = 3 (which a labelled scan made in
@@ -658,9 +664,11 @@ def test_pruning_cuts_the_visited_states(kernel, request, monkeypatch):
         (gen_random_graph(10, 0.4, 3).graph, 3),
         (gen_random_graph(12, 0.4, 7).graph, 4),
     ]
-    results = []
+    g16 = cases[0][0]
+    floor = oracle._local_optimum(g16, 2)[0]
+    results = [scan(*oracle._kernel_args(g16, 2, [-1] * 16, TS | SO, first_only=True, floor=floor))]
+    assert oracle.oracle_max_cut(g16)[1] == results[0]["top_welfare"] // 2
     monkeypatch.setattr(oracle, "scan", lambda *args: results.append(scan(*args)) or results[-1])
-    oracle.oracle_max_cut(cases[0][0])
     oracle.oracle_pareto(Allocation.of([{0, 4}, {1}, {2}, {3}, {5}, {6}, {7}]), *cases[1])
     oracle.oracle_count(*cases[2], query("ef1", "po"))
     oracle.max_welfare(*cases[3])
@@ -772,17 +780,87 @@ def test_welfare_scans_add_the_ts_bit(monkeypatch):
     Pareto check and leximin add TS to their mask, so that the kernel prunes
     them: every allocation at the top welfare or with an undominated value
     vector is TS.  The scans of SO queries, max_welfare and oracle_max_cut
-    carry the SO bit too, which prunes them by the cut bound."""
+    carry the SO bit too, which prunes them by the cut bound.  The max cut
+    is taken on a graph of 17 vertices, as one of at most 16 makes no kernel
+    call."""
     masks = []
     monkeypatch.setattr(oracle, "scan", lambda *args: masks.append(args[6]) or scan_python(*args))
     g = gen_fig3(3).graph
-    oracle.oracle_max_cut(g)
+    oracle.oracle_max_cut(gen_fig3(15).graph)
     oracle.max_welfare(g, 3)
     oracle.oracle_count(g, 3, query("ef1", "so"))
     oracle.oracle_find_all(g, 3, query("so"))
     oracle.oracle_count(g, 3, query("ef1", "po"))
     oracle.oracle_pareto(oracle.oracle_leximin(g, 3), g, 3)
     assert masks == [TS | SO, TS | SO, EF1 | TS | SO, TS | SO, EF1 | TS, TS, TS]
+
+
+def two_bundle_cases():
+    """Seeded random graphs with 0-17 vertices at four densities, then
+    complete graphs, paths, stars and complete bipartite graphs."""
+    rng = SplitMix64(3030)
+    yield Graph.from_edges(0, [])
+    for m in range(1, 18):
+        for p in (0.1, 0.3, 0.6, 0.9):
+            yield gen_random_graph(m, p, rng.next_u64()).graph
+    for m in (2, 3, 8, 15, 16, 17):
+        yield from (gen_complete(m).graph, gen_path(m).graph, gen_star(m - 1).graph)
+    for a, b in ((1, 1), (3, 5), (8, 8), (8, 9)):
+        yield gen_complete_bipartite(a, b).graph
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"])
+def test_bit_sliced_max_cut_equals_the_kernel_scan(kernel, request, monkeypatch):
+    """oracle_max_cut, max_welfare with n = 2 and the SO witness with n = 2,
+    with and without symmetry, return the witness and value of the kernel's
+    own max-cut scan (first_only TS|SO from a local optimum's floor).  A
+    graph of at most 16 vertices is read off bit-slices with no kernel call,
+    one of 17 makes one kernel call per query.  Up to 10 vertices the
+    bit-sliced ``matched`` is the pinned count of the SO allocations.  A
+    scan that fixes a vertex is always the kernel's."""
+    scan = scan_python if kernel == "python" else request.getfixturevalue("compiled_scan")
+    calls = []
+    monkeypatch.setattr(oracle, "scan", lambda *args: calls.append(args) or scan(*args))
+    sizes = set()
+    for g in two_bundle_cases():
+        m = g.num_vertices
+        floor = oracle._local_optimum(g, 2)[0]
+        ref = scan(*oracle._kernel_args(g, 2, [-1] * m, TS | SO, first_only=True, floor=floor))
+        witness = oracle._decoder(g, 2)(ref["first_index"])
+        calls.clear()
+        answers = (
+            oracle.oracle_max_cut(g),
+            oracle.max_welfare(g, 2),
+            oracle.oracle_exists(g, 2, query("so")),
+            oracle.oracle_exists(g, 2, query("so", symmetry=True)),
+        )
+        assert answers == ((witness, ref["top_welfare"] // 2), ref["top_welfare"], witness, witness), m
+        assert len(calls) == (4 if m > oracle._BIT_CUT_VERTICES else 0), m
+        if m <= 10:
+            pinned = oracle._scan(g, 2, 2**m, TS | SO, pin=True, first_only=True)["matched"]
+            assert pinned == oracle.oracle_count(g, 2, query("so", symmetry=True)), m
+        if m:
+            fixed = [-1] * (m - 1) + [1]
+            calls.clear()
+            result = oracle._scan(g, 2, 2**m, TS | SO, fixed, first_only=True)
+            assert result == scan(*oracle._kernel_args(g, 2, fixed, TS | SO, first_only=True))
+            assert len(calls) == 1
+        sizes.add(m)
+    assert sizes == set(range(18)) and oracle._BIT_CUT_VERTICES == 16
+
+
+def test_bit_sliced_max_cut_keeps_the_caps():
+    """A max cut of at most 16 vertices is refused one state under its cap,
+    2**(m - 1) pinned states for oracle_max_cut and 2**m labelled ones for
+    max_welfare with n = 2, and answers at exactly its cap."""
+    for m in (1, 2, 9, 16):
+        g = gen_random_graph(m, 0.5, m).graph
+        with pytest.raises(CapExceededError):
+            oracle.oracle_max_cut(g, max_states=2 ** (m - 1) - 1)
+        with pytest.raises(CapExceededError):
+            oracle.max_welfare(g, 2, max_states=2**m - 1)
+        best = oracle.oracle_max_cut(g, max_states=2 ** (m - 1))[1]
+        assert oracle.max_welfare(g, 2, max_states=2**m) == 2 * best == oracle.max_welfare(g, 2)
 
 
 def test_local_optimum_is_a_floor_no_move_improves():
@@ -1073,7 +1151,8 @@ def test_ef1_stable_queries_add_the_nonempty_bit(monkeypatch):
 def test_kernels_reject_bad_scans_and_sizes(compiled_scan):
     """Both kernels refuse an SO scan that collects value vectors, a mask bit
     they do not know (8, the old ALPHA_EF1, or 128 and up) and a scan into no
-    bundle, so an oracle query with n = 0 raises ValueError, and a slack
+    bundle, so an oracle query with n = 0 raises ValueError (``_scan`` checks
+    it first, so an SO query or max_welfare gets the same message), and a slack
     that is not f + 1 non-negative ints; the compiled one refuses a short
     ``fixed`` list instead of reading past it.  A labelled scan, which fixes
     a vertex, visits the whole range."""
@@ -1097,8 +1176,13 @@ def test_kernels_reject_bad_scans_and_sizes(compiled_scan):
         for slack in ([0] * 3, [0] * 5, [], [2, 2, -2, 0], [0, 0, 0, -1]):
             with pytest.raises(ValueError, match="slack"):
                 kernel(*so[:12], slack, *so[13:])
-    with pytest.raises(ValueError, match="n >= 1"):
-        oracle.oracle_exists(gen_path(3).graph, 0, query("ef1"))
+    for no_bundle in (
+        lambda: oracle.oracle_exists(gen_path(3).graph, 0, query("ef1")),
+        lambda: oracle.oracle_exists(gen_path(3).graph, 0, query("so")),
+        lambda: oracle.max_welfare(gen_path(3).graph, 0),
+    ):
+        with pytest.raises(ValueError, match="n >= 1"):
+            no_bundle()
     with pytest.raises(ValueError, match="fixed"):
         compiled_scan(*args([-1] * 3))
 
